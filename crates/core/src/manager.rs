@@ -71,20 +71,6 @@ fn tech_label(ty: TechType) -> &'static str {
     }
 }
 
-/// Dense index for the per-technology instrument arrays in [`MgrObs`].
-fn tech_idx(ty: TechType) -> usize {
-    match ty {
-        TechType::BleBeacon => 0,
-        TechType::WifiMulticast => 1,
-        TechType::WifiTcp => 2,
-        TechType::Nfc => 3,
-    }
-}
-
-/// Every technology, in [`tech_idx`] order.
-const ALL_TECHS: [TechType; 4] =
-    [TechType::BleBeacon, TechType::WifiMulticast, TechType::WifiTcp, TechType::Nfc];
-
 /// Label of a technology's private send queue.
 fn send_queue_label(ty: TechType) -> &'static str {
     match ty {
@@ -113,13 +99,13 @@ struct MgrObs {
     retry_count: Histogram,
     backoff_us: Histogram,
     context_ops: Counter,
-    /// `mgr.data_sent{tech=..}`, indexed by [`tech_idx`] — the labeled
+    /// `mgr.data_sent{tech=..}`, indexed by [`TechType::index`] — the labeled
     /// slice of `data_sent`, so telemetry can attribute load per carrier.
     sent_by_tech: [Counter; 4],
-    /// `mgr.data_delivered{tech=..}`, indexed by [`tech_idx`].
+    /// `mgr.data_delivered{tech=..}`, indexed by [`TechType::index`].
     delivered_by_tech: [Counter; 4],
     /// `mgr.send_latency_us{tech=..}`: enqueue → terminal DataSent, in sim
-    /// microseconds, indexed by [`tech_idx`].
+    /// microseconds, indexed by [`TechType::index`].
     send_latency_us: [Histogram; 4],
     /// `mgr.delivery_latency_us`: the same enqueue → DataSent span across
     /// all carriers, as a quantile digest so telemetry can read a true
@@ -163,11 +149,11 @@ impl MgrObs {
             retry_count: obs.histogram("mgr.data_retry_count"),
             backoff_us: obs.histogram("mgr.data_backoff_us"),
             context_ops: obs.counter("mgr.context_ops"),
-            sent_by_tech: ALL_TECHS
+            sent_by_tech: TechType::ALL
                 .map(|ty| obs.counter_with("mgr.data_sent", &[("tech", tech_label(ty))])),
-            delivered_by_tech: ALL_TECHS
+            delivered_by_tech: TechType::ALL
                 .map(|ty| obs.counter_with("mgr.data_delivered", &[("tech", tech_label(ty))])),
-            send_latency_us: ALL_TECHS
+            send_latency_us: TechType::ALL
                 .map(|ty| obs.histogram_with("mgr.send_latency_us", &[("tech", tech_label(ty))])),
             delivery_latency: obs.digest("mgr.delivery_latency_us"),
             data_relayed: obs.counter_with("mgr.data_relayed", &[("strategy", relay_label)]),
@@ -741,7 +727,7 @@ impl OmniManager {
         let payload = item.packed.payload.clone();
         if let Some(m) = &self.mgr_obs {
             m.data_delivered.inc();
-            m.delivered_by_tech[tech_idx(item.tech)].inc();
+            m.delivered_by_tech[item.tech.index()].inc();
             m.event(
                 now,
                 EventKind::DataDelivered {
@@ -1230,10 +1216,10 @@ impl OmniManager {
                     }
                     if let Some(m) = &self.mgr_obs {
                         m.data_sent.inc();
-                        m.sent_by_tech[tech_idx(tech)].inc();
+                        m.sent_by_tech[tech.index()].inc();
                         let latency_us =
                             api.now.as_micros().saturating_sub(send.enqueued_at.as_micros());
-                        m.send_latency_us[tech_idx(tech)].record(latency_us);
+                        m.send_latency_us[tech.index()].record(latency_us);
                         m.delivery_latency.record_with_exemplar(latency_us, send.trace.as_u64());
                         m.event(
                             api.now,

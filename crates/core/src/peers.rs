@@ -16,8 +16,9 @@
 //! fold" (paper §1).
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use omni_sim::{SimDuration, SimTime};
+use omni_sim::{CellHasher, SimDuration, SimTime};
 use omni_wire::{AddressBeaconPayload, BleAddress, MeshAddress, NfcAddress, OmniAddress, TechType};
 
 use crate::queues::LowAddr;
@@ -25,8 +26,9 @@ use crate::queues::LowAddr;
 /// Everything known about one peer.
 #[derive(Debug, Default, Clone)]
 pub struct PeerRecord {
-    /// Last transmission seen per technology, with the low-level source.
-    pub seen: HashMap<TechType, (LowAddr, SimTime)>,
+    /// Last transmission seen per technology, with the low-level source,
+    /// indexed by [`TechType::index`].
+    pub seen: [Option<(LowAddr, SimTime)>; 4],
     /// Directly connectable mesh address (low-level-ND or session
     /// provenance).
     pub mesh_direct: Option<(MeshAddress, SimTime)>,
@@ -41,12 +43,12 @@ pub struct PeerRecord {
 impl PeerRecord {
     /// Whether this peer was heard on `tech` within `ttl` of `now`.
     pub fn fresh_on(&self, tech: TechType, now: SimTime, ttl: SimDuration) -> bool {
-        self.seen.get(&tech).map(|(_, at)| now.saturating_since(*at) <= ttl).unwrap_or(false)
+        fresh(&self.seen[tech.index()], now, ttl)
     }
 
     /// The most recent sighting on any technology.
     pub fn last_seen(&self) -> Option<SimTime> {
-        self.seen.values().map(|(_, at)| *at).max()
+        self.seen.iter().flatten().map(|&(_, at)| at).max()
     }
 }
 
@@ -54,10 +56,15 @@ fn fresh(entry: &Option<(impl Copy, SimTime)>, now: SimTime, ttl: SimDuration) -
     entry.map(|(_, at)| now.saturating_since(at) <= ttl).unwrap_or(false)
 }
 
-/// The manager's peer table.
+/// The manager's peer table. Probed several times per heard frame, so it
+/// hashes with the simulator's deterministic multiply-mix [`CellHasher`]
+/// rather than SipHash. No result depends on its iteration order: listings
+/// sort, and `tech_needed` only asks whether any record qualifies. Keys are
+/// peer addresses heard over the (simulated) air, so a deployment facing
+/// hostile radios would restore the collision-resistant default hasher.
 #[derive(Debug, Default)]
 pub struct PeerMap {
-    peers: HashMap<OmniAddress, PeerRecord>,
+    peers: HashMap<OmniAddress, PeerRecord, BuildHasherDefault<CellHasher>>,
 }
 
 impl PeerMap {
@@ -71,7 +78,7 @@ impl PeerMap {
     /// peer mapping with each message" (paper §3.3).
     pub fn observe(&mut self, omni: OmniAddress, tech: TechType, source: LowAddr, now: SimTime) {
         let rec = self.peers.entry(omni).or_default();
-        rec.seen.insert(tech, (source, now));
+        rec.seen[tech.index()] = Some((source, now));
         match (tech, source) {
             (TechType::BleBeacon, LowAddr::Ble(a)) => rec.ble = Some((a, now)),
             (TechType::Nfc, LowAddr::Nfc(a)) => rec.nfc = Some((a, now)),
@@ -186,6 +193,39 @@ mod tests {
         assert!(rec.fresh_on(TechType::BleBeacon, t(1000), TTL));
         assert!(!rec.fresh_on(TechType::BleBeacon, t(10_000), TTL));
         assert!(!rec.fresh_on(TechType::WifiTcp, t(0), TTL));
+    }
+
+    #[test]
+    fn per_tech_freshness_and_last_seen_for_every_tech() {
+        let sources = |ty: TechType| match ty {
+            TechType::Nfc => LowAddr::Nfc(NfcAddress::from_u32(3)),
+            TechType::BleBeacon => LowAddr::Ble(BleAddress([3; 6])),
+            TechType::WifiMulticast | TechType::WifiTcp => LowAddr::Mesh(MeshAddress::from_u64(3)),
+        };
+        for ty in TechType::ALL {
+            let mut m = PeerMap::new();
+            let p = OmniAddress::from_u64(3);
+            m.observe(p, ty, sources(ty), t(1_000));
+            let rec = m.get(p).unwrap();
+            assert_eq!(rec.seen[ty.index()], Some((sources(ty), t(1_000))));
+            assert_eq!(rec.last_seen(), Some(t(1_000)));
+            for other in TechType::ALL {
+                assert_eq!(rec.fresh_on(other, t(1_000), TTL), other == ty, "{ty} vs {other}");
+            }
+            assert!(rec.fresh_on(ty, t(4_000), TTL), "fresh at exactly the TTL");
+            assert!(!rec.fresh_on(ty, t(4_001), TTL));
+            // A later sighting on another tech moves `last_seen`; an older
+            // one on a third does not.
+            let later = TechType::ALL[(ty.index() + 1) % 4];
+            let older = TechType::ALL[(ty.index() + 2) % 4];
+            m.observe(p, later, sources(later), t(2_000));
+            m.observe(p, older, sources(older), t(500));
+            let rec = m.get(p).unwrap();
+            assert_eq!(rec.last_seen(), Some(t(2_000)));
+            assert!(rec.fresh_on(ty, t(4_000), TTL) && rec.fresh_on(later, t(5_000), TTL));
+            assert!(!rec.fresh_on(older, t(4_000), TTL));
+        }
+        assert_eq!(PeerRecord::default().last_seen(), None);
     }
 
     #[test]

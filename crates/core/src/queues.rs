@@ -9,7 +9,9 @@
 //!
 //! Queues are `parking_lot`-guarded deques behind `Arc`, so they could be
 //! shared with real technology threads unchanged; in the simulation both
-//! sides are polled from the event loop.
+//! sides are polled from the event loop. An atomic length lives in the same
+//! allocation as the mutex and is only written under it, so the common case
+//! of polling an empty queue is one atomic load and never takes the lock.
 //!
 //! Queues are unbounded by default ([`SharedQueue::new`]); callers that need
 //! backpressure build them with [`SharedQueue::bounded`], which drops the
@@ -19,6 +21,7 @@
 //! [`EventKind::QueueDropped`] event per drop.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -76,16 +79,28 @@ struct QueueInner<T> {
     dropped: u64,
 }
 
+/// The single allocation behind a [`SharedQueue`] and its clones.
+#[derive(Debug)]
+struct QueueShared<T> {
+    /// Mirror of `inner.items.len()`, stored (`Release`) only while the
+    /// mutex is held and loaded (`Acquire`) without it. Readers that find
+    /// it zero skip the lock: the queue was empty at the moment of the
+    /// load, which is a valid linearization point for `pop`. Items
+    /// themselves are only ever read under the mutex.
+    len: AtomicUsize,
+    inner: Mutex<QueueInner<T>>,
+}
+
 /// A multi-producer multi-consumer FIFO shared by reference.
 #[derive(Debug)]
 pub struct SharedQueue<T> {
-    inner: Arc<Mutex<QueueInner<T>>>,
+    shared: Arc<QueueShared<T>>,
     instr: Option<Arc<QueueInstr>>,
 }
 
 impl<T> Clone for SharedQueue<T> {
     fn clone(&self) -> Self {
-        SharedQueue { inner: Arc::clone(&self.inner), instr: self.instr.clone() }
+        SharedQueue { shared: Arc::clone(&self.shared), instr: self.instr.clone() }
     }
 }
 
@@ -98,23 +113,24 @@ impl<T> Default for SharedQueue<T> {
 impl<T> SharedQueue<T> {
     /// Creates an empty, unbounded queue.
     pub fn new() -> Self {
-        SharedQueue {
-            inner: Arc::new(Mutex::new(QueueInner {
-                items: VecDeque::new(),
-                capacity: None,
-                dropped: 0,
-            })),
-            instr: None,
-        }
+        Self::with_capacity_limit(None)
     }
 
     /// Creates an empty queue holding at most `capacity` items (minimum 1).
     /// When full, a push evicts the *oldest* item — newest data wins, which
     /// is the right policy for discovery and status traffic.
     pub fn bounded(capacity: usize) -> Self {
-        let q = Self::new();
-        q.inner.lock().capacity = Some(capacity.max(1));
-        q
+        Self::with_capacity_limit(Some(capacity.max(1)))
+    }
+
+    fn with_capacity_limit(capacity: Option<usize>) -> Self {
+        SharedQueue {
+            shared: Arc::new(QueueShared {
+                len: AtomicUsize::new(0),
+                inner: Mutex::new(QueueInner { items: VecDeque::new(), capacity, dropped: 0 }),
+            }),
+            instr: None,
+        }
     }
 
     /// Attaches observability: exports `queue.<label>.depth`,
@@ -139,7 +155,7 @@ impl<T> SharedQueue<T> {
     /// evicted send request) instead of dropping it silently.
     pub fn push(&self, item: T) -> Option<T> {
         let stamp = self.instr.as_ref().map(|_| Instant::now());
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let mut evicted = None;
         if let Some(cap) = inner.capacity {
             if inner.items.len() >= cap {
@@ -156,6 +172,7 @@ impl<T> SharedQueue<T> {
             }
         }
         inner.items.push_back((item, stamp));
+        self.shared.len.store(inner.items.len(), Ordering::Release);
         if let Some(i) = &self.instr {
             i.depth.set(inner.items.len() as i64);
         }
@@ -164,8 +181,12 @@ impl<T> SharedQueue<T> {
 
     /// Removes and returns the oldest item.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock();
+        if self.is_empty() {
+            return None;
+        }
+        let mut inner = self.shared.inner.lock();
         let (item, stamp) = inner.items.pop_front()?;
+        self.shared.len.store(inner.items.len(), Ordering::Release);
         if let Some(i) = &self.instr {
             i.depth.set(inner.items.len() as i64);
             if let Some(t0) = stamp {
@@ -177,18 +198,22 @@ impl<T> SharedQueue<T> {
 
     /// Number of queued items.
     pub fn len(&self) -> usize {
-        self.inner.lock().items.len()
+        self.shared.len.load(Ordering::Acquire)
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().items.is_empty()
+        self.len() == 0
     }
 
     /// Drains everything currently queued.
     pub fn drain(&self) -> Vec<T> {
-        let mut inner = self.inner.lock();
+        if self.is_empty() {
+            return Vec::new();
+        }
+        let mut inner = self.shared.inner.lock();
         let drained: Vec<(T, Option<Instant>)> = inner.items.drain(..).collect();
+        self.shared.len.store(0, Ordering::Release);
         if let Some(i) = &self.instr {
             i.depth.set(0);
             for (_, stamp) in &drained {
@@ -202,12 +227,12 @@ impl<T> SharedQueue<T> {
 
     /// Maximum number of items, or `None` when unbounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.inner.lock().capacity
+        self.shared.inner.lock().capacity
     }
 
     /// Number of items evicted because the queue was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.shared.inner.lock().dropped
     }
 }
 
@@ -428,6 +453,75 @@ mod tests {
         q.drain();
         assert_eq!(obs.gauge("queue.receive.depth").get(), 0);
         assert_eq!(obs.histogram("queue.receive.wait_us").count(), 2);
+    }
+
+    /// Checks that every clone reports the length of a reference model.
+    fn assert_len<T>(clones: &[&SharedQueue<T>], model: usize) {
+        for q in clones {
+            assert_eq!(q.len(), model);
+            assert_eq!(q.is_empty(), model == 0);
+        }
+    }
+
+    #[test]
+    fn length_stays_consistent_across_clones() {
+        let obs = Obs::new();
+        for q in [
+            SharedQueue::new(),
+            SharedQueue::bounded(3),
+            SharedQueue::bounded(3).instrumented(&obs, "t", 1),
+        ] {
+            let (a, b) = (q.clone(), q.clone());
+            let cap = q.capacity().unwrap_or(usize::MAX);
+            let mut model = 0;
+            assert_len(&[&q, &a, &b], 0);
+            for i in 0..5 {
+                let evicted = [&q, &a, &b][i % 3].push(i);
+                assert_eq!(evicted.is_some(), model == cap);
+                model = (model + 1).min(cap);
+                assert_len(&[&q, &a, &b], model);
+            }
+            assert!(b.pop().is_some());
+            model -= 1;
+            assert_len(&[&q, &a, &b], model);
+            assert_eq!(a.drain().len(), model);
+            assert_len(&[&q, &a, &b], 0);
+            assert_eq!(q.pop(), None);
+            assert!(b.drain().is_empty());
+            a.push(9);
+            assert_len(&[&q, &a, &b], 1);
+            assert_eq!(q.pop(), Some(9));
+            assert_len(&[&q, &a, &b], 0);
+        }
+        // The instrumented queue's depth gauge agrees with the length.
+        assert_eq!(obs.gauge("queue.t.depth").get(), 0);
+    }
+
+    #[test]
+    fn length_is_exact_under_concurrent_producers_and_consumers() {
+        let q = SharedQueue::bounded(64);
+        let popped = std::sync::atomic::AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let q = q.clone();
+                s.spawn(move || {
+                    for i in 0..10_000 {
+                        q.push(t * 10_000 + i);
+                    }
+                });
+            }
+            let (q, popped) = (q.clone(), &popped);
+            s.spawn(move || {
+                for _ in 0..10_000 {
+                    if q.pop().is_some() {
+                        popped.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        });
+        let left = q.drain().len();
+        assert!(q.is_empty());
+        assert_eq!(popped.into_inner() + left + q.dropped() as usize, 20_000);
     }
 
     #[test]

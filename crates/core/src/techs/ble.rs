@@ -300,10 +300,7 @@ impl D2dTechnology for BleBeaconTech {
         if !self.enabled {
             return;
         }
-        let Some(queues) = self.queues.clone() else {
-            return;
-        };
-        while let Some(req) = queues.send.pop() {
+        while let Some(req) = self.queues.as_ref().and_then(|q| q.send.pop()) {
             self.handle_request(req, api);
         }
     }

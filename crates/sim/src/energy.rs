@@ -41,6 +41,21 @@ pub enum EnergyState {
     BleScan,
 }
 
+/// Every state, in declaration order: the fixed order in which
+/// [`EnergyLedger::total_ma_s`] sums open draws, so totals are bit-identical
+/// across processes (the per-device map's iteration order is seeded per
+/// process).
+const ALL_STATES: [EnergyState; 8] = [
+    EnergyState::WifiOn,
+    EnergyState::WifiScan,
+    EnergyState::WifiConnect,
+    EnergyState::WifiTx,
+    EnergyState::WifiRx,
+    EnergyState::InfraRx,
+    EnergyState::McastTx,
+    EnergyState::BleScan,
+];
+
 #[derive(Debug, Default, Clone)]
 struct DeviceEnergy {
     /// Accumulated charge in mA·s.
@@ -114,9 +129,9 @@ impl EnergyLedger {
     /// the still-open states.
     pub fn total_ma_s(&self, id: DeviceId, now: SimTime) -> f64 {
         let d = &self.devices[id.0];
-        let open: f64 = d
-            .states
-            .values()
+        let open: f64 = ALL_STATES
+            .iter()
+            .filter_map(|key| d.states.get(key))
             .map(|(ma, _, since)| ma * now.saturating_since(*since).as_secs_f64())
             .sum();
         d.total_ma_s + open
@@ -219,6 +234,49 @@ mod tests {
         let mut l = ledger(2);
         l.enter(DeviceId(0), t(0), EnergyState::WifiOn, 92.1);
         assert_eq!(l.total_ma_s(DeviceId(1), t(5)), 0.0);
+    }
+
+    #[test]
+    fn open_draw_totals_are_independent_of_entry_order() {
+        // Currents and start times chosen so that f64 addition order
+        // changes the last bits of the sum.
+        let draws: Vec<(EnergyState, f64, SimTime)> = ALL_STATES
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| {
+                (
+                    key,
+                    0.1 + 1e-3 * i as f64 + 1e7 * (i % 2) as f64,
+                    SimTime::from_micros(7 * i as u64),
+                )
+            })
+            .collect();
+        let total = |order: &[usize]| {
+            let mut l = ledger(1);
+            for &i in order {
+                let (key, ma, at) = draws[i];
+                l.enter(DeviceId(0), at, key, ma);
+            }
+            l.total_ma_s(DeviceId(0), SimTime::from_micros(1_234_567)).to_bits()
+        };
+        let forward: Vec<usize> = (0..draws.len()).collect();
+        let reference = total(&forward);
+        let mut order = forward.clone();
+        for round in 0..16 {
+            order.rotate_left(3);
+            if round % 2 == 1 {
+                order.reverse();
+            }
+            assert_eq!(total(&order), reference, "entry order {order:?}");
+        }
+        // The fixed order is declaration order.
+        let by_declaration: f64 = draws
+            .iter()
+            .map(|&(_, ma, at)| {
+                ma * SimTime::from_micros(1_234_567).saturating_since(at).as_secs_f64()
+            })
+            .sum();
+        assert_eq!(reference, by_declaration.to_bits());
     }
 
     #[test]

@@ -141,7 +141,8 @@ impl FaultConfig {
 }
 
 /// Runtime fault state owned by the runner: the dedicated RNG, the current
-/// churn status of every device, and drop accounting.
+/// churn status of every device, a per-device index of the configured
+/// partitions, and drop accounting.
 ///
 /// **Sharding contract.** There is exactly ONE fault RNG stream, seeded
 /// `seed ^ FAULT_SEED_SALT` — the same salt regardless of shard count —
@@ -156,6 +157,11 @@ pub(crate) struct FaultState {
     cfg: FaultConfig,
     rng: SmallRng,
     down: Vec<bool>,
+    /// Device index → positions in `cfg.partitions` of the partitions that
+    /// name it as an endpoint. `link_ok` runs for every frame a device
+    /// hears, so it scans only the few partitions that can involve the pair
+    /// instead of the whole list.
+    partitions_of: Vec<Vec<usize>>,
     /// Frames dropped by loss injection (all media).
     pub frames_dropped: u64,
     /// Total RNG draws (loss + jitter), for shard-parity assertions.
@@ -164,10 +170,22 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     pub fn new(seed: u64, cfg: FaultConfig) -> Self {
+        let mut partitions_of: Vec<Vec<usize>> = Vec::new();
+        for (i, p) in cfg.partitions.iter().enumerate() {
+            let hi = p.a.max(p.b);
+            if partitions_of.len() <= hi {
+                partitions_of.resize_with(hi + 1, Vec::new);
+            }
+            partitions_of[p.a].push(i);
+            if p.b != p.a {
+                partitions_of[p.b].push(i);
+            }
+        }
         FaultState {
             cfg,
             rng: SmallRng::seed_from_u64(seed ^ FAULT_SEED_SALT),
             down: Vec::new(),
+            partitions_of,
             frames_dropped: 0,
             draws: 0,
         }
@@ -197,8 +215,13 @@ impl FaultState {
     }
 
     /// Whether a partition currently severs `medium` between the pair.
+    /// Every partition of the pair names both devices, so scanning the
+    /// shorter of the two per-device lists is exact.
     pub fn partitioned(&self, a: DeviceId, b: DeviceId, now: SimTime, medium: FaultScope) -> bool {
-        self.cfg.partitions.iter().any(|p| p.severs(a, b, now, medium))
+        let of = |d: DeviceId| self.partitions_of.get(d.0).map_or(&[][..], Vec::as_slice);
+        let (la, lb) = (of(a), of(b));
+        let list = if la.len() <= lb.len() { la } else { lb };
+        list.iter().any(|&i| self.cfg.partitions[i].severs(a, b, now, medium))
     }
 
     /// Whether the device is inside a churn down-window.
@@ -264,6 +287,48 @@ mod tests {
         assert!(!s.partitioned(a, b, SimTime::from_secs(4), FaultScope::Wifi), "before");
         assert!(!s.partitioned(a, b, SimTime::from_secs(8), FaultScope::Wifi), "healed");
         assert!(!s.partitioned(a, DeviceId(2), mid, FaultScope::Wifi), "other pair");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The per-device index answers exactly what a linear scan of every
+        /// configured partition answers, over random windows, scopes, pairs
+        /// (including self-pairs and devices no partition names) and times.
+        #[test]
+        fn partition_index_matches_the_linear_oracle(
+            cuts in proptest::collection::vec(
+                (0usize..12, 0usize..12, 0u64..20, 0u64..20, 0u8..4),
+                0..24,
+            ),
+            probes in proptest::collection::vec(
+                (0usize..16, 0usize..16, 0u64..22, 0u8..4),
+                1..64,
+            ),
+        ) {
+            let scope = |k: u8| match k {
+                0 => FaultScope::All,
+                1 => FaultScope::Wifi,
+                2 => FaultScope::Ble,
+                _ => FaultScope::Nfc,
+            };
+            let partitions: Vec<LinkPartition> = cuts
+                .iter()
+                .map(|&(a, b, from, len, k)| {
+                    LinkPartition::new(a, b, SimTime::from_secs(from), SimTime::from_secs(from + len))
+                        .scoped(scope(k))
+                })
+                .collect();
+            let s = FaultState::new(
+                0,
+                FaultConfig { partitions: partitions.clone(), ..Default::default() },
+            );
+            for &(x, y, at, k) in &probes {
+                let (x, y, now, medium) = (DeviceId(x), DeviceId(y), SimTime::from_secs(at), scope(k));
+                let oracle = partitions.iter().any(|p| p.severs(x, y, now, medium));
+                proptest::prop_assert_eq!(s.partitioned(x, y, now, medium), oracle);
+            }
+        }
     }
 
     #[test]

@@ -84,4 +84,4 @@ pub use runner::{DeviceCaps, Runner};
 pub use telemetry::{Sampler, SamplerConfig};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};
-pub use world::{Position, World, DEFAULT_CELL_M};
+pub use world::{CellHasher, Position, World, DEFAULT_CELL_M};

@@ -380,7 +380,14 @@ pub struct Runner {
     medium: WifiMedium,
     conns: Vec<Connection>,
     mesh_index: HashMap<MeshAddress, DeviceId>,
+    /// Armed timers: `(device, token)` → the generation of the one pending
+    /// `Engine::Timer` allowed to fire. An entry leaves when its timer
+    /// fires or is cancelled, so the map holds live timers only; events
+    /// whose generation no longer matches are stale and dropped.
     timer_gens: HashMap<(usize, u64), u64>,
+    /// Source of timer generations, runner-wide, so a generation is never
+    /// reused and a stale event cannot match a later arming of its slot.
+    next_timer_gen: u64,
     cmd_buf: Vec<(DeviceId, Command)>,
     /// Pooled recipient buffer for broadcast fan-out (beacons, one-shots,
     /// multicast, NFC, scans): taken, filled from the spatial grid, and put
@@ -450,6 +457,7 @@ impl Runner {
             conns: Vec::new(),
             mesh_index: HashMap::new(),
             timer_gens: HashMap::new(),
+            next_timer_gen: 0,
             cmd_buf: Vec::new(),
             nbr_buf: Vec::new(),
             adv_buf: Vec::new(),
@@ -1232,13 +1240,13 @@ impl Runner {
     fn apply(&mut self, dev: DeviceId, cmd: Command) {
         match cmd {
             Command::SetTimer { token, delay } => {
-                let gen = self.timer_gens.entry((dev.0, token)).or_insert(0);
-                *gen += 1;
-                let gen = *gen;
+                self.next_timer_gen += 1;
+                let gen = self.next_timer_gen;
+                self.timer_gens.insert((dev.0, token), gen);
                 self.schedule(delay, Engine::Timer { dev, token, gen });
             }
             Command::CancelTimer { token } => {
-                *self.timer_gens.entry((dev.0, token)).or_insert(0) += 1;
+                self.timer_gens.remove(&(dev.0, token));
             }
             Command::Trace(msg) => self.trace.record(self.now, dev, msg),
             Command::BlePower(on) => self.ble_power(dev, on),
@@ -1731,6 +1739,7 @@ impl Runner {
             Engine::StartStack { dev } => self.deliver(dev, NodeEvent::Start),
             Engine::Timer { dev, token, gen } => {
                 if self.timer_gens.get(&(dev.0, token)) == Some(&gen) {
+                    self.timer_gens.remove(&(dev.0, token));
                     self.deliver(dev, NodeEvent::Timer { token });
                 }
             }
@@ -2204,5 +2213,110 @@ impl Runner {
             dev,
             NodeEvent::InfraChunk { req, chunk: chunk_index, received_bytes: received, done },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+
+    /// What the churn stacks believe is armed, shared with the test body:
+    /// `(device, token)` → the instant the latest arming is due.
+    type Armed = Rc<RefCell<HashMap<(usize, u64), SimTime>>>;
+
+    /// Sets, re-arms and cancels timers from a seeded script on every event,
+    /// checking that each firing is the latest arming of its token, due now.
+    struct TimerChurn {
+        dev: usize,
+        state: u64,
+        armed: Armed,
+        fired: Rc<RefCell<u64>>,
+        /// Armings and cancellations that left a pending event stale.
+        superseded: Rc<RefCell<u64>>,
+    }
+
+    impl TimerChurn {
+        fn draw(&mut self, below: u64) -> u64 {
+            self.state = self.state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (self.state >> 33) % below
+        }
+
+        fn arm(&mut self, token: u64, api: &mut NodeApi<'_>) {
+            let delay = SimDuration::from_millis(1 + self.draw(400));
+            api.set_timer(token, delay);
+            if self.armed.borrow_mut().insert((self.dev, token), api.now + delay).is_some() {
+                *self.superseded.borrow_mut() += 1;
+            }
+        }
+    }
+
+    impl Stack for TimerChurn {
+        fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
+            match event {
+                NodeEvent::Start => {
+                    for token in 0..16 {
+                        self.arm(token, api);
+                    }
+                }
+                NodeEvent::Timer { token } => {
+                    let due = self.armed.borrow_mut().remove(&(self.dev, token));
+                    assert_eq!(due, Some(api.now), "a stale or cancelled timer fired");
+                    *self.fired.borrow_mut() += 1;
+                    // Re-arm this token (usually), re-arm another armed one
+                    // over its pending event, and cancel a third.
+                    if self.draw(4) != 0 {
+                        self.arm(token, api);
+                    }
+                    let other = self.draw(16);
+                    if self.draw(2) == 0 {
+                        self.arm(other, api);
+                    }
+                    let victim = self.draw(16);
+                    if self.draw(3) == 0 {
+                        api.cancel_timer(victim);
+                        if self.armed.borrow_mut().remove(&(self.dev, victim)).is_some() {
+                            *self.superseded.borrow_mut() += 1;
+                        }
+                    }
+                    // Keep a population alive so the churn never dies out.
+                    if self.armed.borrow().keys().filter(|&&(d, _)| d == self.dev).count() < 8 {
+                        self.arm(other, api);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn timer_map_holds_only_live_timers_and_stale_generations_never_fire() {
+        let mut sim = Runner::new(SimConfig::default());
+        let armed: Armed = Rc::default();
+        let fired = Rc::new(RefCell::new(0));
+        let superseded = Rc::new(RefCell::new(0));
+        for i in 0..4 {
+            let dev = sim.add_device(DeviceCaps::PI, Position::new(10.0 * i as f64, 0.0));
+            let stack = TimerChurn {
+                dev: dev.0,
+                state: 0x5EED + i as u64,
+                armed: Rc::clone(&armed),
+                fired: Rc::clone(&fired),
+                superseded: Rc::clone(&superseded),
+            };
+            sim.set_stack(dev, Box::new(stack));
+        }
+        for step in 1..=400 {
+            sim.run_until(SimTime::from_millis(50 * step));
+            assert_eq!(sim.timer_gens.len(), armed.borrow().len(), "entries vs live timers");
+        }
+        // Thousands of set/fire/cancel cycles ran, hundreds of them leaving
+        // a stale event behind; the map never grew past the 64 token slots
+        // the fleet uses.
+        assert!(*fired.borrow() > 2_000, "fired {}", fired.borrow());
+        assert!(*superseded.borrow() > 500, "superseded {}", superseded.borrow());
+        assert!(sim.timer_gens.len() <= 64);
     }
 }

@@ -43,26 +43,31 @@ use serde::{Deserialize, Serialize};
 
 use crate::DeviceId;
 
-/// A fast, deterministic hasher for cell keys (FxHash-style multiply-mix).
-/// Cell probes are the grid's per-query constant factor; SipHash (the
-/// `HashMap` default) costs more than the whole candidate filter for a
-/// typical 3×3 walk. Not DoS-resistant — irrelevant for simulator-internal
-/// integer keys — and byte-order independent of the platform hash seed, so
-/// runs stay reproducible.
-#[derive(Default)]
-pub(crate) struct CellHasher(u64);
+/// A fast, deterministic hasher for integer keys (FxHash-style
+/// multiply-mix). Cell probes are the grid's per-query constant factor;
+/// SipHash (the `HashMap` default) costs more than the whole candidate
+/// filter for a typical 3×3 walk. Not DoS-resistant — irrelevant for
+/// simulator-internal integer keys — and independent of any per-process
+/// hash seed, so runs stay reproducible. Other crates reuse it for their
+/// own integer-keyed hot maps (e.g. the manager's peer table).
+#[derive(Debug, Default)]
+pub struct CellHasher(u64);
 
 impl Hasher for CellHasher {
     fn write(&mut self, bytes: &[u8]) {
-        // Cell keys hash as two `write_i64` calls; this path is unused but
-        // kept correct for completeness.
+        // Integer keys hash through the `write_*` overrides below; this
+        // path only serves other key types and is kept correct for them.
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         }
     }
 
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
     fn write_i64(&mut self, v: i64) {
-        self.0 = (self.0 ^ v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.write_u64(v as u64);
     }
 
     fn finish(&self) -> u64 {

@@ -34,6 +34,12 @@ impl TechType {
     pub const ALL: [TechType; 4] =
         [TechType::Nfc, TechType::BleBeacon, TechType::WifiMulticast, TechType::WifiTcp];
 
+    /// Dense index in [`TechType::ALL`] order (`0..4`), for per-technology
+    /// arrays that replace small maps on hot paths.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether this technology can carry periodic context.
     ///
     /// "Omni only distributes context on communication technologies with
@@ -77,6 +83,13 @@ mod tests {
         let mut sorted = TechType::ALL;
         sorted.sort();
         assert_eq!(sorted, TechType::ALL);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, t) in TechType::ALL.into_iter().enumerate() {
+            assert_eq!(t.index(), i);
+        }
     }
 
     #[test]

@@ -46,4 +46,7 @@ cargo run --release -p omni-bench --bin relay -- --smoke
 echo "== bench baseline gate (drift vs committed BENCH_*.json) =="
 scripts/bench_baseline.sh --smoke
 
+echo "== omnibench tests (seed determinism + traced-run identity of every workload) =="
+cargo test --release --offline --manifest-path omnibench/Cargo.toml -q
+
 echo "ci: all green"
