@@ -76,7 +76,6 @@ fn sp_disseminate_falls_back_to_infrastructure_at_high_rates() {
 #[test]
 fn sp_disseminate_collaboration_helps_at_low_rates() {
     let (mut sim, devs) = colocated(3);
-    sim.trace_mut().set_enabled(false); // long run
     let spec = FileSpec::PAPER_30MB;
     let mut reports = Vec::new();
     for (i, &d) in devs.iter().enumerate() {

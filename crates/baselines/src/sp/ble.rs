@@ -71,10 +71,8 @@ impl SpBleDevice {
                 SpOp::InfraRequest { req, total, chunk } => {
                     api.push(Command::InfraRequest { req, total_bytes: total, chunk_bytes: chunk });
                 }
-                SpOp::Trace(msg) => api.push(Command::Trace(msg)),
-                other => {
-                    api.push(Command::Trace(format!("sp-ble: unsupported operation {other:?}")));
-                }
+                // WiFi-only operations have no BLE counterpart.
+                _ => {}
             }
         }
     }

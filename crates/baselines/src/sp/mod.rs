@@ -96,8 +96,6 @@ pub enum SpOp {
         /// Chunk granularity.
         chunk: u64,
     },
-    /// Record a trace line.
-    Trace(String),
 }
 
 /// Deferred-operation handle, mirroring [`omni_core::OmniCtl`]'s shape.
@@ -127,11 +125,6 @@ impl SpCtl {
     /// Convenience: arm a timer.
     pub fn set_timer(&mut self, token: u64, delay: SimDuration) {
         self.push(SpOp::SetTimer { token, delay });
-    }
-
-    /// Convenience: trace.
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        self.push(SpOp::Trace(msg.into()));
     }
 }
 

@@ -146,10 +146,9 @@ impl SpWifiDevice {
                 SpOp::InfraRequest { req, total, chunk } => {
                     api.push(Command::InfraRequest { req, total_bytes: total, chunk_bytes: chunk });
                 }
-                SpOp::Trace(msg) => api.push(Command::Trace(msg)),
-                other => {
-                    api.push(Command::Trace(format!("sp-wifi: unsupported operation {other:?}")));
-                }
+                // Operations addressed to another technology's peers are
+                // ignored.
+                _ => {}
             }
         }
     }
@@ -184,7 +183,6 @@ impl Stack for SpWifiDevice {
                 if found.is_empty() {
                     // Nobody around: resume normal operation.
                     self.net = NetState::Joining;
-                    api.push(Command::Trace("sp-wifi: establish found no networks".into()));
                 } else {
                     self.net = NetState::EstablishJoin;
                 }
@@ -251,10 +249,7 @@ impl Stack for SpWifiDevice {
                                 self.tcp_send(mesh, payload, wire, api);
                             }
                         }
-                        Err(e) => {
-                            peer.queue.clear();
-                            api.push(Command::Trace(format!("sp-wifi: connect failed: {e}")));
-                        }
+                        Err(_) => peer.queue.clear(),
                     }
                 }
             }

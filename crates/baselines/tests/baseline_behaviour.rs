@@ -230,19 +230,16 @@ fn sa_pays_establishment_where_omni_does_not() {
             let sent2 = sent.clone();
             omni.request_timers(Box::new(move |_, o| {
                 let sent3 = sent2.clone();
+                let start = o.now;
                 o.send_data(
                     vec![omni_b],
                     Bytes::from_static(b"30-byte-service-request......."),
                     Box::new(move |code, _, o2| {
                         if code == StatusCode::SendDataSuccess {
-                            // Completion time = now; record via trace and
-                            // measure from the trace below.
-                            o2.trace("test: send-complete");
-                            sent3.borrow_mut().get_or_insert((SimTime::ZERO, SimTime::ZERO));
+                            sent3.borrow_mut().get_or_insert((start, o2.now));
                         }
                     }),
                 );
-                o.trace("test: send-start");
             }));
             omni.set_timer(1, SimDuration::from_secs(10));
         });
@@ -257,20 +254,7 @@ fn sa_pays_establishment_where_omni_does_not() {
         sim.set_stack(a, Box::new(stack_a));
         sim.set_stack(b, Box::new(stack_b));
         sim.run_until(SimTime::from_secs(30));
-        let start = sim
-            .trace()
-            .entries()
-            .iter()
-            .find(|e| e.message == "test: send-start")
-            .expect("send started")
-            .at;
-        let end = sim
-            .trace()
-            .entries()
-            .iter()
-            .find(|e| e.message == "test: send-complete")
-            .expect("send completed")
-            .at;
+        let (start, end) = sent_at.borrow().expect("send completed");
         (end - start).as_secs_f64()
     };
     let omni_latency = elapsed(false);

@@ -43,7 +43,6 @@ fn bench_engine(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut sim = Runner::new(SimConfig::default());
-                sim.trace_mut().set_enabled(false);
                 let d = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
                 sim.set_stack(d, Box::new(TimerLoop));
                 sim
@@ -58,7 +57,6 @@ fn bench_engine(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut sim = Runner::new(SimConfig::default());
-                sim.trace_mut().set_enabled(false);
                 for i in 0..10 {
                     let d = sim.add_device(DeviceCaps::PI, Position::new(i as f64, 0.0));
                     sim.set_stack(d, Box::new(Beacons));

@@ -8,7 +8,6 @@ use omni_sim::{DeviceCaps, Position, Runner, SimConfig, SimTime};
 
 fn two_omni_devices() -> Runner {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     for i in 0..2 {
         let d = sim.add_device(DeviceCaps::PI, Position::new(5.0 * i as f64, 0.0));
         let mgr = OmniBuilder::new().with_ble().with_wifi().build(&sim, d);
@@ -41,7 +40,6 @@ fn bench_middleware(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut sim = Runner::new(SimConfig::default());
-                sim.trace_mut().set_enabled(false);
                 let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
                 let bdev = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
                 let dest = OmniBuilder::omni_address(&sim, bdev);

@@ -26,7 +26,6 @@ use omni_wire::{StatusCode, TechType};
 /// beaconing devices under a given config.
 fn discovery_energy(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     if let Some(o) = obs {
         sim.set_obs(o.clone());
         cfg.obs = Some(o.clone());
@@ -53,7 +52,6 @@ fn discovery_energy(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
 /// 30 B data latency (ms) after a 10 s warmup under a given config.
 fn data_latency_ms(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     if let Some(o) = obs {
         sim.set_obs(o.clone());
         cfg.obs = Some(o.clone());
@@ -101,7 +99,6 @@ fn data_latency_ms(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
 /// Discovery latency (ms): time until B first hears A's context pack.
 fn discovery_latency_ms(beacon_interval: SimDuration, obs: Option<&Obs>) -> f64 {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     if let Some(o) = obs {
         sim.set_obs(o.clone());
     }

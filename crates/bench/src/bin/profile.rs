@@ -83,7 +83,6 @@ fn run_fleet(profile: bool) -> (FleetArtifacts, Option<PhaseReport>) {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: SEED, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_shards(4);
     if profile {
         sim.enable_profiler();
@@ -115,7 +114,6 @@ fn run_cell(n: usize, shards: usize, ticks: u64, profile: bool) -> (f64, u64, Op
     if profile {
         sim.enable_profiler();
     }
-    sim.trace_mut().set_enabled(false);
     let heard = Rc::new(RefCell::new(0u64));
     // Pairs 3 m apart on a 50 m site grid: dense local radio neighborhoods,
     // no cross-site traffic — the same shape the scale bench uses.

@@ -110,7 +110,6 @@ fn run_cell(
     shards: usize,
 ) -> CellResult {
     let mut sim = Runner::new(SimConfig { seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_shards(shards);
     let obs = Obs::new();
     sim.set_obs(obs.clone());

@@ -68,7 +68,6 @@ fn run_cell_obs(
 ) -> CellResult {
     let sim_cfg = SimConfig { seed, faults, ..Default::default() };
     let mut sim = Runner::new(sim_cfg);
-    sim.trace_mut().set_enabled(false);
     if let Some(obs) = obs {
         sim.set_obs(obs.clone());
     }

@@ -171,7 +171,6 @@ fn run_cell(n: usize, brute_force: bool, shards: usize, profile: bool, obs: &Obs
     if profile {
         sim.enable_profiler();
     }
-    sim.trace_mut().set_enabled(false);
     let heard = Rc::new(RefCell::new(0u64));
     let sites = n.div_ceil(2);
     let cols = (sites as f64).sqrt().ceil() as usize;
@@ -191,13 +190,13 @@ fn run_cell(n: usize, brute_force: bool, shards: usize, profile: bool, obs: &Obs
         (false, s) if s > 1 => format!("n{n}.s{s}"),
         (false, _) => format!("n{n}"),
     };
-    let hist = obs.histogram(&format!("scale.{label}.tick_us"));
+    let tick_us = obs.digest(&format!("scale.{label}.tick_us"));
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let started = Instant::now();
     for t in 1..=ticks {
         let tick_start = Instant::now();
         sim.run_until(SimTime::from_millis(TICK_MS * t));
-        hist.record(tick_start.elapsed().as_micros() as u64);
+        tick_us.record(tick_start.elapsed().as_micros() as u64);
     }
     let total_s = started.elapsed().as_secs_f64();
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
@@ -207,7 +206,7 @@ fn run_cell(n: usize, brute_force: bool, shards: usize, profile: bool, obs: &Obs
     CellResult {
         ticks_per_sec,
         mean_tick_us: total_s * 1e6 / ticks as f64,
-        p95_tick_us: hist.quantile(0.95),
+        p95_tick_us: tick_us.quantile(0.95),
         allocs_per_tick: allocs as f64 / ticks as f64,
         heard,
         report: sim.profiler().map(|p| p.report()),
@@ -259,7 +258,6 @@ fn parity_run(shards: usize) -> ParityArtifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: 7, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_shards(shards);
     let obs = Obs::new();
     sim.set_obs(obs.clone());

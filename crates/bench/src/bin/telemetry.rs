@@ -114,7 +114,6 @@ fn main() {
     let (n, run_secs): (usize, u64) = if smoke { (200, 40) } else { (1000, 60) };
 
     let mut sim = Runner::new(SimConfig { seed: 11, faults: faults(), ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_obs((*obs).clone());
     sim.enable_sampler(SamplerConfig {
         every: SimDuration::from_micros(SAMPLE_US),

@@ -91,7 +91,6 @@ fn run_fleet(nodes: usize, obs: &Obs) -> (FleetStatus, Vec<PhaseSlice>) {
     let clusters = nodes / CLUSTER;
     let sim_cfg = SimConfig { seed: SEED, faults: fleet_faults(clusters), ..Default::default() };
     let mut sim = Runner::new(sim_cfg);
-    sim.trace_mut().set_enabled(false);
     sim.set_obs(obs.clone());
     // Tick-phase profiling with slice retention: the slices land in the
     // Chrome trace next to the per-trace transfer rows. Safe to leave on —

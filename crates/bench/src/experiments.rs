@@ -317,7 +317,6 @@ pub fn table4_cell(system: System, row: &Table4Row, obs: Option<&Obs>) -> Option
         return None; // the paper's N/A cells
     }
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     if let Some(o) = obs {
         sim.set_obs(o.clone());
     }
@@ -445,7 +444,6 @@ pub fn table5_cell(
 ) -> DisseminateMeasured {
     let spec = FileSpec::PAPER_30MB;
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     if let Some(o) = obs {
         sim.set_obs(o.clone());
     }
@@ -536,7 +534,6 @@ pub struct ProphetMeasured {
 /// bundle for C, B carries it across after a 5 s encounter delay.
 pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     if let Some(o) = obs {
         sim.set_obs(o.clone());
     }

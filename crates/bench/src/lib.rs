@@ -15,7 +15,7 @@ pub mod report;
 /// Owns the binary's [`Obs`](omni_obs::Obs) handle and, on drop, prints the
 /// standard snapshot block and writes `target/obs/<name>.json` exactly once —
 /// regardless of which exit path the binary takes.  Derefs to `Obs`, so
-/// counters, histograms, and `&*run` borrows work unchanged.
+/// counters, digests, and `&*run` borrows work unchanged.
 pub struct ObsRun {
     name: &'static str,
     obs: omni_obs::Obs,

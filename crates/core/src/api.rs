@@ -125,8 +125,6 @@ pub enum ApiCall {
         /// The token to cancel.
         token: u64,
     },
-    /// Records a trace line.
-    Trace(String),
 }
 
 impl std::fmt::Debug for ApiCall {
@@ -144,7 +142,6 @@ impl std::fmt::Debug for ApiCall {
             ApiCall::InfraCancel { .. } => "InfraCancel",
             ApiCall::SetTimer { .. } => "SetTimer",
             ApiCall::CancelTimer { .. } => "CancelTimer",
-            ApiCall::Trace(_) => "Trace",
         };
         f.write_str(name)
     }
@@ -274,11 +271,6 @@ impl OmniCtl {
     /// Cancels an application timer.
     pub fn cancel_timer(&mut self, token: u64) {
         self.calls.push(ApiCall::CancelTimer { token });
-    }
-
-    /// Records a line in the simulation trace.
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        self.calls.push(ApiCall::Trace(msg.into()));
     }
 
     /// Number of queued calls (mainly for tests).

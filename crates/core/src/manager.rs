@@ -24,7 +24,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes};
-use omni_obs::{Counter, Digest, EventKind, Gauge, Histogram, Obs};
+use omni_obs::{Counter, Digest, EventKind, Gauge, Obs};
 use omni_sim::{NodeApi, NodeEvent, SimDuration, SimTime};
 use omni_wire::{
     AddressBeaconPayload, BleAddress, ContentKind, MeshAddress, OmniAddress, PackedStruct,
@@ -96,8 +96,8 @@ struct MgrObs {
     data_failed: Counter,
     data_fallbacks: Counter,
     data_retries: Counter,
-    retry_count: Histogram,
-    backoff_us: Histogram,
+    retry_count: Digest,
+    backoff_us: Digest,
     context_ops: Counter,
     /// `mgr.data_sent{tech=..}`, indexed by [`TechType::index`] — the labeled
     /// slice of `data_sent`, so telemetry can attribute load per carrier.
@@ -106,13 +106,11 @@ struct MgrObs {
     delivered_by_tech: [Counter; 4],
     /// `mgr.send_latency_us{tech=..}`: enqueue → terminal DataSent, in sim
     /// microseconds, indexed by [`TechType::index`].
-    send_latency_us: [Histogram; 4],
+    send_latency_us: [Digest; 4],
     /// `mgr.delivery_latency_us`: the same enqueue → DataSent span across
-    /// all carriers, as a quantile digest so telemetry can read a true
-    /// windowed p99 (a `(count, sum)` histogram only yields the mean, which
-    /// a healthy majority drowns). Each sample carries the send's trace id
-    /// as an exemplar, linking slow windows back to `FlightRecorder`
-    /// timelines.
+    /// all carriers, which telemetry reads as a windowed p99. Each sample
+    /// carries the send's trace id as an exemplar, linking slow windows back
+    /// to `FlightRecorder` timelines.
     delivery_latency: Digest,
     /// `mgr.data_relayed{strategy=..}`: successful custody-hop forwards.
     data_relayed: Counter,
@@ -146,15 +144,15 @@ impl MgrObs {
             data_failed: obs.counter("mgr.data_failed"),
             data_fallbacks: obs.counter("mgr.data_fallbacks"),
             data_retries: obs.counter("mgr.data_retries"),
-            retry_count: obs.histogram("mgr.data_retry_count"),
-            backoff_us: obs.histogram("mgr.data_backoff_us"),
+            retry_count: obs.digest("mgr.data_retry_count"),
+            backoff_us: obs.digest("mgr.data_backoff_us"),
             context_ops: obs.counter("mgr.context_ops"),
             sent_by_tech: TechType::ALL
                 .map(|ty| obs.counter_with("mgr.data_sent", &[("tech", tech_label(ty))])),
             delivered_by_tech: TechType::ALL
                 .map(|ty| obs.counter_with("mgr.data_delivered", &[("tech", tech_label(ty))])),
             send_latency_us: TechType::ALL
-                .map(|ty| obs.histogram_with("mgr.send_latency_us", &[("tech", tech_label(ty))])),
+                .map(|ty| obs.digest_with("mgr.send_latency_us", &[("tech", tech_label(ty))])),
             delivery_latency: obs.digest("mgr.delivery_latency_us"),
             data_relayed: obs.counter_with("mgr.data_relayed", &[("strategy", relay_label)]),
             data_custody: obs.counter_with("mgr.data_custody", &[("strategy", relay_label)]),
@@ -208,7 +206,7 @@ struct DataSend {
     /// this send produces.
     trace: TraceId,
     /// When the application handed us this send — the zero point of the
-    /// per-tech `mgr.send_latency_us` histogram.
+    /// per-tech `mgr.send_latency_us` digest.
     enqueued_at: SimTime,
     /// `Some` when this send is a custody-hop forward of a relayed frame:
     /// the relay header stamped on the forwarded copy. Origin sends keep
@@ -617,7 +615,6 @@ impl OmniManager {
                 return;
             }
         }
-        api.trace("omni: pump did not quiesce within its iteration budget");
     }
 
     fn fire_app_timers(&mut self, token: u64, now: omni_sim::SimTime) {
@@ -680,7 +677,7 @@ impl OmniManager {
                 // Authenticate/decrypt first (paper §3.4): beacons that are
                 // not sealed for our group are ignored entirely.
                 let Some(plain) = self.open(&item.packed.payload) else {
-                    api.trace("omni: dropped unauthenticated address beacon");
+                    self.note_auth_rejected(item.packed.source, now);
                     return;
                 };
                 if let Ok(beacon) = omni_wire::AddressBeaconPayload::decode(&plain) {
@@ -708,7 +705,7 @@ impl OmniManager {
             }
             ContentKind::Context => {
                 let Some(plain) = self.open(&item.packed.payload) else {
-                    api.trace("omni: dropped unauthenticated context pack");
+                    self.note_auth_rejected(item.packed.source, now);
                     return;
                 };
                 self.handle_context_plain(item.packed.source, plain, api);
@@ -717,6 +714,14 @@ impl OmniManager {
                 Some(header) => self.handle_relay_data(item, header, api),
                 None => self.deliver_data(&item, now),
             },
+        }
+    }
+
+    /// A sealed beacon or context pack from `peer` failed authentication
+    /// under our group key: the frame is dropped, and the drop is recorded.
+    fn note_auth_rejected(&self, peer: OmniAddress, now: SimTime) {
+        if let Some(m) = &self.mgr_obs {
+            m.event(now, EventKind::AuthRejected { peer: peer.as_u64() });
         }
     }
 
@@ -770,12 +775,8 @@ impl OmniManager {
             self.deliver_data(&item, now);
             return;
         }
-        if !self.cfg.relay.enabled() {
-            api.trace("omni: dropped relay frame addressed elsewhere (relaying disabled)");
-            return;
-        }
-        if trace == 0 {
-            api.trace("omni: dropped untraced relay frame (custody requires a trace)");
+        // Frames for other nodes need relaying on, and custody needs a trace.
+        if !self.cfg.relay.enabled() || trace == 0 {
             return;
         }
         if !self.data_seen.insert(trace) {
@@ -1169,10 +1170,6 @@ impl OmniManager {
                     if let Some(entry) = self.contexts.get_mut(&id) {
                         entry.carried.remove(&tech);
                     }
-                    api.trace(format!(
-                        "omni: context {id} op on {tech} failed: {}",
-                        failure.description
-                    ));
                     // Replay on the next applicable context technology.
                     let mut remaining = remaining;
                     if let Some(next) = remaining.pop() {
@@ -1241,17 +1238,12 @@ impl OmniManager {
                         ));
                     }
                 }
-                Ok(other) => {
+                Ok(_) => {
                     if self.cfg.retry.enabled() {
                         api.cancel_timer(MGR_TIMER_DATA_BASE + token);
                     }
-                    api.trace(format!("omni: unexpected data response {other:?}"));
                 }
                 Err(failure) => {
-                    api.trace(format!(
-                        "omni: data to {} via {tech} failed: {}",
-                        send.dest, failure.description
-                    ));
                     if self.cfg.retry.enabled() {
                         api.cancel_timer(MGR_TIMER_DATA_BASE + token);
                         self.advance_data(send, Some(tech), failure.description, api);
@@ -1488,7 +1480,6 @@ impl OmniManager {
             ApiCall::CancelTimer { token } => {
                 api.cancel_timer(APP_TIMER_BASE + token);
             }
-            ApiCall::Trace(msg) => api.trace(msg),
         }
     }
 
@@ -1828,7 +1819,6 @@ impl OmniManager {
                     },
                 );
             }
-            api.trace(format!("omni: data to {} failing over to {}", send.dest, next.tech));
             self.submit_data(send, next, api);
             return;
         }
@@ -1849,10 +1839,6 @@ impl OmniManager {
                     },
                 );
             }
-            api.trace(format!(
-                "omni: data to {} backing off {} before attempt {}",
-                send.dest, delay, send.attempt
-            ));
             let token = self.alloc_token();
             self.pending.insert(token, Pending::Data(send));
             api.set_timer(MGR_TIMER_DATA_BASE + token, delay);
@@ -1895,8 +1881,7 @@ impl OmniManager {
     /// Returns `true` when the failure was absorbed.
     fn relay_rescue(&mut self, send: &mut DataSend, api: &mut NodeApi<'_>) -> bool {
         if send.relay_hop.is_some() {
-            api.trace(format!("omni: custody hop to {} failed; frame stays in custody", send.dest));
-            return true;
+            return true; // the frame stays in custody
         }
         if !self.cfg.relay.enabled() {
             return false;
@@ -1911,7 +1896,6 @@ impl OmniManager {
             return false;
         };
         let trace = send.trace.as_u64();
-        api.trace(format!("omni: send to {} falling back to relay custody", send.dest));
         self.data_seen.insert(trace);
         self.custody_origin
             .insert(trace, OriginCustody { cb, dest: send.dest, tried: send.tried.clone() });
@@ -1934,7 +1918,6 @@ impl OmniManager {
         };
         match send.current {
             Some(tech) => {
-                api.trace(format!("omni: data to {} via {tech}: ack deadline expired", send.dest));
                 self.advance_data(send, Some(tech), format!("ack deadline expired on {tech}"), api);
             }
             None => match self.data_candidates(send.dest, send.wire_len, api.now) {
@@ -1983,7 +1966,6 @@ impl OmniManager {
             if self.relay_rescue(&mut send, api) {
                 continue;
             }
-            api.trace(format!("omni: peer {peer} expired; cancelling pending send"));
             if let Some(m) = &self.mgr_obs {
                 m.data_failed.inc();
                 m.event(
@@ -2043,10 +2025,16 @@ impl OmniManager {
         if target == current {
             return;
         }
-        api.trace(format!("omni: adaptive beacon interval {} -> {}", current, target));
         self.beacon_interval_current = target;
         if let Some(m) = &self.mgr_obs {
             m.beacon_interval_us.set(target.as_micros() as i64);
+            m.event(
+                api.now,
+                EventKind::BeaconIntervalChanged {
+                    from_us: current.as_micros(),
+                    to_us: target.as_micros(),
+                },
+            );
         }
         if let Some(entry) = self.contexts.get_mut(&ADDRESS_BEACON_CONTEXT_ID) {
             entry.params.interval = target;
@@ -2153,10 +2141,8 @@ impl OmniManager {
             let needed = self.peers.tech_needed(t, cheaper, now, ttl);
             let engaged = self.engaged.contains(&t);
             if needed && !engaged {
-                api.trace(format!("omni: engaging context technology {t}"));
                 self.engage(t, now);
             } else if !needed && engaged {
-                api.trace(format!("omni: disengaging context technology {t}"));
                 self.disengage(t, now);
             }
         }

@@ -17,7 +17,7 @@
 //! backpressure build them with [`SharedQueue::bounded`], which drops the
 //! *oldest* element to admit a new one and counts the drops. Attaching an
 //! [`Obs`] handle ([`SharedQueue::instrumented`]) additionally exports a
-//! depth gauge, an enqueue→dequeue wait histogram, a drop counter, and a
+//! depth gauge, an enqueue→dequeue wait digest, a drop counter, and a
 //! [`EventKind::QueueDropped`] event per drop.
 
 use std::collections::VecDeque;
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use omni_obs::{Counter, EventKind, Gauge, Histogram, Obs};
+use omni_obs::{Counter, Digest, EventKind, Gauge, Obs};
 use omni_wire::{BleAddress, MeshAddress, NfcAddress, OmniAddress, PackedStruct, TechType};
 use parking_lot::Mutex;
 
@@ -63,7 +63,7 @@ impl std::fmt::Display for LowAddr {
 struct QueueInstr {
     depth: Gauge,
     dropped: Counter,
-    wait_us: Histogram,
+    wait_us: Digest,
     obs: Obs,
     label: &'static str,
     node: u32,
@@ -141,7 +141,7 @@ impl<T> SharedQueue<T> {
         self.instr = Some(Arc::new(QueueInstr {
             depth: obs.gauge(&format!("queue.{label}.depth")),
             dropped: obs.counter(&format!("queue.{label}.dropped")),
-            wait_us: obs.histogram(&format!("queue.{label}.wait_us")),
+            wait_us: obs.digest(&format!("queue.{label}.wait_us")),
             obs: obs.clone(),
             label,
             node,
@@ -449,10 +449,10 @@ mod tests {
         assert_eq!(events[0].kind, EventKind::QueueDropped { queue: "receive" });
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(obs.gauge("queue.receive.depth").get(), 1);
-        assert_eq!(obs.histogram("queue.receive.wait_us").count(), 1);
+        assert_eq!(obs.digest("queue.receive.wait_us").count(), 1);
         q.drain();
         assert_eq!(obs.gauge("queue.receive.depth").get(), 0);
-        assert_eq!(obs.histogram("queue.receive.wait_us").count(), 2);
+        assert_eq!(obs.digest("queue.receive.wait_us").count(), 2);
     }
 
     /// Checks that every clone reports the length of a reference model.

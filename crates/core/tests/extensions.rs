@@ -7,6 +7,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use omni_core::{AdaptiveBeacon, ContextParams, GroupKey, OmniBuilder, OmniConfig, OmniStack};
+use omni_obs::{EventKind, Obs};
 use omni_sim::{DeviceCaps, DeviceId, Position, Runner, SimConfig, SimDuration, SimTime};
 use omni_wire::OmniAddress;
 
@@ -18,8 +19,20 @@ fn stack_with(
     cfg: OmniConfig,
     advert: Option<&'static [u8]>,
 ) -> (OmniStack, CtxLog) {
+    stack_observed(sim, dev, cfg, advert, &Obs::new())
+}
+
+/// Like [`stack_with`], with the manager reporting into `obs`.
+fn stack_observed(
+    sim: &Runner,
+    dev: DeviceId,
+    cfg: OmniConfig,
+    advert: Option<&'static [u8]>,
+    obs: &Obs,
+) -> (OmniStack, CtxLog) {
     let log: CtxLog = Rc::new(RefCell::new(Vec::new()));
-    let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg).build(sim, dev);
+    let mgr =
+        OmniBuilder::new().with_ble().with_wifi().with_config(cfg).with_obs(obs).build(sim, dev);
     let l = log.clone();
     let stack = OmniStack::new(mgr, move |omni| {
         if let Some(a) = advert {
@@ -63,7 +76,8 @@ fn eavesdropper_without_the_key_sees_nothing() {
     let (sa, _) = stack_with(&sim, a, keyed("tour-7"), Some(b"svc:secure"));
     let (sb, log_b) = stack_with(&sim, b, keyed("tour-7"), None);
     // Eve holds the wrong key: everything she hears fails authentication.
-    let (se, log_e) = stack_with(&sim, eve, keyed("wrong-key"), None);
+    let eve_obs = Obs::new();
+    let (se, log_e) = stack_observed(&sim, eve, keyed("wrong-key"), None, &eve_obs);
     sim.set_stack(a, Box::new(sa));
     sim.set_stack(b, Box::new(sb));
     sim.set_stack(eve, Box::new(se));
@@ -71,7 +85,11 @@ fn eavesdropper_without_the_key_sees_nothing() {
     assert!(log_b.borrow().iter().any(|(_, c)| c == b"svc:secure"));
     assert!(log_e.borrow().is_empty(), "eve decrypted something: {:?}", log_e.borrow());
     // And her peer map has no usable mesh addresses (beacons dropped).
-    assert!(sim.trace().contains("unauthenticated"));
+    let omni_a = OmniBuilder::omni_address(&sim, a).as_u64();
+    assert!(
+        eve_obs.events().iter().any(|e| e.kind == EventKind::AuthRejected { peer: omni_a }),
+        "eve's manager must record the rejected frames"
+    );
 }
 
 #[test]
@@ -192,7 +210,8 @@ fn adaptive_beacons_decay_then_recover() {
         }),
         ..OmniConfig::default()
     };
-    let (sa, _) = stack_with(&sim, a, adaptive.clone(), Some(b"svc:adaptive"));
+    let obs_a = Obs::new();
+    let (sa, _) = stack_observed(&sim, a, adaptive.clone(), Some(b"svc:adaptive"), &obs_a);
     let (sb, _) = stack_with(&sim, b, adaptive.clone(), None);
     let (sl, _) = stack_with(&sim, late, adaptive, Some(b"svc:late"));
     sim.set_stack(a, Box::new(sa));
@@ -200,20 +219,22 @@ fn adaptive_beacons_decay_then_recover() {
     sim.set_stack(late, Box::new(sl));
     sim.schedule_teleport(late, SimTime::from_secs(30), Position::new(10.0, 0.0));
     sim.run_until(SimTime::from_secs(45));
-    let widened = sim
-        .trace()
-        .entries()
+    let changes: Vec<(u64, u64)> = obs_a
+        .events()
         .iter()
-        .filter(|e| e.device == a && e.message.contains("adaptive beacon interval"))
-        .collect::<Vec<_>>();
+        .filter_map(|e| match e.kind {
+            EventKind::BeaconIntervalChanged { to_us, .. } => Some((e.t_us, to_us)),
+            _ => None,
+        })
+        .collect();
     assert!(
-        widened.iter().any(|e| e.message.ends_with("4.000s")),
-        "interval decayed to the ceiling: {widened:?}"
+        changes.iter().any(|&(_, to_us)| to_us == 4_000_000),
+        "interval decayed to the ceiling: {changes:?}"
     );
     // After the newcomer, the interval snapped back to the minimum.
     assert!(
-        widened.iter().any(|e| e.at > SimTime::from_secs(30) && e.message.ends_with("250.000ms")),
-        "interval recovered on a new peer: {widened:?}"
+        changes.iter().any(|&(t_us, to_us)| t_us > 30_000_000 && to_us == 250_000),
+        "interval recovered on a new peer: {changes:?}"
     );
 }
 

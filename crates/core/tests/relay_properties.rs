@@ -59,7 +59,6 @@ fn run_chain(
 ) -> ChainRun {
     let faults = FaultConfig { ble_loss, ..Default::default() };
     let mut sim = Runner::new(SimConfig { seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     let cfg = OmniConfig { relay: policy, ..Default::default() };

@@ -5,8 +5,8 @@
 //! above that is split into [`SUBBUCKETS`] equal-width linear sub-buckets.
 //! Reporting the midpoint of the rank's bucket (clamped to the observed
 //! min/max) bounds the relative quantile error by
-//! [`RELATIVE_ERROR_BOUND`] ≈ 1.6% — unlike the fixed power-of-two
-//! [`crate::Histogram`], whose per-bucket error reaches 100%.
+//! [`RELATIVE_ERROR_BOUND`] ≈ 1.6%, where a power-of-two bucket layout
+//! would be off by up to 100%.
 //!
 //! Digests **merge**: two digests use the same fixed bucket layout, so
 //! cross-shard aggregation is per-bucket addition and the error bound is
@@ -85,7 +85,7 @@ fn bucket_mid(idx: usize) -> u64 {
 pub struct DigestSummary {
     /// Number of recorded samples.
     pub count: u64,
-    /// Sum of all samples (wrapping on overflow, like `Histogram`).
+    /// Sum of all samples (wrapping on overflow).
     pub sum: u64,
     /// Smallest sample, or 0 when empty.
     pub min: u64,
@@ -209,8 +209,8 @@ impl QuantileDigest {
         ring.push_back(trace);
     }
 
-    /// 1-based rank of quantile `q` (same convention as
-    /// [`crate::Histogram::quantile`] and the nearest-rank sort oracle).
+    /// 1-based rank of quantile `q` (the nearest-rank convention of the
+    /// sort oracle).
     fn rank(&self, q: f64) -> u64 {
         ((q * self.count as f64).ceil() as u64).clamp(1, self.count)
     }
@@ -320,11 +320,10 @@ impl QuantileDigest {
 
 /// A registry-attached shared digest handle (cheap `Arc` clone).
 ///
-/// Unlike [`crate::Histogram`], recording takes a short uncontended mutex:
-/// digests instrument *latency-shaped* paths (a delivery terminalizing, a
-/// discovery completing), which are orders of magnitude rarer than the
-/// per-frame counter hot path, so lock cost is irrelevant — and in exchange
-/// quantiles come back with a bounded ≤1.6% error plus exemplars.
+/// Recording takes one short uncontended mutex (a lock/unlock pair per
+/// sample; it allocates only when an exemplar opens a new bucket ring), and
+/// in exchange quantiles come back with a bounded ≤1.6% error plus
+/// exemplars.
 #[derive(Clone, Debug, Default)]
 pub struct Digest(Arc<Mutex<QuantileDigest>>);
 

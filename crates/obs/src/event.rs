@@ -40,6 +40,19 @@ pub enum EventKind {
         /// `omni_address` of the expired peer.
         peer: u64,
     },
+    /// The adaptive beacon policy moved this node's address-beacon interval.
+    BeaconIntervalChanged {
+        /// Interval before the change, in microseconds.
+        from_us: u64,
+        /// Interval after the change, in microseconds.
+        to_us: u64,
+    },
+    /// A sealed address beacon or context pack failed authentication under
+    /// this node's group key and was dropped.
+    AuthRejected {
+        /// `omni_address` the frame claimed as its source.
+        peer: u64,
+    },
     /// The engagement algorithm powered a data technology up.
     TechEngaged {
         /// Technology label.
@@ -206,6 +219,8 @@ impl EventKind {
             EventKind::BeaconReceived { .. } => "BeaconReceived",
             EventKind::PeerDiscovered { .. } => "PeerDiscovered",
             EventKind::PeerExpired { .. } => "PeerExpired",
+            EventKind::BeaconIntervalChanged { .. } => "BeaconIntervalChanged",
+            EventKind::AuthRejected { .. } => "AuthRejected",
             EventKind::TechEngaged { .. } => "TechEngaged",
             EventKind::TechDisengaged { .. } => "TechDisengaged",
             EventKind::DataEnqueued { .. } => "DataEnqueued",
@@ -399,6 +414,11 @@ mod tests {
         assert_eq!(EventKind::DataCustody { peer: 3, ttl: 4, trace: 2 }.name(), "DataCustody");
         assert_eq!(EventKind::DataDeduped { peer: 3, trace: 2 }.name(), "DataDeduped");
         assert_eq!(EventKind::TtlExpired { peer: 3, hops: 6, trace: 2 }.name(), "TtlExpired");
+        assert_eq!(
+            EventKind::BeaconIntervalChanged { from_us: 1, to_us: 2 }.name(),
+            "BeaconIntervalChanged"
+        );
+        assert_eq!(EventKind::AuthRejected { peer: 3 }.name(), "AuthRejected");
         assert_eq!(EventKind::LinkPartitioned { a: 0, b: 1 }.name(), "LinkPartitioned");
         assert_eq!(EventKind::NodeDown { node: 0 }.name(), "NodeDown");
         assert_eq!(

@@ -7,8 +7,6 @@
 //! {
 //!   "counters": {"tech.ble-beacon.tx_frames": 12},
 //!   "gauges": {"queue.receive.depth": 0},
-//!   "histograms": {"mgr.beacon_interval_us": {"count": 9, "sum": 4500000,
-//!     "min": 500000, "max": 500000, "p50": 500000, "p95": 500000, "p99": 500000}},
 //!   "digests": {"mgr.delivery_latency_us": {"count": 7, "sum": 3500, "min": 400,
 //!     "max": 900, "p50": 500, "p99": 900, "p999": 900}},
 //!   "events_dropped": 0,
@@ -50,7 +48,6 @@ impl Snapshot {
         out.push_str("== metrics ==\n");
         if self.metrics.counters.is_empty()
             && self.metrics.gauges.is_empty()
-            && self.metrics.histograms.is_empty()
             && self.metrics.digests.is_empty()
         {
             out.push_str("(none)\n");
@@ -61,7 +58,6 @@ impl Snapshot {
             .iter()
             .map(|(n, _)| n.len())
             .chain(self.metrics.gauges.iter().map(|(n, _)| n.len()))
-            .chain(self.metrics.histograms.iter().map(|(n, _)| n.len()))
             .chain(self.metrics.digests.iter().map(|(n, _)| n.len()))
             .max()
             .unwrap_or(0);
@@ -70,13 +66,6 @@ impl Snapshot {
         }
         for (name, g) in &self.metrics.gauges {
             let _ = writeln!(out, "{name:<width$}  {} (lo={} hi={})", g.value, g.lo, g.hi);
-        }
-        for (name, h) in &self.metrics.histograms {
-            let _ = writeln!(
-                out,
-                "{name:<width$}  n={} min={} p50={} p95={} p99={} max={}",
-                h.count, h.min, h.p50, h.p95, h.p99, h.max
-            );
         }
         for (name, d) in &self.metrics.digests {
             let _ = writeln!(
@@ -115,25 +104,6 @@ impl Snapshot {
                 g.value,
                 g.lo,
                 g.hi
-            );
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.metrics.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-                 \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                json_str(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.p50,
-                h.p95,
-                h.p99
             );
         }
         out.push_str("\n  },\n  \"digests\": {");
@@ -190,7 +160,9 @@ pub fn event_json(e: &Event) -> String {
             let _ =
                 write!(out, ", \"tech\": {}, \"peer\": {peer}, \"epoch\": {epoch}", json_str(tech));
         }
-        EventKind::PeerDiscovered { peer } | EventKind::PeerExpired { peer } => {
+        EventKind::PeerDiscovered { peer }
+        | EventKind::PeerExpired { peer }
+        | EventKind::AuthRejected { peer } => {
             let _ = write!(out, ", \"peer\": {peer}");
         }
         EventKind::DataEnqueued { tech, bytes, trace }
@@ -206,6 +178,9 @@ pub fn event_json(e: &Event) -> String {
         }
         EventKind::DataFailed { tech, trace } => {
             let _ = write!(out, ", \"tech\": {}, \"trace\": {trace}", json_str(tech));
+        }
+        EventKind::BeaconIntervalChanged { from_us, to_us } => {
+            let _ = write!(out, ", \"from_us\": {from_us}, \"to_us\": {to_us}");
         }
         EventKind::ContextUpdated { id } => {
             let _ = write!(out, ", \"id\": {id}");
@@ -416,7 +391,7 @@ mod tests {
         let obs = Obs::new();
         obs.counter("tech.ble-beacon.tx_frames").add(3);
         obs.gauge("queue.receive.depth").set(2);
-        obs.histogram("mgr.beacon_interval_us").record(500_000);
+        obs.digest("mgr.beacon_interval_us").record(500_000);
         obs.event(1_000, 0, EventKind::BeaconSent { tech: "ble-beacon", epoch: 0 });
         let snap = obs.snapshot();
 
@@ -569,6 +544,14 @@ mod tests {
         let exhausted =
             Event { t_us: 3, node: 0, kind: EventKind::SendExhausted { peer: 4, trace: 11 } };
         assert!(event_json(&exhausted).contains("\"kind\": \"SendExhausted\""));
+        let cadence = Event {
+            t_us: 4,
+            node: 0,
+            kind: EventKind::BeaconIntervalChanged { from_us: 250_000, to_us: 500_000 },
+        };
+        assert!(event_json(&cadence).contains("\"from_us\": 250000, \"to_us\": 500000"));
+        let rejected = Event { t_us: 5, node: 0, kind: EventKind::AuthRejected { peer: 9 } };
+        assert!(event_json(&rejected).contains("\"kind\": \"AuthRejected\", \"peer\": 9"));
     }
 
     #[test]

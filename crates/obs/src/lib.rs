@@ -2,23 +2,23 @@
 //!
 //! `omni-obs` gives every layer of the middleware stack — manager, queues,
 //! communication technologies, simulator, bench harness — one shared handle
-//! ([`Obs`]) carrying three instruments:
+//! ([`Obs`]) carrying these instruments:
 //!
-//! * **Metrics** — atomic [`Counter`]s, [`Gauge`]s, and fixed-bucket
-//!   [`Histogram`]s (p50/p95/p99/max readout) in a [`MetricsRegistry`].
-//!   Recording is lock-free and allocation-free.
-//! * **Spans** — [`Stopwatch`] and [`time_scope!`] for wall-clock intervals;
-//!   [`Histogram::record_between`] for sim-clock intervals.
+//! * **Metrics** — atomic [`Counter`]s and [`Gauge`]s in a
+//!   [`MetricsRegistry`].  Recording is lock-free and allocation-free.
+//! * **Quantile digests** — the one percentile instrument: mergeable
+//!   log-linear [`QuantileDigest`]s with bounded relative error
+//!   ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace exemplars, registered
+//!   by name next to the counters and gauges ([`Obs::digest`]).
+//! * **Spans** — [`Stopwatch`] and [`time_scope!`] for wall-clock intervals,
+//!   recorded into a digest.
 //! * **Events** — a typed [`EventKind`] stream ([`BeaconSent`], …,
 //!   [`QueueDropped`]) in a bounded [`EventRing`] that overwrites the oldest
 //!   entry when full and counts the overflow.
 //! * **Time series** — a fixed-capacity [`SeriesRing`] of windowed
-//!   [`Sample`]s (counter deltas, gauge watermarks, histogram digests) that
+//!   [`Sample`]s (counter deltas, gauge watermarks, windowed digests) that
 //!   downsamples in place when full, plus bounded-cardinality labeled metrics
 //!   ([`MetricsRegistry::counter_with`] and friends).
-//! * **Quantile digests** — mergeable log-linear [`QuantileDigest`]s with
-//!   bounded relative error ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace
-//!   exemplars, for paths where percentiles matter.
 //! * **Profiler** — a [`TickProfiler`] attributing event-loop wall time to
 //!   a fixed [`Phase`] taxonomy, with per-shard utilization, flamegraph
 //!   ([`flamegraph_collapsed`]) and Chrome-trace ([`chrome_phase_slices`])
@@ -36,7 +36,7 @@
 //!
 //! let obs = Obs::new();
 //! obs.counter("tech.ble-beacon.tx_frames").inc();
-//! obs.histogram("mgr.beacon_interval_us").record(500_000);
+//! obs.digest("mgr.beacon_interval_us").record(500_000);
 //! obs.event(1_000, 0, EventKind::BeaconSent { tech: "ble-beacon", epoch: 0 });
 //!
 //! let snapshot = obs.snapshot();
@@ -65,8 +65,8 @@ pub use export::{
     chrome_phase_slices, digest_json, event_json, flamegraph_collapsed, parse_collapsed, Snapshot,
 };
 pub use metrics::{
-    labeled_name, split_labels, Counter, Gauge, GaugeRead, Histogram, HistogramSummary,
-    MetricsRead, MetricsRegistry, MAX_LABEL_SETS,
+    labeled_name, split_labels, Counter, Gauge, GaugeRead, MetricsRead, MetricsRegistry,
+    MAX_LABEL_SETS,
 };
 pub use profile::{
     Phase, PhaseReport, PhaseScope, PhaseSlice, PhaseStat, ScopedPhase, TickProfiler, PHASE_COUNT,
@@ -124,15 +124,16 @@ impl Obs {
         self.inner.metrics.gauge(name)
     }
 
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner.metrics.histogram(name)
-    }
-
     /// Get or create the quantile digest named `name` (bounded-error
     /// percentiles with exemplar support — see [`QuantileDigest`]).
     pub fn digest(&self, name: &str) -> Digest {
         self.inner.metrics.digest(name)
+    }
+
+    /// The same handle as [`Obs::digest`], under the name the `omnibench`
+    /// package reads `queue.receive.wait_us` through.
+    pub fn histogram(&self, name: &str) -> Digest {
+        self.digest(name)
     }
 
     /// Get or create the counter `base` sliced by `labels` (bounded
@@ -146,9 +147,9 @@ impl Obs {
         self.inner.metrics.gauge_with(base, labels)
     }
 
-    /// Get or create the histogram `base` sliced by `labels`.
-    pub fn histogram_with(&self, base: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.inner.metrics.histogram_with(base, labels)
+    /// Get or create the quantile digest `base` sliced by `labels`.
+    pub fn digest_with(&self, base: &str, labels: &[(&str, &str)]) -> Digest {
+        self.inner.metrics.digest_with(base, labels)
     }
 
     /// Record a structured event.

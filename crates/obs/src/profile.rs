@@ -14,7 +14,7 @@
 //! simulation artifact. Because its measurements are wall-clock they are
 //! inherently nondeterministic and are exported only through
 //! [`TickProfiler::report`], which no deterministic artifact includes
-//! (the same rule that keeps `*.wait_us` histograms out of sampler JSONL).
+//! (the same rule that keeps `*.wait_us` digests out of sampler JSONL).
 //!
 //! Two instrumentation styles are supported: the RAII guard
 //! [`TickProfiler::scope`] for straight-line regions, and the

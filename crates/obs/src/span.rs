@@ -1,11 +1,10 @@
 //! Lightweight span timing.
 //!
-//! [`Stopwatch`] measures wall-clock intervals; for sim-clock intervals use
-//! [`Histogram::record_between`](crate::Histogram::record_between) with the
-//! two microsecond marks.  [`time_scope!`] times a lexical scope and feeds
-//! the elapsed microseconds into a named histogram on drop.
+//! [`Stopwatch`] measures wall-clock intervals.  [`time_scope!`] times a
+//! lexical scope and records the elapsed microseconds into a named quantile
+//! digest on drop.
 
-use crate::metrics::Histogram;
+use crate::digest::Digest;
 use std::time::Instant;
 
 /// A wall-clock stopwatch.
@@ -33,27 +32,27 @@ impl Default for Stopwatch {
 }
 
 /// Guard that records the elapsed wall-clock microseconds of its lexical
-/// scope into a histogram when dropped.  Usually built via [`time_scope!`].
+/// scope into a digest when dropped.  Usually built via [`time_scope!`].
 #[derive(Debug)]
 pub struct ScopeTimer {
-    hist: Histogram,
+    digest: Digest,
     watch: Stopwatch,
 }
 
 impl ScopeTimer {
-    /// Start timing into `hist`.
-    pub fn new(hist: Histogram) -> Self {
-        ScopeTimer { hist, watch: Stopwatch::start() }
+    /// Start timing into `digest`.
+    pub fn new(digest: Digest) -> Self {
+        ScopeTimer { digest, watch: Stopwatch::start() }
     }
 }
 
 impl Drop for ScopeTimer {
     fn drop(&mut self) {
-        self.hist.record(self.watch.elapsed_us());
+        self.digest.record(self.watch.elapsed_us());
     }
 }
 
-/// Time the rest of the enclosing scope into `$obs`'s histogram `$name`.
+/// Time the rest of the enclosing scope into `$obs`'s digest `$name`.
 ///
 /// ```
 /// let obs = omni_obs::Obs::new();
@@ -61,12 +60,12 @@ impl Drop for ScopeTimer {
 ///     let _t = omni_obs::time_scope!(obs, "pump_us");
 ///     // ... work ...
 /// }
-/// assert_eq!(obs.histogram("pump_us").count(), 1);
+/// assert_eq!(obs.digest("pump_us").count(), 1);
 /// ```
 #[macro_export]
 macro_rules! time_scope {
     ($obs:expr, $name:expr) => {
-        $crate::ScopeTimer::new($obs.histogram($name))
+        $crate::ScopeTimer::new($obs.digest($name))
     };
 }
 
@@ -80,7 +79,7 @@ mod tests {
         {
             let _t = crate::time_scope!(obs, "scope_us");
         }
-        assert_eq!(obs.histogram("scope_us").count(), 1);
+        assert_eq!(obs.digest("scope_us").count(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fixed-capacity time series of windowed samples.
 //!
 //! Everything else in `omni-obs` is a lifetime aggregate — a counter's final
-//! value, a histogram's cumulative percentiles.  [`SeriesRing`] adds the time
+//! value, a digest's cumulative percentiles.  [`SeriesRing`] adds the time
 //! axis: a bounded, dependency-free ring of periodic [`Sample`]s, each
 //! covering one sampling window.  One sample shape serves every metric kind:
 //!
@@ -9,7 +9,7 @@
 //!   [`Sample::rate_per_sec`] is the windowed rate;
 //! * **gauge watermarks** — `min`/`max` hold the window's low/high marks and
 //!   `sum` the value at the window's end;
-//! * **histogram digests** — `count`/`sum` hold the window's sample count
+//! * **quantile digests** — `count`/`sum` hold the window's sample count
 //!   and total, so [`Sample::mean`] is the windowed mean.
 //!
 //! When the ring is full it **downsamples in place**: adjacent samples merge
@@ -29,7 +29,7 @@ pub struct Sample {
     /// Number of observations folded into this sample.
     pub count: u64,
     /// Sum of the observations (a counter delta, a gauge's closing value, or
-    /// a histogram window's total).
+    /// a digest window's total).
     pub sum: f64,
     /// Smallest observation in the window (a gauge's low-water mark).
     pub min: f64,

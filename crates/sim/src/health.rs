@@ -52,7 +52,7 @@ pub struct WindowStats {
     pub fleet: usize,
     /// Windowed p99 of `mgr.delivery_latency_us` (enqueue → DataSent), from
     /// the quantile digest's per-window delta — **not** a lifetime mean. A
-    /// `(count, sum)` histogram can only yield the mean, and a mean hides
+    /// windowed `(count, sum)` can only yield the mean, and a mean hides
     /// tail collapse: 95 sends at 100ms plus 5 at 10s average ~600ms while
     /// the p99 reads 10s. Zero when no digest samples landed this window.
     pub latency_p99_us: u64,

@@ -71,7 +71,6 @@ mod recorder;
 mod runner;
 mod telemetry;
 mod time;
-mod trace;
 mod world;
 
 pub use config::{BleParams, EnergyParams, NfcParams, SimConfig, WifiParams};
@@ -83,5 +82,4 @@ pub use recorder::{FlightRecorder, TraceOutcome, TraceTimeline};
 pub use runner::{DeviceCaps, Runner};
 pub use telemetry::{Sampler, SamplerConfig};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};
 pub use world::{CellHasher, Position, World, DEFAULT_CELL_M};

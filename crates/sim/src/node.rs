@@ -166,8 +166,6 @@ pub enum Command {
         /// The token to cancel.
         token: u64,
     },
-    /// Records a trace line (visible via the runner's trace buffer).
-    Trace(String),
     /// Powers the BLE radio on or off. Powering off stops scanning and all
     /// advertising slots.
     BlePower(bool),
@@ -302,11 +300,6 @@ impl<'a> NodeApi<'a> {
     pub fn cancel_timer(&mut self, token: u64) {
         self.push(Command::CancelTimer { token });
     }
-
-    /// Convenience: record a trace line.
-    pub fn trace(&mut self, msg: impl Into<String>) {
-        self.push(Command::Trace(msg.into()));
-    }
 }
 
 /// A protocol stack attached to a device.
@@ -334,11 +327,11 @@ mod tests {
         let mut cmds = Vec::new();
         let mut api = NodeApi { device: DeviceId(3), now: SimTime::ZERO, commands: &mut cmds };
         api.set_timer(7, SimDuration::from_millis(500));
-        api.trace("hello");
+        api.cancel_timer(7);
         assert_eq!(cmds.len(), 2);
         assert_eq!(cmds[0].0, DeviceId(3));
         assert!(matches!(cmds[0].1, Command::SetTimer { token: 7, .. }));
-        assert!(matches!(&cmds[1].1, Command::Trace(s) if s == "hello"));
+        assert!(matches!(cmds[1].1, Command::CancelTimer { token: 7 }));
     }
 
     #[test]

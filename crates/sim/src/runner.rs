@@ -9,7 +9,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use bytes::Bytes;
-use omni_obs::{Counter, EventKind, Gauge, Histogram, Obs, Phase, PhaseScope, TickProfiler};
+use omni_obs::{Counter, Digest, EventKind, Gauge, Obs, Phase, PhaseScope, TickProfiler};
 use omni_wire::{BleAddress, MeshAddress, NfcAddress, TechType};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +21,6 @@ use crate::medium::{Flow, McastJob, WifiMedium};
 use crate::node::{Command, ConnId, DeviceId, NodeApi, NodeEvent, Stack, TcpError};
 use crate::telemetry::{Sampler, SamplerConfig};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use crate::world::{Position, World};
 
 /// Which radios a device is built with. Present radios start powered on.
@@ -255,7 +254,7 @@ struct RunnerObs {
     mcast: TechMeters,
     tcp: TechMeters,
     nfc: TechMeters,
-    beacon_interval_us: Histogram,
+    beacon_interval_us: Digest,
     fault_drops: Counter,
     /// Fault drops sliced by cause (`sim.faults.drops{cause=…}`).
     drops_frame_loss: Counter,
@@ -374,7 +373,6 @@ pub struct Runner {
     rng: SmallRng,
     world: World,
     energy: EnergyLedger,
-    trace: Trace,
     devices: Vec<DeviceState>,
     stacks: Vec<Option<Box<dyn Stack>>>,
     medium: WifiMedium,
@@ -450,7 +448,6 @@ impl Runner {
             rng,
             world,
             energy: EnergyLedger::new(),
-            trace: Trace::new(),
             devices: Vec::new(),
             stacks: Vec::new(),
             medium,
@@ -499,16 +496,14 @@ impl Runner {
 
     /// Attaches an observability handle. The runner records per-technology
     /// tx/rx frame and byte counters, the realized BLE advertising cadence
-    /// (`beacon.interval_us`), and [`EventKind::BeaconSent`] events; the
-    /// trace buffer forwards structured entries into the same handle.
+    /// (`beacon.interval_us`), and [`EventKind::BeaconSent`] events.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.trace.set_obs(obs.clone());
         self.obs = Some(RunnerObs {
             ble: TechMeters::new(&obs, "ble-beacon"),
             mcast: TechMeters::new(&obs, "wifi-multicast"),
             tcp: TechMeters::new(&obs, "wifi-tcp"),
             nfc: TechMeters::new(&obs, "nfc"),
-            beacon_interval_us: obs.histogram("beacon.interval_us"),
+            beacon_interval_us: obs.digest("beacon.interval_us"),
             fault_drops: obs.counter("sim.faults.frames_dropped"),
             drops_frame_loss: obs.counter_with("sim.faults.drops", &[("cause", "frame-loss")]),
             drops_partition: obs.counter_with("sim.faults.drops", &[("cause", "partition")]),
@@ -602,16 +597,6 @@ impl Runner {
     /// The energy ledger.
     pub fn energy(&self) -> &EnergyLedger {
         &self.energy
-    }
-
-    /// The trace buffer.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace access (to disable recording for long runs).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The world (placements).
@@ -1248,7 +1233,6 @@ impl Runner {
             Command::CancelTimer { token } => {
                 self.timer_gens.remove(&(dev.0, token));
             }
-            Command::Trace(msg) => self.trace.record(self.now, dev, msg),
             Command::BlePower(on) => self.ble_power(dev, on),
             Command::BleSetScan { duty } => self.ble_set_scan(dev, duty),
             Command::BleAdvertiseSet { slot, payload, interval } => {
@@ -1284,10 +1268,10 @@ impl Runner {
                 d.wifi_mcast_listen = false;
             }
             Command::WifiMcastListen(on) => {
+                // Listening needs a joined radio; otherwise the request is
+                // ignored.
                 let d = &mut self.devices[dev.0];
-                if on && !(d.wifi_on && d.wifi_joined) {
-                    self.trace.record(self.now, dev, "mcast-listen ignored: not joined");
-                } else {
+                if !on || (d.wifi_on && d.wifi_joined) {
                     d.wifi_mcast_listen = on;
                 }
             }
@@ -1357,9 +1341,6 @@ impl Runner {
 
     fn ble_set_scan(&mut self, dev: DeviceId, duty: Option<f64>) {
         if !self.devices[dev.0].ble_on {
-            if duty.is_some() {
-                self.trace.record(self.now, dev, "ble scan ignored: radio off");
-            }
             return;
         }
         self.bump_topo(); // fan-out plans read `ble_scan_duty`
@@ -1383,21 +1364,11 @@ impl Runner {
         interval: SimDuration,
     ) {
         if payload.len() > self.cfg.ble.max_payload {
-            self.trace.record(
-                self.now,
-                dev,
-                format!(
-                    "ble advert dropped: {} > {} bytes",
-                    payload.len(),
-                    self.cfg.ble.max_payload
-                ),
-            );
-            return;
+            return; // oversized adverts are dropped
         }
         assert!(!interval.is_zero(), "advertising interval must be positive");
         let d = &mut self.devices[dev.0];
         if !d.ble_on {
-            self.trace.record(self.now, dev, "ble advert ignored: radio off");
             return;
         }
         let gen = d.ble_next_gen;
@@ -1446,17 +1417,12 @@ impl Runner {
     }
 
     fn ble_send_oneshot(&mut self, dev: DeviceId, payload: Bytes) {
-        if payload.len() > self.cfg.ble.max_payload {
-            self.trace.record(self.now, dev, "ble oneshot dropped: payload too large");
-            return;
-        }
-        let d = &self.devices[dev.0];
-        if !d.ble_on {
-            self.trace.record(self.now, dev, "ble oneshot ignored: radio off");
-            return;
-        }
-        if self.faults.is_down(dev) {
-            self.trace.record(self.now, dev, "ble oneshot muted: node down");
+        // Oversized bursts are dropped; a powered-off or churned-down radio
+        // sends nothing.
+        if payload.len() > self.cfg.ble.max_payload
+            || !self.devices[dev.0].ble_on
+            || self.faults.is_down(dev)
+        {
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, self.cfg.ble.oneshot_pulse);
@@ -1505,7 +1471,6 @@ impl Runner {
         }
         let d = &mut self.devices[dev.0];
         if d.wifi_scanning {
-            self.trace.record(self.now, dev, "wifi scan ignored: already scanning");
             return;
         }
         d.wifi_scanning = true;
@@ -1518,7 +1483,6 @@ impl Runner {
     fn wifi_join(&mut self, dev: DeviceId) {
         let d = &mut self.devices[dev.0];
         if !d.wifi_on {
-            self.trace.record(self.now, dev, "wifi join ignored: radio off");
             return;
         }
         if d.wifi_joined {
@@ -1528,7 +1492,6 @@ impl Runner {
             return;
         }
         if d.wifi_joining {
-            self.trace.record(self.now, dev, "wifi join ignored: join in progress");
             return;
         }
         d.wifi_joining = true;
@@ -1541,7 +1504,6 @@ impl Runner {
     fn mcast_send(&mut self, dev: DeviceId, payload: Bytes, wire_len: u64, bulk: bool) {
         let d = &self.devices[dev.0];
         if !(d.wifi_on && d.wifi_joined) {
-            self.trace.record(self.now, dev, "mcast send dropped: not joined");
             return;
         }
         let airtime = self.cfg.wifi.mcast_fixed_airtime
@@ -1594,7 +1556,6 @@ impl Runner {
                         o.fault_drops.inc();
                         o.drops_frame_loss.inc();
                     }
-                    self.trace.record(self.now, dev, "tcp connect lost: fault injection");
                     self.schedule(
                         self.cfg.wifi.tcp_connect_time,
                         Engine::TcpConnectFail { dev, token, error: TcpError::Unreachable },
@@ -1624,13 +1585,9 @@ impl Runner {
     fn tcp_send(&mut self, dev: DeviceId, conn_id: ConnId, payload: Bytes, wire_len: u64) {
         let idx = conn_id.0 as usize;
         if idx >= self.conns.len() || !self.conns[idx].open {
-            self.trace.record(self.now, dev, "tcp send dropped: connection closed");
             return;
         }
-        let Some(dir) = self.conns[idx].dir_from(dev) else {
-            self.trace.record(self.now, dev, "tcp send dropped: not an endpoint");
-            return;
-        };
+        let Some(dir) = self.conns[idx].dir_from(dev) else { return };
         let wire = (wire_len + self.cfg.wifi.tcp_overhead_bytes) as f64;
         if self.conns[idx].active[dir] {
             self.conns[idx].pending[dir].push_back((payload, wire));
@@ -1646,16 +1603,12 @@ impl Runner {
     }
 
     fn nfc_send(&mut self, dev: DeviceId, payload: Bytes) {
-        if payload.len() > self.cfg.nfc.max_payload {
-            self.trace.record(self.now, dev, "nfc send dropped: payload too large");
-            return;
-        }
-        if !self.devices[dev.0].caps.nfc {
-            self.trace.record(self.now, dev, "nfc send ignored: no nfc hardware");
-            return;
-        }
-        if self.faults.is_down(dev) {
-            self.trace.record(self.now, dev, "nfc send muted: node down");
+        // Oversized payloads are dropped; a device without NFC hardware or
+        // churned down sends nothing.
+        if payload.len() > self.cfg.nfc.max_payload
+            || !self.devices[dev.0].caps.nfc
+            || self.faults.is_down(dev)
+        {
             return;
         }
         let cell = self.world.cell_index(dev);
@@ -1694,13 +1647,8 @@ impl Runner {
         assert!(chunk > 0, "chunk size must be positive");
         assert!(total > 0, "request must be non-empty");
         let d = &mut self.devices[dev.0];
-        if !d.wifi_on {
-            self.trace.record(self.now, dev, "infra request dropped: wifi off");
-            return;
-        }
-        if d.infra_rate_bps <= 0.0 {
-            self.trace.record(self.now, dev, "infra request dropped: no infrastructure link");
-            return;
+        if !d.wifi_on || d.infra_rate_bps <= 0.0 {
+            return; // needs a powered radio and an infrastructure link
         }
         if d.infra_active.is_some() {
             d.infra_queue.push_back((req, total, chunk));
@@ -1919,11 +1867,6 @@ impl Runner {
             return;
         };
         let (a, b) = (DeviceId(p.a), DeviceId(p.b));
-        self.trace.record(
-            self.now,
-            a,
-            format!("fault: link to dev{} partitioned ({:?}) until {}us", p.b, p.scope, p.until),
-        );
         if let Some(o) = &self.obs {
             o.obs.event(
                 self.now.as_micros(),
@@ -1954,7 +1897,6 @@ impl Runner {
             return;
         }
         self.faults.set_down(dev, true);
-        self.trace.record(self.now, dev, "fault: node down (churn)");
         if let Some(o) = &self.obs {
             o.obs.event(
                 self.now.as_micros(),
@@ -1978,7 +1920,6 @@ impl Runner {
             return;
         }
         self.faults.set_down(dev, false);
-        self.trace.record(self.now, dev, "fault: node up (churn)");
     }
 
     fn ble_adv_tick(&mut self, dev: DeviceId, slot: u32, gen: u64, plan: Option<AdvPlan>) {

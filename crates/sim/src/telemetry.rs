@@ -14,14 +14,12 @@
 //!   [`omni_obs::Sample::rate_per_sec`] is the windowed rate),
 //! * reads every **gauge**'s value and takes its per-window min/max
 //!   watermarks ([`omni_obs::Gauge::take_watermarks`]),
-//! * turns every **histogram** into a windowed `(count, sum)` digest —
-//!   except wall-clock instruments (`*.wait_us`), which are excluded the
-//!   same way the `FlightRecorder` drops wall-clock events, keeping the
-//!   stream sim-deterministic,
 //! * snapshots every **quantile digest** and subtracts the previous
 //!   snapshot per bucket ([`QuantileDigest::windowed_since`]), so the
 //!   reported p50/p99/p999 describe *this window's* tail rather than the
-//!   lifetime blend (same wall-clock exclusion),
+//!   lifetime blend — except wall-clock instruments (`*.wait_us`), which are
+//!   excluded the same way the `FlightRecorder` drops wall-clock events,
+//!   keeping the stream sim-deterministic,
 //! * derives fleet [`WindowStats`] (delivery ratio, windowed delivery
 //!   latency p99, queue high-water, beacon staleness, churn) and feeds the
 //!   [`HealthMonitor`].
@@ -96,8 +94,6 @@ pub struct Sampler {
     cfg: SamplerConfig,
     series: BTreeMap<String, SeriesRing>,
     prev_counters: HashMap<String, u64>,
-    /// Previous `(count, sum)` per histogram, for windowed digests.
-    prev_hists: HashMap<String, (u64, u64)>,
     /// Previous full snapshot per quantile digest, so each window's
     /// quantiles come from a true per-bucket delta
     /// ([`QuantileDigest::windowed_since`]) — a windowed p99, not a
@@ -119,7 +115,6 @@ impl Sampler {
             cfg,
             series: BTreeMap::new(),
             prev_counters: HashMap::new(),
-            prev_hists: HashMap::new(),
             prev_digests: HashMap::new(),
             last_t_us: 0,
             last_beacon_us: None,
@@ -264,41 +259,6 @@ impl Sampler {
             ));
         }
 
-        // Histograms → windowed (count, sum) digests; wall-clock instruments
-        // are excluded to keep the stream sim-deterministic.
-        let mut hist_lines = String::new();
-        for (name, s) in &read.histograms {
-            if wall_clock(name) {
-                continue;
-            }
-            let (pc, ps) = self.prev_hists.insert(name.clone(), (s.count, s.sum)).unwrap_or((0, 0));
-            let dcount = s.count.saturating_sub(pc);
-            let dsum = s.sum.wrapping_sub(ps);
-            self.push(
-                name,
-                Sample {
-                    t_us,
-                    window_us,
-                    count: dcount,
-                    sum: dsum as f64,
-                    // Lifetime extrema: per-window extrema would need
-                    // resettable histograms, and the watermark story already
-                    // lives on gauges.
-                    min: s.min as f64,
-                    max: s.max as f64,
-                },
-            );
-            if !hist_lines.is_empty() {
-                hist_lines.push(',');
-            }
-            hist_lines.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"sum\":{}}}",
-                escape(name),
-                dcount,
-                dsum
-            ));
-        }
-
         // Quantile digests → windowed per-bucket deltas, so the reported
         // quantiles describe *this window's* tail, not the lifetime blend.
         let mut digest_lines = String::new();
@@ -379,7 +339,7 @@ impl Sampler {
         );
 
         self.jsonl.push_str(&format!(
-            "{{\"seq\":{},\"t_us\":{},\"window_us\":{},\"health\":\"{}\",\"nodes_down\":{},\"counters\":{{{}}},\"gauges\":{{{}}},\"hist\":{{{}}},\"digests\":{{{}}}}}\n",
+            "{{\"seq\":{},\"t_us\":{},\"window_us\":{},\"health\":\"{}\",\"nodes_down\":{},\"counters\":{{{}}},\"gauges\":{{{}}},\"digests\":{{{}}}}}\n",
             self.seq,
             t_us,
             window_us,
@@ -387,7 +347,6 @@ impl Sampler {
             nodes_down,
             counter_lines,
             gauge_lines,
-            hist_lines,
             digest_lines
         ));
         self.seq += 1;
@@ -437,10 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_histograms_are_excluded() {
+    fn wall_clock_digests_are_excluded() {
         let obs = Obs::new();
-        obs.histogram("queue.receive.wait_us").record(123);
-        obs.histogram("mgr.send_latency_us").record(50);
+        obs.digest("queue.receive.wait_us").record(123);
+        obs.digest("mgr.send_latency_us").record(50);
         let mut s = sampler();
         s.sample(&obs, 1_000_000, 0, 10);
         assert!(s.series("queue.receive.wait_us").is_none(), "wall clock excluded");

@@ -77,7 +77,6 @@ fn run(sc: &Scenario, profile: bool) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_shards(sc.shards);
     if profile {
         sim.enable_profiler();

@@ -176,7 +176,6 @@ fn run(sc: &Scenario, shards: usize) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_shards(shards);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
@@ -309,7 +308,6 @@ fn run_relay(sc: &RelayScenario, shards: usize) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.trace_mut().set_enabled(false);
     sim.set_shards(shards);
     let obs = Obs::new();
     sim.set_obs(obs.clone());

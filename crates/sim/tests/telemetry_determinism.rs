@@ -54,7 +54,6 @@ fn faulty_config(seed: u64) -> SimConfig {
 /// (empty when sampling is off).
 fn run_fleet(seed: u64, sample: bool) -> (Obs, String) {
     let mut sim = Runner::new(faulty_config(seed));
-    sim.trace_mut().set_enabled(false);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     if sample {

@@ -14,7 +14,6 @@ fn main() {
     let spec = FileSpec::PAPER_30MB;
 
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     // Shared observability handle; its drop prints the snapshot and writes
     // `target/obs/file_share.json`.
     let obs = ObsRun::new("file_share");

@@ -7,12 +7,19 @@
 //!
 //! Run with `cargo run --example secure_relay`.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use omni::core::{AdaptiveBeacon, ContextParams, GroupKey, OmniBuilder, OmniConfig, OmniStack};
+use omni::obs::{EventKind, Obs};
 use omni::sim::{DeviceCaps, Position, Runner, SimConfig, SimDuration, SimTime};
 
 fn main() {
     let mut sim = Runner::new(SimConfig::default());
+    // Room for every event of the run, so the cadence count below is exact.
+    let obs = Obs::with_event_capacity(1 << 16);
     let key = GroupKey::from_passphrase("tour-group-7");
 
     // A line of four group devices 25 m apart (BLE range is 30 m), plus an
@@ -35,15 +42,21 @@ fn main() {
 
     // The tail advertises its status; mid devices grant relayed packs two
     // further hops so the tail's context can traverse mid2 → mid1 → head.
-    for (name, dev, ttl, advert) in [
-        ("head", head, 0u8, &b""[..]),
-        ("mid1", mid1, 2, b""),
-        ("mid2", mid2, 2, b"status:keeping-up"),
-        ("tail", tail, 1, b"status:tail-lagging"),
+    let head_heard = Rc::new(RefCell::new(BTreeSet::new()));
+    for (dev, ttl, advert) in [
+        (head, 0u8, &b""[..]),
+        (mid1, 2, b""),
+        (mid2, 2, b"status:keeping-up"),
+        (tail, 1, b"status:tail-lagging"),
     ] {
-        let mgr =
-            OmniBuilder::new().with_ble().with_wifi().with_config(group(ttl)).build(&sim, dev);
+        let mgr = OmniBuilder::new()
+            .with_ble()
+            .with_wifi()
+            .with_config(group(ttl))
+            .with_obs(&obs)
+            .build(&sim, dev);
         let advert = Bytes::copy_from_slice(advert);
+        let heard = (dev == head).then(|| head_heard.clone());
         sim.set_stack(
             dev,
             Box::new(OmniStack::new(mgr, move |omni| {
@@ -54,9 +67,13 @@ fn main() {
                         Box::new(|_, _, _| {}),
                     );
                 }
-                let who = name;
-                omni.request_context(Box::new(move |src, ctx, o| {
-                    o.trace(format!("[{who}] heard {src}: {}", String::from_utf8_lossy(ctx)));
+                omni.request_context(Box::new(move |src, ctx, _| {
+                    if let Some(h) = &heard {
+                        h.borrow_mut().insert(format!(
+                            "[head] heard {src}: {}",
+                            String::from_utf8_lossy(ctx)
+                        ));
+                    }
                 }));
             })),
         );
@@ -66,38 +83,29 @@ fn main() {
         context_key: Some(GroupKey::from_passphrase("not-the-key")),
         ..OmniConfig::default()
     };
+    let eve_heard = Rc::new(RefCell::new(0usize));
+    let eh = eve_heard.clone();
     let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(eve_cfg).build(&sim, eve);
     sim.set_stack(
         eve,
-        Box::new(OmniStack::new(mgr, |omni| {
-            omni.request_context(Box::new(|src, ctx, o| {
-                o.trace(format!("[eve!] decrypted {src}: {ctx:?}"));
-            }));
+        Box::new(OmniStack::new(mgr, move |omni| {
+            omni.request_context(Box::new(move |_, _, _| *eh.borrow_mut() += 1));
         })),
     );
 
     sim.run_until(SimTime::from_secs(20));
 
     // What the head learned, despite the tail being two hops away:
-    let mut head_heard = std::collections::BTreeSet::new();
-    let mut eve_heard = 0;
-    for e in sim.trace().entries() {
-        if e.message.starts_with("[head]") {
-            head_heard.insert(e.message.clone());
-        }
-        if e.message.starts_with("[eve!]") {
-            eve_heard += 1;
-        }
-    }
-    for m in &head_heard {
+    let head_heard = head_heard.borrow();
+    for m in head_heard.iter() {
         println!("{m}");
     }
+    let eve_heard = *eve_heard.borrow();
     println!("eve decrypted {eve_heard} packs (group key held: no)");
-    let adapted = sim
-        .trace()
-        .entries()
+    let adapted = obs
+        .events()
         .iter()
-        .filter(|e| e.message.contains("adaptive beacon interval"))
+        .filter(|e| matches!(e.kind, EventKind::BeaconIntervalChanged { .. }))
         .count();
     println!("adaptive beacon interval changes across the group: {adapted}");
     assert!(head_heard.iter().any(|m| m.contains("tail-lagging")), "relay reached the head");

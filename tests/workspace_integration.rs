@@ -135,7 +135,6 @@ fn ble_only_beacon_interoperates() {
 #[test]
 fn eight_devices_fully_discover() {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     let n = 8;
     let devs: Vec<DeviceId> = (0..n)
         .map(|i| sim.add_device(DeviceCaps::PI, Position::new(2.0 * i as f64, 0.0)))
@@ -274,7 +273,6 @@ fn partition_fails_over_and_churn_cancels_retries() {
         ..Default::default()
     };
     let mut sim = Runner::new(sim_cfg);
-    sim.trace_mut().set_enabled(false);
     let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
     let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
     let dest = OmniBuilder::omni_address(&sim, b);
@@ -401,7 +399,6 @@ fn nfc_context_at_touch_range() {
 #[test]
 fn teleport_in_and_out_of_range_updates_peers_at_the_right_ticks() {
     let mut sim = Runner::new(SimConfig::default());
-    sim.trace_mut().set_enabled(false);
     let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
     // b starts far outside every radio range (WiFi 100 m, BLE 30 m).
     let b = sim.add_device(DeviceCaps::PI, Position::new(500.0, 0.0));
