@@ -16,9 +16,9 @@
 //!   walking carrier; pure store-carry-forward.
 //!
 //! `--smoke` runs the sparse 3-hop chain contract: single-hop scores 0%,
-//! relay delivers ≥ 90%, every send concludes exactly once, and the run
-//! replays byte-identically at shard counts {1, 2, 4}. The baseline lands
-//! in `target/obs/BENCH_relay.json`.
+//! relay delivers ≥ 90%, every send concludes exactly once, and a same-seed
+//! rerun replays byte-identically. The baseline lands in
+//! `target/obs/BENCH_relay.json`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -89,7 +89,7 @@ struct CellResult {
     mean_latency_s: f64,
     /// Custody-hop forwards per delivered message (overhead).
     forwards_per_delivery: f64,
-    /// Recorder dump for shard-parity comparison.
+    /// Recorder dump for same-seed replay comparison.
     recorder_dump: String,
 }
 
@@ -107,10 +107,8 @@ fn run_cell(
     policy: RelayPolicy,
     faults: FaultConfig,
     until_s: u64,
-    shards: usize,
 ) -> CellResult {
     let mut sim = Runner::new(SimConfig { seed, faults, ..Default::default() });
-    sim.set_shards(shards);
     let obs = Obs::new();
     sim.set_obs(obs.clone());
 
@@ -242,9 +240,9 @@ fn main() {
 
     // --- The acceptance contract: sparse 3-hop chain. -------------------
     // Single-hop (relay off) is structurally 0%; the relay must clear 90%.
-    let single = run_cell(3, Topology::Chain(4), RelayPolicy::off(), FaultConfig::default(), 30, 1);
+    let single = run_cell(3, Topology::Chain(4), RelayPolicy::off(), FaultConfig::default(), 30);
     let relay =
-        run_cell(3, Topology::Chain(4), RelayPolicy::epidemic(), FaultConfig::default(), 30, 1);
+        run_cell(3, Topology::Chain(4), RelayPolicy::epidemic(), FaultConfig::default(), 30);
     println!(
         "sparse 3-hop chain: single-hop {:.0}%, epidemic relay {:.0}% \
          ({:.2} s mean latency, {:.1} forwards/delivery)",
@@ -271,22 +269,11 @@ fn main() {
     );
     bline.info("chain_epidemic_latency_s", relay.mean_latency_s);
 
-    // Byte-identical same-seed replays at any shard count.
-    for shards in [2usize, 4] {
-        let replay = run_cell(
-            3,
-            Topology::Chain(4),
-            RelayPolicy::epidemic(),
-            FaultConfig::default(),
-            30,
-            shards,
-        );
-        assert_eq!(
-            relay.recorder_dump, replay.recorder_dump,
-            "relay replay diverged at {shards} shards"
-        );
-    }
-    println!("shard parity: recorder dumps byte-identical at shards {{1, 2, 4}}");
+    // Same seed, same bytes.
+    let replay =
+        run_cell(3, Topology::Chain(4), RelayPolicy::epidemic(), FaultConfig::default(), 30);
+    assert_eq!(relay.recorder_dump, replay.recorder_dump, "same-seed relay replay diverged");
+    println!("replay: recorder dumps byte-identical across same-seed runs");
 
     if !smoke {
         // --- Density sweep: chain length × strategy under 10% loss. -----
@@ -298,7 +285,7 @@ fn main() {
         for n in [3usize, 4, 5, 6] {
             let mut cells = Vec::new();
             for (label, policy) in strategies() {
-                let r = run_cell(5, Topology::Chain(n), policy, sparse_chain_faults(), 40, 1);
+                let r = run_cell(5, Topology::Chain(n), policy, sparse_chain_faults(), 40);
                 assert_eq!(r.concluded_once, MSGS, "chain({n}) {label}: exactly-once violated");
                 if n == 4 {
                     chart.bar(format!("{label} @4 nodes"), r.delivery_pct());
@@ -321,7 +308,7 @@ fn main() {
             &["% delivered", "latency s"],
         );
         for (label, policy) in strategies() {
-            let r = run_cell(7, Topology::Chain(5), policy, disaster_faults(), 45, 1);
+            let r = run_cell(7, Topology::Chain(5), policy, disaster_faults(), 45);
             assert_eq!(r.concluded_once, MSGS, "disaster {label}: exactly-once violated");
             bline.gate(
                 &format!("disaster_{}_delivered", label.replace("(4)", "4")),
@@ -342,7 +329,7 @@ fn main() {
             &["% delivered", "forwards/delivery"],
         );
         for (label, policy) in strategies() {
-            let r = run_cell(9, Topology::Crowd(9), policy, festival_faults(), 40, 1);
+            let r = run_cell(9, Topology::Crowd(9), policy, festival_faults(), 40);
             assert_eq!(r.concluded_once, MSGS, "festival {label}: exactly-once violated");
             bline.gate(
                 &format!("festival_{}_delivered", label.replace("(4)", "4")),
@@ -363,7 +350,7 @@ fn main() {
         // --- Data mule: mobility is the only path. -----------------------
         let mut policy = RelayPolicy::epidemic();
         policy.custody_timeout = SimDuration::from_secs(90);
-        let r = run_cell(11, Topology::Mule, policy, FaultConfig::default(), 90, 1);
+        let r = run_cell(11, Topology::Mule, policy, FaultConfig::default(), 90);
         assert_eq!(r.concluded_once, MSGS, "mule: exactly-once violated");
         println!(
             "data mule (200 m cluster gap, walking carrier): {:.0}% delivered, \

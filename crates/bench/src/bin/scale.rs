@@ -6,25 +6,10 @@
 //! fleets run fewer ticks so the sweep stays tractable). At 1000 nodes the
 //! sweep re-runs the identical fleet with the retained brute-force neighbor
 //! scan (`Runner::set_brute_force_neighbors`) and asserts the spatial grid
-//! delivers at least a 10× ticks/sec speedup. At 10 000 and 100 000 nodes it
-//! re-runs the fleet through the sharded tick loop (`Runner::set_shards`,
-//! DESIGN.md §5g) and asserts the sharded run heard exactly as many beacons
-//! as the oracle. Byte-level shard equivalence is proved separately by
-//! `crates/sim/tests/shard_parity.rs` and `--parity` below; the sweep only
-//! measures.
+//! delivers at least a 10× ticks/sec speedup.
 //!
-//! `--smoke` runs the 1000-node cell against a CI wall-clock budget, then a
-//! 10 000-node oracle-vs-sharded pair: heard counts must match exactly, and
-//! on hosts with ≥ 4 cores the sharded run must be ≥ 3× the oracle's
-//! ticks/sec (on smaller hosts the floor is skipped — parallel speedup
-//! needs parallel hardware — but the parity assert still runs).
-//!
-//! `--parity` is the CI determinism stage: a 500-node fleet with faults,
-//! telemetry sampler, and event ring, run at 1 shard and at 4, every
-//! externalized artifact compared byte for byte. 500 advertisers per round
-//! clears the runner's inline-planning threshold, so this exercises real
-//! worker threads, not the small-fleet fallback. Exits non-zero on any
-//! divergence.
+//! `--smoke` runs the 1000-node and 10 000-node cells against CI
+//! wall-clock and allocation budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -36,10 +21,10 @@ use bytes::Bytes;
 use omni_bench::baseline::Baseline;
 use omni_bench::report::{Chart, Table};
 use omni_bench::ObsRun;
-use omni_obs::{event_json, Obs};
+use omni_obs::Obs;
 use omni_sim::{
-    ChurnWindow, Command, DeviceCaps, FaultConfig, FlightRecorder, LinkPartition, NodeApi,
-    NodeEvent, Position, Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
+    Command, DeviceCaps, NodeApi, NodeEvent, Position, Runner, SimConfig, SimDuration, SimTime,
+    Stack,
 };
 
 /// Counts every heap allocation (and reallocation) the process makes, so
@@ -81,19 +66,15 @@ const SCAN_STRIDE: usize = 50;
 /// Smoke budget: mean wall-clock per 1000-node tick. Generous — the grid
 /// path runs an order of magnitude under this on a loaded CI box.
 const SMOKE_BUDGET_MEAN_US: f64 = 100_000.0;
-/// Smoke budget for the 10 000-node oracle cell. Same spirit: an order of
+/// Smoke budget for the 10 000-node cell. Same spirit: an order of
 /// magnitude above what the grid path needs, so only a complexity
 /// regression (not CI noise) can trip it.
 const SMOKE_BUDGET_10K_MEAN_US: f64 = 1_000_000.0;
-/// Minimum host cores for the sharded-speedup floor to be meaningful.
-const SPEEDUP_MIN_CORES: usize = 4;
-/// The floor itself: sharded ticks/sec over oracle ticks/sec at 10k nodes.
-const SPEEDUP_FLOOR: f64 = 3.0;
 
 /// Steady-state allocation ceilings for the smoke gate, in allocs/tick.
 ///
 /// The zero-copy wire path (shared `Bytes` payloads, pooled encode scratch,
-/// recycled fan-out plans — DESIGN.md §5i) measures 0 allocs/tick at both
+/// pooled fan-out buffers — DESIGN.md §5i) measures 0 allocs/tick at both
 /// cells once startup is amortized; the pre-refactor committed baseline was
 /// 50.1 at 1k nodes and 1000.2 at 10k. The ceilings leave slack for
 /// allocator noise while still catching any per-frame allocation sneaking
@@ -109,17 +90,6 @@ fn ticks_for(n: usize) -> u64 {
         5_001..=10_000 => 20,
         _ => 10,
     }
-}
-
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Shard count for the sharded cells: one per core up to the contract's
-/// eight, but never below two — a single "shard" is just the oracle, and
-/// the parity asserts would be vacuous.
-fn shard_count() -> usize {
-    host_cores().clamp(2, 8)
 }
 
 /// Advertises every tick; every `SCAN_STRIDE`-th device also scans and
@@ -154,23 +124,15 @@ struct CellResult {
     p95_tick_us: u64,
     allocs_per_tick: f64,
     heard: u64,
-    /// The tick-phase profile, when the cell ran with `profile = true`.
-    report: Option<omni_obs::PhaseReport>,
 }
 
 /// Runs an N-device fleet for `ticks_for(n)` beacon rounds, timing each
-/// round and counting its heap allocations. `shards > 1` routes the run
-/// through the sharded tick loop; `brute_force` swaps the neighbor query;
-/// `profile` enables the tick-phase profiler (byte-identical behavior by
-/// the §5j invariant — only wall-clock attribution is added).
-fn run_cell(n: usize, brute_force: bool, shards: usize, profile: bool, obs: &Obs) -> CellResult {
+/// round and counting its heap allocations. `brute_force` swaps the
+/// neighbor query.
+fn run_cell(n: usize, brute_force: bool, obs: &Obs) -> CellResult {
     let ticks = ticks_for(n);
     let mut sim = Runner::new(SimConfig::default());
     sim.set_brute_force_neighbors(brute_force);
-    sim.set_shards(shards);
-    if profile {
-        sim.enable_profiler();
-    }
     let heard = Rc::new(RefCell::new(0u64));
     let sites = n.div_ceil(2);
     let cols = (sites as f64).sqrt().ceil() as usize;
@@ -185,11 +147,7 @@ fn run_cell(n: usize, brute_force: bool, shards: usize, profile: bool, obs: &Obs
         sim.set_stack(d, Box::new(Beacon { scans: i % SCAN_STRIDE == 0, heard: heard.clone() }));
     }
 
-    let label = match (brute_force, shards) {
-        (true, _) => format!("n{n}.brute"),
-        (false, s) if s > 1 => format!("n{n}.s{s}"),
-        (false, _) => format!("n{n}"),
-    };
+    let label = if brute_force { format!("n{n}.brute") } else { format!("n{n}") };
     let tick_us = obs.digest(&format!("scale.{label}.tick_us"));
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let started = Instant::now();
@@ -209,139 +167,15 @@ fn run_cell(n: usize, brute_force: bool, shards: usize, profile: bool, obs: &Obs
         p95_tick_us: tick_us.quantile(0.95),
         allocs_per_tick: allocs as f64 / ticks as f64,
         heard,
-        report: sim.profiler().map(|p| p.report()),
     }
-}
-
-/// Prints a profiled cell's per-phase share breakdown, serial-fraction
-/// estimate, and Amdahl ceiling (the scale acceptance readout).
-fn print_phase_report(label: &str, r: &omni_obs::PhaseReport) {
-    let shares: Vec<String> = r
-        .phases
-        .iter()
-        .filter(|p| p.scopes > 0)
-        .map(|p| format!("{} {:.1}%", p.phase.name(), p.share * 100.0))
-        .collect();
-    println!("scale profile [{label}]: {}", shares.join(", "));
-    println!(
-        "scale profile [{label}]: serial fraction {:.3} → Amdahl ceiling {:.2}×, \
-         shard imbalance {:.2}, batch occupancy p50 {}",
-        r.serial_fraction, r.amdahl_ceiling, r.imbalance, r.batch_occupancy.p50
-    );
-}
-
-/// Everything a parity run externalizes, captured for byte comparison.
-#[derive(PartialEq)]
-struct ParityArtifacts {
-    sampler_jsonl: String,
-    event_ring: Vec<String>,
-    recorder_dump: String,
-    heard: u64,
-    fault_draws: u64,
-    frames_dropped: u64,
-}
-
-/// A 500-node faulty fleet with full telemetry, run at `shards`. 500
-/// advertisers come due together each round, well past the runner's
-/// inline-planning threshold, so `shards = 4` spawns real worker threads.
-fn parity_run(shards: usize) -> ParityArtifacts {
-    const N: usize = 500;
-    let faults = FaultConfig {
-        ble_loss: 0.15,
-        ble_jitter: SimDuration::from_millis(5),
-        partitions: vec![LinkPartition::new(0, 1, SimTime::from_secs(2), SimTime::from_secs(6))],
-        churn: vec![ChurnWindow {
-            dev: 3,
-            down_at: SimTime::from_secs(3),
-            up_at: SimTime::from_secs(8),
-        }],
-        ..Default::default()
-    };
-    let mut sim = Runner::new(SimConfig { seed: 7, faults, ..Default::default() });
-    sim.set_shards(shards);
-    let obs = Obs::new();
-    sim.set_obs(obs.clone());
-    sim.enable_sampler(SamplerConfig::default());
-    let heard = Rc::new(RefCell::new(0u64));
-    let sites = N.div_ceil(2);
-    let cols = (sites as f64).sqrt().ceil() as usize;
-    for i in 0..N {
-        let site = i / 2;
-        let dx = if i % 2 == 0 { 0.0 } else { PAIR_GAP_M };
-        let pos = Position::new(
-            (site % cols) as f64 * SITE_PITCH_M + dx,
-            (site / cols) as f64 * SITE_PITCH_M,
-        );
-        // Every device scans: the parity stage wants fault-RNG traffic on
-        // every delivery, not the sweep's sparse fan-out.
-        let d = sim.add_device(DeviceCaps::PI, pos);
-        sim.set_stack(d, Box::new(Beacon { scans: true, heard: heard.clone() }));
-    }
-    // Mid-run moves strand staged fan-out plans, forcing the epoch
-    // invalidation path under real worker threads.
-    sim.schedule_teleport(omni_sim::DeviceId(0), SimTime::from_secs(4), Position::new(9e4, 9e4));
-    sim.schedule_teleport(omni_sim::DeviceId(0), SimTime::from_secs(7), Position::new(0.0, 0.0));
-    sim.run_until(SimTime::from_millis(TICK_MS * 20));
-
-    let heard = *heard.borrow();
-    ParityArtifacts {
-        sampler_jsonl: sim.sampler().map(|s| s.to_jsonl().to_string()).unwrap_or_default(),
-        event_ring: obs.events().iter().map(event_json).collect(),
-        recorder_dump: FlightRecorder::from_obs(&obs).to_jsonl(),
-        heard,
-        fault_draws: sim.fault_rng_draws(),
-        frames_dropped: sim.fault_frames_dropped(),
-    }
-}
-
-/// Oracle vs. 4-shard byte comparison; exits non-zero on any divergence.
-fn run_parity() {
-    let oracle = parity_run(1);
-    assert!(oracle.heard > 0, "parity fleet exchanged no beacons — broken setup");
-    assert!(oracle.fault_draws > 0, "parity fleet never touched the fault RNG");
-    let sharded = parity_run(4);
-    let mut diverged = Vec::new();
-    if oracle.sampler_jsonl != sharded.sampler_jsonl {
-        diverged.push("telemetry sampler JSONL");
-    }
-    if oracle.event_ring != sharded.event_ring {
-        diverged.push("obs event ring");
-    }
-    if oracle.recorder_dump != sharded.recorder_dump {
-        diverged.push("flight-recorder dump");
-    }
-    if oracle.heard != sharded.heard {
-        diverged.push("beacons heard");
-    }
-    if oracle.fault_draws != sharded.fault_draws {
-        diverged.push("fault RNG draw count");
-    }
-    if oracle.frames_dropped != sharded.frames_dropped {
-        diverged.push("frames dropped");
-    }
-    if !diverged.is_empty() {
-        eprintln!("scale parity: 4-shard run diverged from the oracle: {}", diverged.join(", "));
-        std::process::exit(1);
-    }
-    println!(
-        "scale parity: ok — 500 nodes, shards 1 vs 4 byte-identical \
-         ({} ring events, {} beacons heard, {} fault draws)",
-        oracle.event_ring.len(),
-        oracle.heard,
-        oracle.fault_draws
-    );
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    if std::env::args().any(|a| a == "--parity") {
-        run_parity();
-        return;
-    }
     let obs = ObsRun::new("scale");
 
     if smoke {
-        let cell = run_cell(1000, false, 1, false, &obs);
+        let cell = run_cell(1000, false, &obs);
         println!(
             "scale smoke: 1000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, p95 {} µs, \
              {:.0} allocs/tick, {} beacons heard",
@@ -365,65 +199,34 @@ fn main() {
             cell.allocs_per_tick
         );
 
-        // 10k cell: oracle vs. sharded. Parity always holds; the speedup
-        // floor only applies where the host has cores to parallelize onto.
-        let cores = host_cores();
-        let shards = shard_count();
-        let oracle = run_cell(10_000, false, 1, false, &obs);
-        let sharded = run_cell(10_000, false, shards, false, &obs);
-        let speedup = sharded.ticks_per_sec / oracle.ticks_per_sec;
+        let big = run_cell(10_000, false, &obs);
         println!(
-            "scale smoke: 10000 nodes, oracle {:.0} ticks/sec ({:.0} allocs/tick), \
-             {shards}-shard {:.0} ticks/sec → speedup {speedup:.2}× on {cores} core(s)",
-            oracle.ticks_per_sec, oracle.allocs_per_tick, sharded.ticks_per_sec
-        );
-        assert_eq!(
-            oracle.heard, sharded.heard,
-            "10k sharded run diverged from the oracle — determinism bug"
+            "scale smoke: 10000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, \
+             {:.0} allocs/tick, {} beacons heard",
+            big.ticks_per_sec, big.mean_tick_us, big.allocs_per_tick, big.heard
         );
         assert!(
-            oracle.mean_tick_us <= SMOKE_BUDGET_10K_MEAN_US,
+            big.mean_tick_us <= SMOKE_BUDGET_10K_MEAN_US,
             "10000-node tick blew the smoke budget: mean {:.0} µs > {:.0} µs",
-            oracle.mean_tick_us,
+            big.mean_tick_us,
             SMOKE_BUDGET_10K_MEAN_US
         );
         assert!(
-            oracle.allocs_per_tick <= ALLOC_CEILING_10K,
+            big.allocs_per_tick <= ALLOC_CEILING_10K,
             "10000-node cell allocates on the hot path: {:.1} allocs/tick > {ALLOC_CEILING_10K} \
              — the zero-copy wire path regressed (DESIGN.md §5i)",
-            oracle.allocs_per_tick
+            big.allocs_per_tick
         );
-        if cores >= SPEEDUP_MIN_CORES {
-            assert!(
-                speedup >= SPEEDUP_FLOOR,
-                "sharded tick loop must be ≥{SPEEDUP_FLOOR}× the oracle at 10k nodes \
-                 on a {cores}-core host, got {speedup:.2}×"
-            );
-        } else {
-            println!(
-                "scale smoke: host has {cores} core(s) < {SPEEDUP_MIN_CORES} — \
-                 skipping the ≥{SPEEDUP_FLOOR}× shard-speedup floor (measured {speedup:.2}×)"
-            );
-        }
-
-        // One profiled sharded 10k cell after the timing asserts (so the
-        // profiler's small overhead cannot color them): where does the
-        // remaining serial time go, and what ceiling does Amdahl put on
-        // more shards?
-        let profiled = run_cell(10_000, false, shards, true, &obs);
-        assert_eq!(oracle.heard, profiled.heard, "profiled run diverged — §5j invariant broken");
-        print_phase_report("10k smoke", profiled.report.as_ref().expect("profiled cell"));
 
         let mut b = Baseline::new("scale", true);
         b.gate("n1000_heard", cell.heard as f64, 0.0);
-        b.gate("n10000_heard", oracle.heard as f64, 0.0);
+        b.gate("n10000_heard", big.heard as f64, 0.0);
         b.info("n1000_ticks_per_sec", cell.ticks_per_sec);
         b.info("n1000_mean_tick_us", cell.mean_tick_us);
         b.info("n1000_p95_tick_us", cell.p95_tick_us as f64);
         b.info("n1000_allocs_per_tick", cell.allocs_per_tick);
-        b.info("n10000_ticks_per_sec", oracle.ticks_per_sec);
-        b.info("n10000_allocs_per_tick", oracle.allocs_per_tick);
-        b.info("n10000_shard_speedup", speedup);
+        b.info("n10000_ticks_per_sec", big.ticks_per_sec);
+        b.info("n10000_allocs_per_tick", big.allocs_per_tick);
         omni_bench::baseline::emit(&b);
         println!("scale: ok");
         return;
@@ -435,10 +238,9 @@ fn main() {
         &["ticks/sec", "p95 tick µs", "allocs/tick"],
     );
     let mut chart = Chart::new("Ticks/sec by fleet size (spatial grid)", "ticks/sec");
-    let shards = shard_count();
     let mut grid_1000 = None;
     for n in [100usize, 500, 1000, 5000, 10_000, 50_000, 100_000] {
-        let cell = run_cell(n, false, 1, false, &obs);
+        let cell = run_cell(n, false, &obs);
         println!(
             "n={n:6}: {:8.1} ticks/sec, mean {:8.0} µs, p95 {:7} µs, {:8.0} allocs/tick, \
              {} beacons heard",
@@ -462,23 +264,6 @@ fn main() {
         bline.info(&format!("n{n}_ticks_per_sec"), cell.ticks_per_sec);
         bline.info(&format!("n{n}_allocs_per_tick"), cell.allocs_per_tick);
 
-        // Sharded re-run at the two headline sizes: exact behavioral parity,
-        // wall-clock reported (the floor is enforced by --smoke, core-aware).
-        if n == 10_000 || n == 100_000 {
-            let sh = run_cell(n, false, shards, n == 10_000, &obs);
-            let speedup = sh.ticks_per_sec / cell.ticks_per_sec;
-            println!(
-                "n={n:6} {shards}-shard: {:8.1} ticks/sec, mean {:8.0} µs → speedup {speedup:.2}×",
-                sh.ticks_per_sec, sh.mean_tick_us
-            );
-            assert_eq!(cell.heard, sh.heard, "{n}-node sharded run diverged — determinism bug");
-            bline.info(&format!("n{n}_shard_speedup"), speedup);
-            if let Some(r) = &sh.report {
-                print_phase_report(&format!("{n} sharded"), r);
-                bline.info(&format!("n{n}_serial_fraction"), r.serial_fraction);
-                bline.info(&format!("n{n}_amdahl_ceiling"), r.amdahl_ceiling);
-            }
-        }
         if n == 1000 {
             grid_1000 = Some(cell);
         }
@@ -491,8 +276,8 @@ fn main() {
     // brute run: on a loaded box the sweep's earlier cells can depress the
     // first sample enough to flake a 10× floor that holds comfortably.
     let grid = grid_1000.expect("1000-node cell ran");
-    let brute = run_cell(1000, true, 1, false, &obs);
-    let grid_fresh = run_cell(1000, false, 1, false, &obs);
+    let brute = run_cell(1000, true, &obs);
+    let grid_fresh = run_cell(1000, false, &obs);
     assert_eq!(grid.heard, grid_fresh.heard, "same fleet, same seed — heard must repeat");
     let speedup = grid.ticks_per_sec.max(grid_fresh.ticks_per_sec) / brute.ticks_per_sec;
     println!(

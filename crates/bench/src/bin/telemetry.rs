@@ -2,7 +2,8 @@
 //! windows from its time series alone.
 //!
 //! Runs a constant-density beaconing fleet (1000 nodes; 200 under `--smoke`)
-//! with the sim-clock [`Sampler`] enabled and two known fault injections:
+//! with the sim-clock [`Sampler`](omni_sim::Sampler) enabled and two known
+//! fault injections:
 //!
 //! * a **link partition** between the co-sited pair 0↔1 over
 //!   `[12.3 s, 19.7 s)` — reconstructed from the

@@ -123,9 +123,6 @@ struct MgrObs {
     ttl_expired: Counter,
     /// `mgr.custody_depth`: frames currently held in custody.
     custody_depth: Gauge,
-    /// Fresh-peer snapshot from the previous engagement evaluation, for
-    /// `PeerExpired` detection (independent of the adaptive-beacon state).
-    fresh_prev: BTreeSet<OmniAddress>,
 }
 
 impl MgrObs {
@@ -159,7 +156,6 @@ impl MgrObs {
             data_deduped: obs.counter_with("mgr.data_deduped", &[("strategy", relay_label)]),
             ttl_expired: obs.counter_with("mgr.ttl_expired", &[("strategy", relay_label)]),
             custody_depth: obs.gauge("mgr.custody_depth"),
-            fresh_prev: BTreeSet::new(),
         }
     }
 
@@ -290,13 +286,10 @@ pub struct OmniManager {
     /// Current address-beacon interval (adapts when the adaptive policy is
     /// configured).
     beacon_interval_current: SimDuration,
-    /// Fresh-peer snapshot from the previous engagement evaluation (drives
-    /// the adaptive beacon policy).
-    last_fresh_peers: BTreeSet<OmniAddress>,
-    /// Fresh-peer snapshot for reliable-send cancellation: when a peer's
-    /// record expires, its outstanding retries are failed terminally
-    /// (independent of the adaptive-beacon and obs snapshots).
-    retry_fresh_prev: BTreeSet<OmniAddress>,
+    /// Fresh peers as of the previous engagement evaluation. The adaptive
+    /// beacon, `PeerExpired` events and reliable-send cancellation all diff
+    /// the current fresh set against it (see [`Self::track_fresh_peers`]).
+    fresh_prev: BTreeSet<OmniAddress>,
     /// Manager-level observability instruments, present when
     /// [`OmniConfig::obs`] is set.
     mgr_obs: Option<MgrObs>,
@@ -387,8 +380,7 @@ impl OmniManager {
             custody_origin: HashMap::new(),
             prophet,
             beacon_interval_current: beacon_interval,
-            last_fresh_peers: BTreeSet::new(),
-            retry_fresh_prev: BTreeSet::new(),
+            fresh_prev: BTreeSet::new(),
             mgr_obs,
             next_trace_seq: 0,
         }
@@ -859,8 +851,8 @@ impl OmniManager {
     }
 
     /// Expires stale custody entries, then offers the remaining ones to
-    /// fresh peers under the configured strategy. Deterministic at any shard
-    /// count: custody iterates in insertion order over *sorted* fresh peers.
+    /// fresh peers under the configured strategy. Deterministic: custody
+    /// iterates in insertion order over *sorted* fresh peers.
     fn pump_custody(&mut self, api: &mut NodeApi<'_>) {
         if !self.cfg.relay.enabled() || self.custody.is_empty() {
             return;
@@ -2002,15 +1994,14 @@ impl OmniManager {
     /// Adaptive address-beacon frequency (paper §3.1 *Future
     /// Considerations*): beacon at the policy's fast rate while new peers
     /// keep appearing, decay (doubling per stable evaluation period) toward
-    /// the slow ceiling when the neighborhood is unchanged.
-    fn adapt_beacon_interval(&mut self, api: &mut NodeApi<'_>) {
+    /// the slow ceiling when the neighborhood is unchanged. `prev` is the
+    /// fresh set of the previous evaluation; [`Self::fresh_prev`] already
+    /// holds the current one.
+    fn adapt_beacon_interval(&mut self, prev: &BTreeSet<OmniAddress>, api: &mut NodeApi<'_>) {
         let Some(policy) = self.cfg.adaptive_beacon else {
             return;
         };
-        let fresh: BTreeSet<OmniAddress> =
-            self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
-        let changed = fresh.difference(&self.last_fresh_peers).next().is_some();
-        self.last_fresh_peers = fresh;
+        let changed = self.fresh_prev.difference(prev).next().is_some();
         let current = self.beacon_interval_current;
         let target = if changed {
             policy.min
@@ -2100,30 +2091,35 @@ impl OmniManager {
         }
     }
 
-    fn evaluate_engagement(&mut self, api: &mut NodeApi<'_>) {
-        self.adapt_beacon_interval(api);
-        if let Some(m) = self.mgr_obs.as_mut() {
-            let fresh: BTreeSet<OmniAddress> =
-                self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
-            for &gone in m.fresh_prev.difference(&fresh) {
-                m.obs.event(
-                    api.now.as_micros(),
-                    m.node,
-                    EventKind::PeerExpired { peer: gone.as_u64() },
-                );
-            }
-            m.fresh_prev = fresh;
+    /// Rebuilds [`Self::fresh_prev`] and feeds its three consumers, in
+    /// order: the adaptive beacon (did a peer appear?), then `PeerExpired`
+    /// events and reliable-send cancellation (which peers went stale?).
+    /// Which consumers are on is fixed when the manager is built, so the
+    /// snapshot is rebuilt on every evaluation whenever any of them is.
+    fn track_fresh_peers(&mut self, api: &mut NodeApi<'_>) {
+        let retry = self.cfg.retry.enabled();
+        if self.cfg.adaptive_beacon.is_none() && self.mgr_obs.is_none() && !retry {
+            return;
         }
-        if self.cfg.retry.enabled() {
-            let fresh: BTreeSet<OmniAddress> =
-                self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
-            let expired: Vec<OmniAddress> =
-                self.retry_fresh_prev.difference(&fresh).copied().collect();
-            self.retry_fresh_prev = fresh;
-            for peer in expired {
+        let fresh: BTreeSet<OmniAddress> =
+            self.peers.fresh_peers(api.now, self.cfg.peer_ttl).into_iter().collect();
+        let prev = std::mem::replace(&mut self.fresh_prev, fresh);
+        self.adapt_beacon_interval(&prev, api);
+        let gone: Vec<OmniAddress> = prev.difference(&self.fresh_prev).copied().collect();
+        if let Some(m) = &self.mgr_obs {
+            for peer in &gone {
+                m.event(api.now, EventKind::PeerExpired { peer: peer.as_u64() });
+            }
+        }
+        if retry {
+            for peer in gone {
                 self.cancel_sends_to(peer, api);
             }
         }
+    }
+
+    fn evaluate_engagement(&mut self, api: &mut NodeApi<'_>) {
+        self.track_fresh_peers(api);
         if self.cfg.relay.enabled() {
             self.relay_tick(api);
         }

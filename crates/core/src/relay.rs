@@ -17,7 +17,7 @@
 //!   FIFO-evicting so memory never grows past `seen_capacity`.
 //! * [`CustodyStore`] — the bounded buffer of frames this node carries on
 //!   behalf of others, iterated in insertion order so replays stay
-//!   deterministic at any shard count.
+//!   deterministic.
 //! * [`ProphetTable`] / [`ProphetConfig`] — the delivery-predictability core
 //!   (encounter, aging, transitivity), shared with the application-level
 //!   PRoPHET in `omni-apps`, which is now a thin shim over this module.
@@ -215,7 +215,7 @@ pub struct CustodyEntry {
 }
 
 /// Bounded store of frames this node carries for others, iterated in
-/// insertion order (deterministic at any shard count).
+/// insertion order (deterministic across replays).
 #[derive(Debug, Clone, Default)]
 pub struct CustodyStore {
     entries: HashMap<u64, CustodyEntry>,

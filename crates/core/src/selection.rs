@@ -30,8 +30,9 @@ pub struct Candidate {
 ///
 /// `enabled` lists the technologies this device currently has enabled;
 /// `ble_frame_overhead` is the directed-frame framing the BLE payload bound
-/// must absorb ([`frame::DIRECTED_OVERHEAD`](crate::techs::frame), or
-/// [`frame::ACKED_OVERHEAD`](crate::techs::frame) on the reliable path);
+/// must absorb ([`DIRECTED_OVERHEAD`](omni_wire::frame::DIRECTED_OVERHEAD),
+/// or [`ACKED_OVERHEAD`](omni_wire::frame::ACKED_OVERHEAD) on the reliable
+/// path);
 /// `has_session` reports whether a technology already holds an open session
 /// to the given address (sessions skip connection formation).
 #[allow(clippy::too_many_arguments)]

@@ -9,7 +9,7 @@
 //! would be off by up to 100%.
 //!
 //! Digests **merge**: two digests use the same fixed bucket layout, so
-//! cross-shard aggregation is per-bucket addition and the error bound is
+//! aggregating digests is per-bucket addition and the error bound is
 //! unchanged after [`QuantileDigest::merge_from`].
 //!
 //! Each bucket optionally retains up to [`EXEMPLARS_PER_BUCKET`] recent

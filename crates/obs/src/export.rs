@@ -289,34 +289,12 @@ pub fn digest_json(name: &str, d: &QuantileDigest) -> String {
 }
 
 /// Render a [`PhaseReport`] as collapsed-stack flamegraph text: one
-/// `stack value` line per frame, semicolon-separated frames, values in
-/// microseconds of *work*.
-///
-/// Serial phases appear as `tick;<phase>`. The parallel fan-out region
-/// cannot be drawn as wall time (its workers overlap), so each worker's
-/// self-timed busy µs appears under `tick;shard-fanout;shard<i>` and the
-/// `tick;shard-fanout` frame itself carries only the coordination remainder
-/// (wall minus the busiest worker) — the whole graph then sums to total
-/// serial wall plus total parallel work.
+/// `tick;<phase> µs` line per phase that recorded time, so the graph sums
+/// to the report's total wall time.
 pub fn flamegraph_collapsed(report: &PhaseReport) -> String {
     let mut out = String::new();
-    for stat in &report.phases {
-        if stat.phase == crate::profile::Phase::ShardFanout {
-            continue;
-        }
-        if stat.total_us > 0 {
-            let _ = writeln!(out, "tick;{} {}", stat.phase.name(), stat.total_us);
-        }
-    }
-    let max_busy = report.shard_busy_us.iter().copied().max().unwrap_or(0);
-    let overhead = report.parallel_wall_us.saturating_sub(max_busy);
-    if overhead > 0 {
-        let _ = writeln!(out, "tick;shard-fanout {overhead}");
-    }
-    for (i, busy) in report.shard_busy_us.iter().enumerate() {
-        if *busy > 0 {
-            let _ = writeln!(out, "tick;shard-fanout;shard{i} {busy}");
-        }
+    for stat in report.phases.iter().filter(|s| s.total_us > 0) {
+        let _ = writeln!(out, "tick;{} {}", stat.phase.name(), stat.total_us);
     }
     out
 }
@@ -631,19 +609,15 @@ mod tests {
             let _s = p.scope(Phase::StagedCommit);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        p.record_shard_busy(0, 3_000_000);
-        p.record_shard_busy(1, 1_000_000);
         let mut report = p.report();
-        report.phases[Phase::ShardFanout as usize].total_us = 4_000;
-        report.parallel_wall_us = 4_000;
+        report.phases[Phase::TimerDrain as usize].total_us = 4_000;
         let text = flamegraph_collapsed(&report);
         let rows = parse_collapsed(&text);
+        assert_eq!(rows.len(), 2, "one frame per phase that recorded time");
         assert_eq!(rows.len(), text.lines().count(), "every emitted line parses back");
         let find = |stack: &str| rows.iter().find(|(s, _)| s == stack).map(|(_, v)| *v);
         assert!(find("tick;staged-commit").unwrap() >= 1_000);
-        assert_eq!(find("tick;shard-fanout;shard0"), Some(3_000));
-        assert_eq!(find("tick;shard-fanout;shard1"), Some(1_000));
-        assert_eq!(find("tick;shard-fanout"), Some(1_000), "wall minus busiest worker");
+        assert_eq!(find("tick;timer-drain"), Some(4_000));
         // Malformed lines are skipped, not mis-parsed.
         assert_eq!(parse_collapsed("no-value-here\n\na;b 12\n"), vec![("a;b".into(), 12)]);
     }
@@ -652,12 +626,12 @@ mod tests {
     fn chrome_phase_slices_are_spliceable_x_events() {
         use crate::profile::{Phase, PhaseSlice};
         let slices = [
-            PhaseSlice { phase: Phase::BeaconPlan, start_us: 10, dur_us: 5 },
+            PhaseSlice { phase: Phase::TimerDrain, start_us: 10, dur_us: 5 },
             PhaseSlice { phase: Phase::StagedCommit, start_us: 16, dur_us: 2 },
         ];
         let json = chrome_phase_slices(&slices, 1, 99);
         let wrapped = format!("[{json}]");
-        assert!(wrapped.contains("\"name\":\"beacon-plan\""));
+        assert!(wrapped.contains("\"name\":\"timer-drain\""));
         assert!(wrapped.contains("\"ph\":\"X\""));
         assert!(wrapped.contains("\"ts\":16"));
         assert!(wrapped.contains("\"tid\":99"));

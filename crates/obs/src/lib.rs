@@ -20,9 +20,8 @@
 //!   downsamples in place when full, plus bounded-cardinality labeled metrics
 //!   ([`MetricsRegistry::counter_with`] and friends).
 //! * **Profiler** — a [`TickProfiler`] attributing event-loop wall time to
-//!   a fixed [`Phase`] taxonomy, with per-shard utilization, flamegraph
-//!   ([`flamegraph_collapsed`]) and Chrome-trace ([`chrome_phase_slices`])
-//!   export.
+//!   a fixed [`Phase`] taxonomy, with flamegraph ([`flamegraph_collapsed`])
+//!   and Chrome-trace ([`chrome_phase_slices`]) export.
 //!
 //! Snapshots render as aligned text ([`Snapshot::to_text`]) or hand-rolled
 //! JSON ([`Snapshot::to_json`]) — this crate deliberately depends on nothing

@@ -32,7 +32,8 @@ impl Default for Stopwatch {
 }
 
 /// Guard that records the elapsed wall-clock microseconds of its lexical
-/// scope into a digest when dropped.  Usually built via [`time_scope!`].
+/// scope into a digest when dropped.  Usually built via
+/// [`time_scope!`](crate::time_scope!).
 #[derive(Debug)]
 pub struct ScopeTimer {
     digest: Digest,

@@ -1,7 +1,6 @@
 //! Acceptance suite for the log-linear quantile digest: p50/p99/p999 must
 //! stay within 2% relative error of an exact-sort nearest-rank oracle over
-//! proptest-generated distributions — including after cross-shard merge,
-//! which is the path the profiler and the trace bench rely on.
+//! proptest-generated distributions — including after merging digests.
 
 use omni_obs::{QuantileDigest, RELATIVE_ERROR_BOUND};
 use proptest::prelude::*;
@@ -54,8 +53,8 @@ proptest! {
         values in proptest::collection::vec(sample_value(), 8..600),
         shards in 2usize..6
     ) {
-        // Deal samples round-robin into per-shard digests, as the sharded
-        // fan-out would, then merge them all into shard 0.
+        // Deal samples round-robin into separate digests, then merge them
+        // all into the first.
         let mut parts: Vec<QuantileDigest> =
             (0..shards).map(|_| QuantileDigest::new()).collect();
         for (i, &v) in values.iter().enumerate() {

@@ -144,14 +144,12 @@ impl FaultConfig {
 /// churn status of every device, a per-device index of the configured
 /// partitions, and drop accounting.
 ///
-/// **Sharding contract.** There is exactly ONE fault RNG stream, seeded
-/// `seed ^ FAULT_SEED_SALT` — the same salt regardless of shard count —
-/// and it is only ever drawn from the runner's *serial commit phase*, in
-/// global `(time, seq)` event order. The sharded tick loop parallelizes
-/// pure fan-out planning only; no worker thread touches this state. That
-/// is what keeps the draw sequence (and hence every loss/jitter decision)
-/// byte-identical between the single-threaded oracle and any shard count.
-/// `draws` counts every draw so parity tests can assert exactly that.
+/// **Determinism.** There is exactly ONE fault RNG stream, seeded
+/// `seed ^ FAULT_SEED_SALT`, and it is only ever drawn from the runner's
+/// event loop, in global `(time, seq)` event order. That is what keeps the
+/// draw sequence (and hence every loss/jitter decision) byte-identical
+/// across same-seed runs. `draws` counts every draw so determinism tests
+/// can assert exactly that.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     cfg: FaultConfig,
@@ -164,7 +162,7 @@ pub(crate) struct FaultState {
     partitions_of: Vec<Vec<usize>>,
     /// Frames dropped by loss injection (all media).
     pub frames_dropped: u64,
-    /// Total RNG draws (loss + jitter), for shard-parity assertions.
+    /// Total RNG draws (loss + jitter), for determinism assertions.
     pub draws: u64,
 }
 

@@ -8,12 +8,10 @@
 //! this reproduces the paper's observation that the State of the Art's
 //! periodic multicast beacons impede bulk transfers by ≈8.6 % (Table 5).
 //!
-//! **Sharding contract** (DESIGN.md §5g): the medium is global mutable
-//! state and is only ever touched from the runner's serial commit phase, in
-//! `(time, seq)` event order. The sharded tick loop parallelizes pure BLE
-//! fan-out *planning* only — no worker thread holds a reference here — so
+//! The medium is global mutable state, touched only from the runner's
+//! single-threaded event loop in `(time, seq)` order (DESIGN.md §5g), so
 //! flow arrivals, departures, and multicast serialization are ordered
-//! identically for any shard count.
+//! identically in every same-seed run.
 
 use std::collections::VecDeque;
 

@@ -315,55 +315,6 @@ impl Ord for Scheduled {
     }
 }
 
-/// A precomputed BLE beacon fan-out: the in-range scanners and their scan
-/// duty, exactly what the serial path snapshots in `ble_adv_tick`.
-type AdvPlan = Vec<(DeviceId, f64)>;
-
-/// One fan-out worker's result: its shard index, the planned advs (batch
-/// slot → plan), and its self-timed busy nanoseconds (0 when profiling is
-/// off).
-type ShardPlans = (usize, Vec<(usize, AdvPlan)>, u64);
-
-/// One event staged for commit: popped from the heap in `(time, seq)`
-/// order, possibly carrying a fan-out plan from the parallel phase.
-struct Staged {
-    sch: Scheduled,
-    plan: Option<AdvPlan>,
-}
-
-/// How many due events one staging pass pops from the heap. Large enough
-/// to amortize the scoped-thread spawn, small enough that plans rarely go
-/// stale mid-batch.
-const STAGE_BATCH: usize = 2048;
-
-/// Below this many fan-out jobs a batch is planned inline: spawning
-/// threads costs more than the queries themselves.
-const MIN_PARALLEL_JOBS: usize = 128;
-
-/// Plans one advertising tick's fan-out: the in-range devices that are BLE
-/// powered and scanning, with their duty. Pure — reads only the spatial
-/// grid and per-device radio state, no RNG, no counters — and therefore
-/// safe to run on any thread in any order. Must filter exactly like the
-/// serial path in `ble_adv_tick`.
-fn plan_adv(
-    world: &World,
-    devices: &[DeviceState],
-    range: f64,
-    dev: DeviceId,
-    ids: &mut Vec<DeviceId>,
-    plan: &mut AdvPlan,
-) {
-    world.neighbors_into(dev, range, ids);
-    plan.clear();
-    plan.extend(ids.iter().filter_map(|&n| {
-        let d = &devices[n.0];
-        match (d.ble_on, d.ble_scan_duty) {
-            (true, Some(duty)) => Some((n, duty)),
-            _ => None,
-        }
-    }));
-}
-
 /// The simulation runner. See the crate docs for the overall model.
 pub struct Runner {
     cfg: SimConfig,
@@ -393,26 +344,9 @@ pub struct Runner {
     nbr_buf: Vec<DeviceId>,
     /// Pooled `(recipient, scan duty)` buffer for the BLE advertising tick.
     adv_buf: Vec<(DeviceId, f64)>,
-    /// Recycled fan-out plan buffers for sharded staging: consumed plans
-    /// come back here and are handed out to the next `refill_staged` batch,
-    /// so steady-state parallel planning reuses capacity instead of
-    /// allocating one `Vec` per advertiser per tick (DESIGN.md §5i).
-    plan_pool: Vec<AdvPlan>,
     obs: Option<RunnerObs>,
     faults: FaultState,
     sampler: Option<Sampler>,
-    /// Shard count for parallel fan-out planning; 1 = the single-threaded
-    /// oracle loop, untouched.
-    shards: usize,
-    /// Bumped on every mutation the planner reads (positions, BLE power,
-    /// scan duty, device count). A staged plan from an older epoch is
-    /// discarded at commit time and recomputed serially.
-    topo_epoch: u64,
-    /// The epoch the current staged batch was planned under.
-    staged_epoch: u64,
-    /// Events popped from the heap in `(time, seq)` order awaiting serial
-    /// commit, with precomputed plans for the BLE advertising ticks.
-    staged: VecDeque<Staged>,
     /// Wall-clock tick-phase profiler (off by default). Boxed: the digest
     /// arrays are large and most runners never profile.
     profiler: Option<Box<TickProfiler>>,
@@ -458,14 +392,9 @@ impl Runner {
             cmd_buf: Vec::new(),
             nbr_buf: Vec::new(),
             adv_buf: Vec::new(),
-            plan_pool: Vec::new(),
             obs: None,
             faults,
             sampler: None,
-            shards: 1,
-            topo_epoch: 0,
-            staged_epoch: 0,
-            staged: VecDeque::new(),
             profiler: None,
             open_scope: None,
         };
@@ -552,11 +481,10 @@ impl Runner {
     /// Enables the wall-clock tick-phase profiler (off by default).
     ///
     /// The profiler attributes runner wall time to the [`Phase`] taxonomy
-    /// (beacon planning, sharded fan-out, staged commit, fault evaluation,
-    /// medium pump, timer drain, telemetry sampling), tracks per-shard busy
-    /// time for utilization and Amdahl estimates, and keeps per-phase
-    /// latency digests. It needs no [`Obs`] handle: its state lives outside
-    /// the metrics registry on purpose.
+    /// (staged commit, fault evaluation, medium pump, timer drain,
+    /// telemetry sampling) and keeps per-phase latency digests. It needs no
+    /// [`Obs`] handle: its state lives outside the metrics registry on
+    /// purpose.
     ///
     /// **Determinism invariant** (DESIGN.md §5j, enforced by the
     /// `profiler_invariance` test suite): the profiler only reads
@@ -612,39 +540,10 @@ impl Runner {
         self.world.set_brute_force(on);
     }
 
-    /// Splits BLE fan-out *planning* across `n` spatial-grid shards run on
-    /// scoped worker threads; `n <= 1` keeps the single-threaded oracle
-    /// loop byte-for-byte untouched.
-    ///
-    /// The sharded path is byte-identical to the oracle for **any** shard
-    /// count by construction: only the pure planning phase (spatial-grid
-    /// neighbor queries plus the scanner/duty candidate filter) runs in
-    /// parallel, over events already popped in global `(time, seq)` order.
-    /// Every RNG draw, fault-layer decision, observability append, and
-    /// stack delivery then commits serially in exactly that order — the
-    /// same order the oracle executes. Plans are validated against a
-    /// topology epoch and recomputed serially when stale, so mid-batch
-    /// mutations (mobility, power toggles) can cost speed, never fidelity.
-    /// See DESIGN.md §5g for the full determinism contract.
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n.max(1);
-    }
-
-    /// Current shard count (1 = single-threaded oracle).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Total RNG draws made by the fault layer so far; shard-parity tests
-    /// assert this matches the oracle exactly (same draws, same order).
+    /// Total RNG draws made by the fault layer so far; determinism tests
+    /// assert that same-seed runs make exactly the same draws.
     pub fn fault_rng_draws(&self) -> u64 {
         self.faults.draws
-    }
-
-    /// Records a mutation of state the fan-out planner reads, invalidating
-    /// any plans staged under the previous epoch.
-    fn bump_topo(&mut self) {
-        self.topo_epoch += 1;
     }
 
     /// Adds a device with the given radios at the given position.
@@ -696,7 +595,6 @@ impl Runner {
         });
         self.stacks.push(None);
         self.world.add_device(pos);
-        self.bump_topo();
         self.energy.add_device();
         if caps.wifi {
             self.energy.enter(id, self.now, EnergyState::WifiOn, self.cfg.energy.wifi_standby_ma);
@@ -780,13 +678,11 @@ impl Runner {
         self.devices[dev.0].ble_scan_duty.is_some()
     }
 
-    /// Maps an engine event to the profiler phase its commit is charged to
-    /// (DESIGN.md §5j). Deliveries and mobility commit under
-    /// [`Phase::StagedCommit`]; configured fault windows under
-    /// [`Phase::FaultEval`]; timers, telemetry, and the medium machinery
-    /// under their own phases. Planning phases ([`Phase::BeaconPlan`],
-    /// [`Phase::ShardFanout`]) are measured inside `refill_staged`, not
-    /// here.
+    /// Maps an engine event to the profiler phase it is charged to
+    /// (DESIGN.md §5j). Deliveries and mobility, including each advertising
+    /// tick's fan-out neighbor query, run under [`Phase::StagedCommit`];
+    /// configured fault windows under [`Phase::FaultEval`]; timers,
+    /// telemetry, and the medium machinery under their own phases.
     fn phase_of(ev: &Engine) -> Phase {
         match ev {
             Engine::StartStack { .. }
@@ -815,11 +711,11 @@ impl Runner {
     /// Charges the event about to be handled to its phase, coalescing
     /// consecutive same-phase events into one open scope so profiling costs
     /// two clock reads per phase *transition*, not two per event. The tick
-    /// loop drains long same-phase runs (a staged batch commits thousands
-    /// of deliveries back to back), so this keeps profiler overhead within
-    /// the ≤5% budget the `profile` bench enforces. Phase totals are exact
-    /// either way; the per-phase latency quantiles describe contiguous
-    /// same-phase runs rather than single events.
+    /// loop drains long same-phase runs (a beacon round handles thousands
+    /// of advertising ticks back to back), so this keeps profiler overhead
+    /// within the ≤5% budget the `profile` bench enforces. Phase totals are
+    /// exact either way; the per-phase latency quantiles describe
+    /// contiguous same-phase runs rather than single events.
     ///
     /// Token (not RAII) scope: `handle` needs `&mut self`, so the
     /// measurement cannot hold a profiler borrow across it.
@@ -836,8 +732,7 @@ impl Runner {
         }
     }
 
-    /// Closes the coalesced scope, if any: at loop exit, and before any
-    /// wall time that belongs to a different phase (the staged refill).
+    /// Closes the coalesced scope, if any, at loop exit.
     fn profile_flush(&mut self) {
         if let Some(s) = self.open_scope.take() {
             if let Some(p) = self.profiler.as_deref_mut() {
@@ -846,15 +741,17 @@ impl Runner {
         }
     }
 
-    /// Runs the simulation up to and including `t`.
+    /// Runs the simulation up to and including `t`: pops events in
+    /// `(time, seq)` order and handles each to completion before the next.
     pub fn run_until(&mut self, t: SimTime) {
-        while let Some((sch, plan)) = self.pop_due(t) {
+        while self.heap.peek().is_some_and(|Reverse(top)| top.at <= t) {
+            let Reverse(sch) = self.heap.pop().expect("peeked");
             debug_assert!(sch.at >= self.now, "event queue went backwards");
             self.now = sch.at;
             if self.profiler.is_some() {
                 self.profile_event(&sch.ev);
             }
-            self.handle(sch.ev, plan);
+            self.handle(sch.ev);
         }
         self.profile_flush();
         self.now = t;
@@ -864,188 +761,6 @@ impl Runner {
     pub fn run_for(&mut self, d: SimDuration) {
         let t = self.now + d;
         self.run_until(t);
-    }
-
-    /// Runs until the event queue drains or `cap` is reached; returns the
-    /// final virtual time.
-    pub fn run_until_idle(&mut self, cap: SimTime) -> SimTime {
-        while let Some((sch, plan)) = self.pop_due(cap) {
-            self.now = sch.at;
-            if self.profiler.is_some() {
-                self.profile_event(&sch.ev);
-            }
-            self.handle(sch.ev, plan);
-        }
-        self.profile_flush();
-        // Distinguish "drained" (clock stays at the last event) from "next
-        // event beyond the cap" (clock advances to the cap), matching the
-        // pre-shard loop exactly.
-        if matches!(self.heap.peek(), Some(Reverse(top)) if top.at > cap) {
-            self.now = cap;
-        }
-        self.now
-    }
-
-    /// Pops the next event due at or before `cap` in global `(time, seq)`
-    /// order, consulting both the staged batch and the heap. In sharded
-    /// mode an empty stage triggers a batched refill with parallel fan-out
-    /// planning; with one shard the stage stays empty and this is exactly
-    /// the oracle's heap pop.
-    ///
-    /// Merging is a plain min: staged events were popped from the heap in
-    /// order, and anything scheduled *since* staging lands at `>= now` with
-    /// a larger seq, so taking the smaller `(at, seq)` of stage-front vs
-    /// heap-top reproduces pure-heap execution order exactly.
-    fn pop_due(&mut self, cap: SimTime) -> Option<(Scheduled, Option<AdvPlan>)> {
-        if self.shards > 1 && self.staged.is_empty() {
-            self.refill_staged(cap);
-        }
-        let take_staged = match (self.staged.front(), self.heap.peek()) {
-            (Some(st), Some(Reverse(top))) => (st.sch.at, st.sch.seq) <= (top.at, top.seq),
-            (Some(_), None) => true,
-            (None, Some(Reverse(top))) => {
-                if top.at > cap {
-                    return None;
-                }
-                false
-            }
-            (None, None) => return None,
-        };
-        if take_staged {
-            // Staged events are all due (`at <= cap` held at refill).
-            let st = self.staged.pop_front().expect("front checked");
-            Some((st.sch, st.plan))
-        } else {
-            // The heap top won the merge, so it is at or before a staged
-            // (hence due) event, or the stage is empty and the cap was
-            // checked above.
-            let Reverse(sch) = self.heap.pop().expect("peeked");
-            Some((sch, None))
-        }
-    }
-
-    /// Pops the next run of due events off the heap in order and plans the
-    /// BLE fan-outs among them in parallel, one scoped worker per
-    /// spatial-grid shard. Planning is pure — neighbor query plus
-    /// scanner/duty filter against state no other thread mutates — so the
-    /// only nondeterminism threads could introduce (scheduling order) never
-    /// touches an RNG, a counter, or an event append.
-    fn refill_staged(&mut self, cap: SimTime) {
-        debug_assert!(self.staged.is_empty());
-        // Close the coalesced commit scope: refill time belongs to the
-        // planning phases, not whatever event ran last.
-        self.profile_flush();
-        // Serial planning time (pops, grouping, post-join assembly) is
-        // charged to BeaconPlan; the parallel region alone to ShardFanout.
-        let mut plan_scope = self.profiler.as_ref().map(|p| p.begin(Phase::BeaconPlan));
-        let mut batch: Vec<Scheduled> = Vec::with_capacity(STAGE_BATCH);
-        while batch.len() < STAGE_BATCH {
-            match self.heap.peek() {
-                Some(Reverse(top)) if top.at <= cap => {
-                    let Reverse(sch) = self.heap.pop().expect("peeked");
-                    batch.push(sch);
-                }
-                _ => break,
-            }
-        }
-        if batch.is_empty() {
-            if let (Some(s), Some(p)) = (plan_scope, self.profiler.as_deref_mut()) {
-                p.finish(s);
-            }
-            return;
-        }
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.record_batch_occupancy(batch.len() as u64);
-        }
-        self.staged_epoch = self.topo_epoch;
-        let jobs: Vec<(usize, DeviceId)> = batch
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s.ev {
-                Engine::BleAdv { dev, .. } => Some((i, dev)),
-                _ => None,
-            })
-            .collect();
-        let mut plans: Vec<Option<AdvPlan>> = Vec::new();
-        plans.resize_with(batch.len(), || None);
-        if !jobs.is_empty() {
-            // Hand recycled plan buffers out to the workers; consumed plans
-            // return to the pool in `ble_adv_tick`.
-            let mut pool = std::mem::take(&mut self.plan_pool);
-            let world = &self.world;
-            let devices = &self.devices;
-            let range = self.cfg.range_m(TechType::BleBeacon);
-            if jobs.len() < MIN_PARALLEL_JOBS || self.shards < 2 {
-                let mut ids = Vec::new();
-                for (i, dev) in jobs {
-                    let mut plan = pool.pop().unwrap_or_default();
-                    plan_adv(world, devices, range, dev, &mut ids, &mut plan);
-                    plans[i] = Some(plan);
-                }
-            } else {
-                let profile = self.profiler.is_some();
-                let mut groups: Vec<Vec<(usize, DeviceId, AdvPlan)>> =
-                    vec![Vec::new(); self.shards];
-                for (i, dev) in jobs {
-                    let buf = pool.pop().unwrap_or_default();
-                    groups[world.shard_of(dev, self.shards)].push((i, dev, buf));
-                }
-                // Grouping done: close the serial scope before the fan-out.
-                if let Some(s) = plan_scope.take() {
-                    self.profiler.as_deref_mut().expect("scope implies profiler").finish(s);
-                }
-                let fanout_scope = self.profiler.as_ref().map(|p| p.begin(Phase::ShardFanout));
-                let done: Vec<ShardPlans> = std::thread::scope(|scope| {
-                    let workers: Vec<_> = groups
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(_, g)| !g.is_empty())
-                        .map(|(shard, group)| {
-                            scope.spawn(move || {
-                                // Workers self-time (only when profiling)
-                                // and hand busy nanoseconds back for the
-                                // serial merge at commit — the profiler
-                                // itself is never shared across threads.
-                                let t0 = profile.then(std::time::Instant::now);
-                                let mut ids = Vec::new();
-                                let out: Vec<(usize, AdvPlan)> = group
-                                    .into_iter()
-                                    .map(|(i, dev, mut plan)| {
-                                        plan_adv(world, devices, range, dev, &mut ids, &mut plan);
-                                        (i, plan)
-                                    })
-                                    .collect();
-                                let busy_ns = t0.map_or(0, |t| {
-                                    t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-                                });
-                                (shard, out, busy_ns)
-                            })
-                        })
-                        .collect();
-                    workers.into_iter().map(|w| w.join().expect("shard worker panicked")).collect()
-                });
-                if let (Some(s), Some(p)) = (fanout_scope, self.profiler.as_deref_mut()) {
-                    p.finish(s);
-                }
-                // Post-join assembly is serial planning again.
-                plan_scope = self.profiler.as_ref().map(|p| p.begin(Phase::BeaconPlan));
-                for (shard, group, busy_ns) in done {
-                    if busy_ns > 0 {
-                        if let Some(p) = self.profiler.as_deref_mut() {
-                            p.record_shard_busy(shard, busy_ns);
-                        }
-                    }
-                    for (i, plan) in group {
-                        plans[i] = Some(plan);
-                    }
-                }
-            }
-            self.plan_pool = pool;
-        }
-        self.staged.extend(batch.into_iter().zip(plans).map(|(sch, plan)| Staged { sch, plan }));
-        if let (Some(s), Some(p)) = (plan_scope, self.profiler.as_deref_mut()) {
-            p.finish(s);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1326,7 +1041,6 @@ impl Runner {
         if !self.devices[dev.0].caps.ble {
             return;
         }
-        self.bump_topo(); // fan-out plans read `ble_on`
         let d = &mut self.devices[dev.0];
         if on {
             d.ble_on = true;
@@ -1343,7 +1057,6 @@ impl Runner {
         if !self.devices[dev.0].ble_on {
             return;
         }
-        self.bump_topo(); // fan-out plans read `ble_scan_duty`
         let d = &mut self.devices[dev.0];
         if d.ble_scan_duty.take().is_some() {
             self.energy.leave(dev, self.now, EnergyState::BleScan);
@@ -1682,7 +1395,7 @@ impl Runner {
         }
     }
 
-    fn handle(&mut self, ev: Engine, plan: Option<AdvPlan>) {
+    fn handle(&mut self, ev: Engine) {
         match ev {
             Engine::StartStack { dev } => self.deliver(dev, NodeEvent::Start),
             Engine::Timer { dev, token, gen } => {
@@ -1691,7 +1404,7 @@ impl Runner {
                     self.deliver(dev, NodeEvent::Timer { token });
                 }
             }
-            Engine::BleAdv { dev, slot, gen } => self.ble_adv_tick(dev, slot, gen, plan),
+            Engine::BleAdv { dev, slot, gen } => self.ble_adv_tick(dev, slot, gen),
             Engine::BleOneShotDeliver { to, from, payload } => {
                 let d = &self.devices[to.0];
                 if d.ble_on
@@ -1791,11 +1504,9 @@ impl Runner {
             Engine::InfraChunkDone { dev, gen } => self.infra_chunk_done(dev, gen),
             Engine::Teleport { dev, pos } => {
                 self.world.set_position(dev, pos);
-                self.bump_topo();
                 self.audit_connections(dev, false);
             }
             Engine::WalkStep { dev, to, speed_mps } => {
-                self.bump_topo();
                 let cur = self.world.position(dev);
                 let remaining = cur.distance(to);
                 if remaining <= speed_mps {
@@ -1922,7 +1633,7 @@ impl Runner {
         self.faults.set_down(dev, false);
     }
 
-    fn ble_adv_tick(&mut self, dev: DeviceId, slot: u32, gen: u64, plan: Option<AdvPlan>) {
+    fn ble_adv_tick(&mut self, dev: DeviceId, slot: u32, gen: u64) {
         // Probe the slot without touching the payload: most pulses reach no
         // scanner, and the `Bytes` refcount round-trip is measurable at
         // fleet scale. The payload is cloned out only when a delivery
@@ -1942,19 +1653,11 @@ impl Runner {
                 }
             }
         };
-        let Some((payload_len, interval, epoch)) = probed else {
-            if let Some(p) = plan {
-                self.recycle_plan(p);
-            }
-            return;
-        };
+        let Some((payload_len, interval, epoch)) = probed else { return };
         if self.faults.is_down(dev) {
             // Keep the slot cadence alive so advertising resumes when the
             // churn window ends.
             self.schedule(interval, Engine::BleAdv { dev, slot, gen });
-            if let Some(p) = plan {
-                self.recycle_plan(p);
-            }
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, self.cfg.ble.adv_pulse);
@@ -1971,37 +1674,19 @@ impl Runner {
         }
         // Resolve the whole fan-out through the spatial grid once:
         // recipients plus their scan duty, snapshotted before any delivery
-        // can mutate device state. A staged plan (sharded mode) is used
-        // only while its epoch is current — any topology or radio mutation
-        // since planning forces a serial recompute, which filters
-        // identically (see `plan_adv`), so the two sources are
-        // interchangeable bit for bit.
-        let planned = match plan {
-            Some(p) if self.staged_epoch == self.topo_epoch => Some(p),
-            Some(stale) => {
-                self.recycle_plan(stale);
-                None
+        // can mutate device state.
+        let mut ids = std::mem::take(&mut self.nbr_buf);
+        let mut candidates = std::mem::take(&mut self.adv_buf);
+        self.world.neighbors_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut ids);
+        candidates.clear();
+        candidates.extend(ids.iter().filter_map(|&n| {
+            let d = &self.devices[n.0];
+            match (d.ble_on, d.ble_scan_duty) {
+                (true, Some(duty)) => Some((n, duty)),
+                _ => None,
             }
-            None => None,
-        };
-        let (candidates, pooled) = match planned {
-            Some(p) => (p, false),
-            None => {
-                let mut ids = std::mem::take(&mut self.nbr_buf);
-                let mut cand = std::mem::take(&mut self.adv_buf);
-                self.world.neighbors_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut ids);
-                cand.clear();
-                cand.extend(ids.iter().filter_map(|&n| {
-                    let d = &self.devices[n.0];
-                    match (d.ble_on, d.ble_scan_duty) {
-                        (true, Some(duty)) => Some((n, duty)),
-                        _ => None,
-                    }
-                }));
-                self.nbr_buf = ids;
-                (cand, true)
-            }
-        };
+        }));
+        self.nbr_buf = ids;
         self.schedule(interval, Engine::BleAdv { dev, slot, gen });
         if !candidates.is_empty() {
             let d = &self.devices[dev.0];
@@ -2037,20 +1722,7 @@ impl Runner {
                 }
             }
         }
-        if pooled {
-            self.adv_buf = candidates;
-        } else {
-            self.recycle_plan(candidates);
-        }
-    }
-
-    /// Return a consumed fan-out plan to the staging pool (capped at one
-    /// batch's worth so a churn spike can't pin memory forever).
-    fn recycle_plan(&mut self, mut plan: AdvPlan) {
-        plan.clear();
-        if self.plan_pool.len() < STAGE_BATCH {
-            self.plan_pool.push(plan);
-        }
+        self.adv_buf = candidates;
     }
 
     fn mcast_done(&mut self, gen: u64) {

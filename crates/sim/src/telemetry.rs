@@ -34,11 +34,11 @@
 //! health verdict per window, so fault windows can be reconstructed from the
 //! series alone with [`SeriesRing::spans_where`].
 //!
-//! Under the sharded tick loop (DESIGN.md §5g) sampling still happens
-//! exclusively in the serial commit phase: `Engine::Sample` events merge
-//! into the same global `(time, seq)` order as everything else, and the
-//! counters they read were all incremented in that order — so the JSONL
-//! stream is byte-identical for any shard count, which `shard_parity.rs`
+//! Sampling runs inside the runner's single-threaded event loop
+//! (DESIGN.md §5g): `Engine::Sample` events take their place in the same
+//! global `(time, seq)` order as everything else, and the counters they
+//! read were all incremented in that order — so the JSONL stream is
+//! byte-identical across same-seed runs, which `telemetry_determinism.rs`
 //! asserts.
 
 use std::collections::{BTreeMap, HashMap};

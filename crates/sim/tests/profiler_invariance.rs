@@ -5,10 +5,9 @@
 //! profiler-on run is **byte-identical** to a profiler-off run of the same
 //! seed (DESIGN.md §5j).
 //!
-//! The artifacts compared are the same set `shard_parity.rs` uses for the
-//! sharded-loop contract: sampler JSONL, event ring, flight-recorder dump,
-//! the counter registry, application-visible state (beacons heard), and
-//! the fault RNG draw count.
+//! The artifacts compared are every externalized run output: sampler
+//! JSONL, event ring, flight-recorder dump, the counter registry,
+//! application-visible state (beacons heard), and the fault RNG draw count.
 
 use bytes::Bytes;
 use omni_obs::{event_json, Obs};
@@ -47,7 +46,6 @@ struct Scenario {
     cols: usize,
     pitch_m: f64,
     ble_loss: f64,
-    shards: usize,
     secs: u64,
 }
 
@@ -77,7 +75,6 @@ fn run(sc: &Scenario, profile: bool) -> Artifacts {
         ..Default::default()
     };
     let mut sim = Runner::new(SimConfig { seed: sc.seed, faults, ..Default::default() });
-    sim.set_shards(sc.shards);
     if profile {
         sim.enable_profiler();
     }
@@ -129,20 +126,11 @@ fn assert_identical(off: &Artifacts, on: &Artifacts, label: &str) {
     assert_eq!(off.final_t_us, on.final_t_us, "{label}: final clock diverged");
 }
 
-/// The acceptance scenario: a 500-node faulty fleet on the sharded loop
-/// (so worker self-timing and the shard-busy merge both execute) must emit
+/// The acceptance scenario: a 500-node faulty fleet must emit
 /// byte-identical artifacts with the profiler on and off.
 #[test]
 fn faulty_500_node_fleet_is_byte_identical_profiler_on_and_off() {
-    let sc = Scenario {
-        seed: 42,
-        nodes: 500,
-        cols: 25,
-        pitch_m: 8.0,
-        ble_loss: 0.15,
-        shards: 4,
-        secs: 8,
-    };
+    let sc = Scenario { seed: 42, nodes: 500, cols: 25, pitch_m: 8.0, ble_loss: 0.15, secs: 8 };
     let off = run(&sc, false);
     assert!(off.fault_draws > 0, "the scenario must exercise the fault RNG");
     assert!(!off.sampler_jsonl.is_empty());
@@ -153,8 +141,7 @@ fn faulty_500_node_fleet_is_byte_identical_profiler_on_and_off() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Randomized fleets across shard counts: profiler on == profiler off,
-    /// byte for byte.
+    /// Randomized fleets: profiler on == profiler off, byte for byte.
     #[test]
     fn profiled_runs_are_byte_identical(
         seed in any::<u64>(),
@@ -162,9 +149,8 @@ proptest! {
         cols in 3usize..=8,
         pitch_m in 4.0f64..10.0,
         ble_loss in 0.0f64..0.3,
-        shards in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
-        let sc = Scenario { seed, nodes, cols, pitch_m, ble_loss, shards, secs: 12 };
+        let sc = Scenario { seed, nodes, cols, pitch_m, ble_loss, secs: 12 };
         let off = run(&sc, false);
         let on = run(&sc, true);
         assert_identical(&off, &on, "randomized fleet");

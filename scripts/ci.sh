@@ -4,7 +4,8 @@
 #   scripts/ci.sh
 #
 # Every PR must pass all three stages: formatting, lints as errors, and the
-# full test suite.
+# full test suite. Rustdoc warnings (broken intra-doc links included) are
+# errors too.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,6 +15,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test =="
 cargo test --workspace -q
@@ -25,11 +29,8 @@ cargo bench -q -p omni-bench --bench codec
 echo "== reliability smoke (fault matrix) =="
 cargo run --release -p omni-bench --bin reliability -- --smoke
 
-echo "== scale smoke (1000-node tick budget, 10k shard parity) =="
+echo "== scale smoke (1000- and 10k-node tick and allocation budgets) =="
 cargo run --release -p omni-bench --bin scale -- --smoke
-
-echo "== shard parity (500-node oracle vs 4-shard, byte-identical artifacts) =="
-cargo run --release -p omni-bench --bin scale -- --parity
 
 echo "== trace smoke (flight-recorder completeness + determinism) =="
 cargo run --release -p omni-bench --bin trace -- --smoke
@@ -40,7 +41,7 @@ cargo run --release -p omni-bench --bin profile -- --smoke
 echo "== telemetry smoke (fault-window reconstruction from series) =="
 cargo run --release -p omni-bench --bin telemetry -- --smoke
 
-echo "== relay smoke (sparse-chain delivery floor, shard parity) =="
+echo "== relay smoke (sparse-chain delivery floor, same-seed replay) =="
 cargo run --release -p omni-bench --bin relay -- --smoke
 
 echo "== bench baseline gate (drift vs committed BENCH_*.json) =="

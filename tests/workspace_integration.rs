@@ -6,6 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use omni::core::{ContextParams, OmniBuilder, OmniStack, RetryPolicy};
+use omni::obs::{EventKind, Obs};
 use omni::sim::{
     ChurnWindow, DeviceCaps, DeviceId, FaultConfig, FaultScope, LinkPartition, Position, Runner,
     SimConfig, SimDuration, SimTime,
@@ -248,7 +249,8 @@ fn data_tech_restriction_is_honored() {
 /// 2. The peer then reboots (churn window): its radios mute, its peer
 ///    record expires, and the send issued during the outage is cancelled —
 ///    exactly one terminal failure naming the expiry, and no late callback
-///    when the technologies' outcomes straggle in afterwards.
+///    when the technologies' outcomes straggle in afterwards. The sender
+///    records exactly one `PeerExpired` event for it.
 /// 3. After the reboot the peer's beacons resume and it is re-discovered.
 #[test]
 fn partition_fails_over_and_churn_cancels_retries() {
@@ -290,7 +292,14 @@ fn partition_fails_over_and_churn_cancels_retries() {
     let send2: Log = Rc::new(RefCell::new(Vec::new()));
     // Act 3 witness: a's context receipts from the rebooted peer.
     let a_heard: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
-    let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone()).build(&sim, a);
+    // Act 2 witness: the events of a's manager.
+    let a_obs = Obs::new();
+    let mgr = OmniBuilder::new()
+        .with_ble()
+        .with_wifi()
+        .with_config(cfg.clone())
+        .with_obs(&a_obs)
+        .build(&sim, a);
     let (s1, s2, ah) = (send1.clone(), send2.clone(), a_heard.clone());
     sim.set_stack(
         a,
@@ -348,6 +357,21 @@ fn partition_fails_over_and_churn_cancels_retries() {
     assert_eq!(send2[0].1, StatusCode::SendDataFailure, "{send2:?}");
     assert!(send2[0].0 < SimTime::from_secs(20), "cancelled at expiry, not exhausted: {send2:?}");
     assert!(send2[0].2.contains("expired"), "failure names the peer expiry: {}", send2[0].2);
+    // The expiry is recorded once, between the reboot and the peer's return.
+    assert_eq!(a_obs.events_dropped(), 0, "a's event ring kept every event");
+    let expired: Vec<(u64, u64)> = a_obs
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::PeerExpired { peer } => Some((e.t_us, peer)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(expired.len(), 1, "exactly one PeerExpired: {expired:?}");
+    let (t_us, peer) = expired[0];
+    assert_eq!(peer, dest.as_u64(), "the expired peer is b");
+    let churn = SimTime::from_secs(10).as_micros()..SimTime::from_secs(25).as_micros();
+    assert!(churn.contains(&t_us), "expired during the churn window: {t_us} µs");
 
     // Act 3: the rebooted peer was re-discovered — a hears b's context
     // again well after the churn window closed at 25 s.
