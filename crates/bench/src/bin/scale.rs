@@ -8,8 +8,9 @@
 //! scan (`Runner::set_brute_force_neighbors`) and asserts the spatial grid
 //! delivers at least a 10× ticks/sec speedup.
 //!
-//! `--smoke` runs the 1000-node and 10 000-node cells against CI
-//! wall-clock and allocation budgets.
+//! `--smoke` runs the 1000-node cell and three 10 000-node cells against CI
+//! wall-clock and allocation budgets, and holds the best of the 10 000-node
+//! cells to a throughput floor.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -70,6 +71,12 @@ const SMOKE_BUDGET_MEAN_US: f64 = 100_000.0;
 /// magnitude above what the grid path needs, so only a complexity
 /// regression (not CI noise) can trip it.
 const SMOKE_BUDGET_10K_MEAN_US: f64 = 1_000_000.0;
+/// Throughput floor for the 10 000-node cell (ticks/sec), taken as the best
+/// of `FLOOR_TRIES` runs so one slow spell of a shared host cannot fail it.
+/// The scanner index and advertising lanes (DESIGN.md §5d, §5g) measure
+/// 290–470 on the 2-core reference host; the design before them, 130–160.
+const FLOOR_10K_TICKS_PER_SEC: f64 = 220.0;
+const FLOOR_TRIES: usize = 3;
 
 /// Steady-state allocation ceilings for the smoke gate, in allocs/tick.
 ///
@@ -178,7 +185,7 @@ fn main() {
         let cell = run_cell(1000, false, &obs);
         println!(
             "scale smoke: 1000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, p95 {} µs, \
-             {:.0} allocs/tick, {} beacons heard",
+             {:.2} allocs/tick, {} beacons heard",
             cell.ticks_per_sec,
             cell.mean_tick_us,
             cell.p95_tick_us,
@@ -199,23 +206,37 @@ fn main() {
             cell.allocs_per_tick
         );
 
-        let big = run_cell(10_000, false, &obs);
-        println!(
-            "scale smoke: 10000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, \
-             {:.0} allocs/tick, {} beacons heard",
-            big.ticks_per_sec, big.mean_tick_us, big.allocs_per_tick, big.heard
-        );
+        let bigs: Vec<CellResult> =
+            (0..FLOOR_TRIES).map(|_| run_cell(10_000, false, &obs)).collect();
+        for big in &bigs {
+            println!(
+                "scale smoke: 10000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, \
+                 {:.2} allocs/tick, {} beacons heard",
+                big.ticks_per_sec, big.mean_tick_us, big.allocs_per_tick, big.heard
+            );
+            assert_eq!(big.heard, bigs[0].heard, "same fleet, same seed — heard must repeat");
+            assert!(
+                big.mean_tick_us <= SMOKE_BUDGET_10K_MEAN_US,
+                "10000-node tick blew the smoke budget: mean {:.0} µs > {:.0} µs",
+                big.mean_tick_us,
+                SMOKE_BUDGET_10K_MEAN_US
+            );
+            assert!(
+                big.allocs_per_tick <= ALLOC_CEILING_10K,
+                "10000-node cell allocates on the hot path: {:.1} allocs/tick > \
+                 {ALLOC_CEILING_10K} — the zero-copy wire path regressed (DESIGN.md §5i)",
+                big.allocs_per_tick
+            );
+        }
+        let big = bigs
+            .into_iter()
+            .max_by(|a, b| a.ticks_per_sec.total_cmp(&b.ticks_per_sec))
+            .expect("FLOOR_TRIES > 0");
         assert!(
-            big.mean_tick_us <= SMOKE_BUDGET_10K_MEAN_US,
-            "10000-node tick blew the smoke budget: mean {:.0} µs > {:.0} µs",
-            big.mean_tick_us,
-            SMOKE_BUDGET_10K_MEAN_US
-        );
-        assert!(
-            big.allocs_per_tick <= ALLOC_CEILING_10K,
-            "10000-node cell allocates on the hot path: {:.1} allocs/tick > {ALLOC_CEILING_10K} \
-             — the zero-copy wire path regressed (DESIGN.md §5i)",
-            big.allocs_per_tick
+            big.ticks_per_sec >= FLOOR_10K_TICKS_PER_SEC,
+            "10000-node throughput under the floor: best of {FLOOR_TRIES} {:.0} ticks/sec < \
+             {FLOOR_10K_TICKS_PER_SEC} — beacon fan-out regressed (DESIGN.md §5d, §5g)",
+            big.ticks_per_sec
         );
 
         let mut b = Baseline::new("scale", true);

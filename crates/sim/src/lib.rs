@@ -67,6 +67,7 @@ mod faults;
 mod health;
 mod medium;
 mod node;
+mod queue;
 mod recorder;
 mod runner;
 mod telemetry;

@@ -5,8 +5,7 @@
 //! [`Stack`]s. Determinism: events are ordered by `(time, sequence)` and all
 //! randomness flows from the configured seed.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use omni_obs::{Counter, Digest, EventKind, Gauge, Obs, Phase, PhaseScope, TickProfiler};
@@ -19,9 +18,10 @@ use crate::energy::{EnergyLedger, EnergyState};
 use crate::faults::{FaultScope, FaultState};
 use crate::medium::{Flow, McastJob, WifiMedium};
 use crate::node::{Command, ConnId, DeviceId, NodeApi, NodeEvent, Stack, TcpError};
+use crate::queue::{EventQueue, Pulse};
 use crate::telemetry::{Sampler, SamplerConfig};
 use crate::time::{SimDuration, SimTime};
-use crate::world::{Position, World};
+use crate::world::{assert_finite, Position, World};
 
 /// Which radios a device is built with. Present radios start powered on.
 #[derive(Debug, Clone, Copy)]
@@ -217,6 +217,14 @@ enum Engine {
     Sample,
 }
 
+/// A lane pulse leaves the event queue as the advertising event it stands
+/// for.
+impl From<Pulse> for Engine {
+    fn from(p: Pulse) -> Self {
+        Engine::BleAdv { dev: DeviceId(p.dev as usize), slot: p.slot, gen: p.gen }
+    }
+}
+
 /// Cached tx/rx meters for one technology; handles are atomic, so the
 /// per-frame record path takes no lock and allocates nothing.
 struct TechMeters {
@@ -292,35 +300,13 @@ impl RunnerObs {
     }
 }
 
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    ev: Engine,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The simulation runner. See the crate docs for the overall model.
 pub struct Runner {
     cfg: SimConfig,
     now: SimTime,
-    seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    /// Pending engine events, with re-armed advertising pulses in
+    /// per-interval lanes (see [`EventQueue`]).
+    queue: EventQueue<Engine>,
     rng: SmallRng,
     world: World,
     energy: EnergyLedger,
@@ -360,7 +346,7 @@ impl std::fmt::Debug for Runner {
         f.debug_struct("Runner")
             .field("now", &self.now)
             .field("devices", &self.devices.len())
-            .field("pending_events", &self.heap.len())
+            .field("pending_events", &self.queue.len())
             .finish_non_exhaustive()
     }
 }
@@ -377,8 +363,7 @@ impl Runner {
         let mut runner = Runner {
             cfg,
             now: SimTime::ZERO,
-            seq: 0,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::default(),
             rng,
             world,
             energy: EnergyLedger::new(),
@@ -549,6 +534,10 @@ impl Runner {
     /// Adds a device with the given radios at the given position.
     /// Present radios start powered on (WiFi standby draw starts accruing
     /// immediately, as on the paper's testbed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate of `pos` is not finite.
     pub fn add_device(&mut self, caps: DeviceCaps, pos: Position) -> DeviceId {
         let idx = self.devices.len();
         let id = DeviceId(idx);
@@ -617,7 +606,12 @@ impl Runner {
     }
 
     /// Schedules an instantaneous move of a device at a future time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate of `pos` is not finite.
     pub fn schedule_teleport(&mut self, dev: DeviceId, at: SimTime, pos: Position) {
+        assert_finite(dev.0, pos);
         let delay = at.saturating_since(self.now);
         self.schedule(delay, Engine::Teleport { dev, pos });
     }
@@ -629,9 +623,11 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if `speed_mps` is not strictly positive and finite.
+    /// Panics if `speed_mps` is not strictly positive and finite, or if a
+    /// coordinate of `to` is not finite.
     pub fn schedule_walk(&mut self, dev: DeviceId, depart: SimTime, to: Position, speed_mps: f64) {
         assert!(speed_mps > 0.0 && speed_mps.is_finite(), "walking speed must be positive");
+        assert_finite(dev.0, to);
         // The first step lands one second after departure (the walker covers
         // its first `speed_mps` meters during that second).
         let delay = depart.saturating_since(self.now) + SimDuration::from_secs(1);
@@ -744,14 +740,13 @@ impl Runner {
     /// Runs the simulation up to and including `t`: pops events in
     /// `(time, seq)` order and handles each to completion before the next.
     pub fn run_until(&mut self, t: SimTime) {
-        while self.heap.peek().is_some_and(|Reverse(top)| top.at <= t) {
-            let Reverse(sch) = self.heap.pop().expect("peeked");
-            debug_assert!(sch.at >= self.now, "event queue went backwards");
-            self.now = sch.at;
+        while let Some((at, ev)) = self.queue.pop_due(t) {
+            debug_assert!(at >= self.now, "event queue went backwards");
+            self.now = at;
             if self.profiler.is_some() {
-                self.profile_event(&sch.ev);
+                self.profile_event(&ev);
             }
-            self.handle(sch.ev);
+            self.handle(ev);
         }
         self.profile_flush();
         self.now = t;
@@ -768,10 +763,14 @@ impl Runner {
     // ------------------------------------------------------------------
 
     fn schedule(&mut self, delay: SimDuration, ev: Engine) {
-        let at = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, ev }));
+        self.queue.push(self.now + delay, ev);
+    }
+
+    /// Re-arms an advertising slot one interval from now, in its interval's
+    /// lane (only the jittered first pulse goes through the heap).
+    fn rearm_pulse(&mut self, dev: DeviceId, slot: u32, gen: u64, interval: SimDuration) {
+        let dev = u32::try_from(dev.0).expect("advertising device ids fit in u32");
+        self.queue.push_pulse(self.now, interval, Pulse { dev, slot, gen });
     }
 
     /// Delivers a node event to a device's stack and applies the commands it
@@ -1049,6 +1048,7 @@ impl Runner {
             d.ble_slots.clear();
             if d.ble_scan_duty.take().is_some() {
                 self.energy.leave(dev, self.now, EnergyState::BleScan);
+                self.world.set_scanning(dev, false);
             }
         }
     }
@@ -1067,6 +1067,7 @@ impl Runner {
             let ma = self.cfg.energy.ble_scan_ma * duty;
             self.energy.enter(dev, self.now, EnergyState::BleScan, ma);
         }
+        self.world.set_scanning(dev, duty.is_some());
     }
 
     fn ble_advertise_set(
@@ -1146,9 +1147,7 @@ impl Runner {
         }
         let latency = self.cfg.ble.oneshot_latency;
         let mut recipients = std::mem::take(&mut self.nbr_buf);
-        self.world.neighbors_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut recipients);
-        recipients
-            .retain(|&n| self.devices[n.0].ble_on && self.devices[n.0].ble_scan_duty.is_some());
+        self.world.scanners_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut recipients);
         recipients.retain(|&n| {
             if self.faults.link_ok(dev, n, self.now, FaultScope::Ble) {
                 return true;
@@ -1657,14 +1656,13 @@ impl Runner {
         if self.faults.is_down(dev) {
             // Keep the slot cadence alive so advertising resumes when the
             // churn window ends.
-            self.schedule(interval, Engine::BleAdv { dev, slot, gen });
+            self.rearm_pulse(dev, slot, gen, interval);
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, self.cfg.ble.adv_pulse);
-        let cell = self.world.cell_index(dev);
         if let Some(o) = self.obs.as_mut() {
             o.ble.tx(payload_len);
-            o.cell_tx_counter(cell).inc();
+            o.cell_tx_counter(self.world.cell_index(dev)).inc();
             o.beacon_interval_us.record(interval.as_micros());
             o.obs.event(
                 self.now.as_micros(),
@@ -1672,22 +1670,18 @@ impl Runner {
                 EventKind::BeaconSent { tech: "ble-beacon", epoch },
             );
         }
-        // Resolve the whole fan-out through the spatial grid once:
-        // recipients plus their scan duty, snapshotted before any delivery
-        // can mutate device state.
+        // Resolve the whole fan-out through the spatial grid's scanner
+        // index once: recipients plus their scan duty, snapshotted before
+        // any delivery can mutate device state.
         let mut ids = std::mem::take(&mut self.nbr_buf);
         let mut candidates = std::mem::take(&mut self.adv_buf);
-        self.world.neighbors_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut ids);
+        self.world.scanners_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut ids);
         candidates.clear();
-        candidates.extend(ids.iter().filter_map(|&n| {
-            let d = &self.devices[n.0];
-            match (d.ble_on, d.ble_scan_duty) {
-                (true, Some(duty)) => Some((n, duty)),
-                _ => None,
-            }
+        candidates.extend(ids.iter().map(|&n| {
+            (n, self.devices[n.0].ble_scan_duty.expect("the scanner index holds scanners only"))
         }));
         self.nbr_buf = ids;
-        self.schedule(interval, Engine::BleAdv { dev, slot, gen });
+        self.rearm_pulse(dev, slot, gen, interval);
         if !candidates.is_empty() {
             let d = &self.devices[dev.0];
             let from = d.ble_addr;
@@ -1902,6 +1896,45 @@ mod tests {
                 _ => {}
             }
         }
+    }
+
+    /// Advertises one slot every 500 ms and does nothing else.
+    struct Advertiser;
+
+    impl Stack for Advertiser {
+        fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
+            if matches!(event, NodeEvent::Start) {
+                api.push(Command::BleAdvertiseSet {
+                    slot: 0,
+                    payload: Bytes::from_static(b"adv"),
+                    interval: SimDuration::from_millis(500),
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn heap_capacity_drops_once_the_build_burst_has_drained() {
+        let mut sim = Runner::new(SimConfig::default());
+        for i in 0..10_000 {
+            let dev = sim.add_device(DeviceCaps::BEACON, Position::new(40.0 * i as f64, 0.0));
+            sim.set_stack(dev, Box::new(Advertiser));
+        }
+        // One start event per device, all in the heap.
+        assert_eq!(sim.queue.len(), 10_000);
+        let burst = sim.queue.heap_capacity();
+        assert!(burst >= 10_000, "burst capacity {burst}");
+        // Starts become jittered first pulses (heap), and those re-arm into
+        // the 500 ms lane; within two rounds the heap has drained.
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.queue.len(), 10_000, "one pending pulse per device");
+        assert!(format!("{sim:?}").contains("pending_events: 10000"), "Debug counts lane pulses");
+        let drained = sim.queue.heap_capacity();
+        assert!(drained <= burst / 8, "heap kept {drained} of {burst} slots");
+        // Steady state: pulses cycle through the lane and the heap neither
+        // grows nor shrinks again.
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(sim.queue.heap_capacity(), drained);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //! maintained incrementally: [`World::set_position`] moves a device between
 //! cells only when its cell actually changes.
 //!
+//! Each cell's bucket keeps its BLE scanners first, with a prefix count, so
+//! a beacon's recipient query ([`World::scanners_into`]) reads only the
+//! scanners of a cell and never touches the (usually far more numerous)
+//! devices that only advertise. [`World::set_scanning`] and
+//! [`World::set_position`] keep that order.
+//!
 //! # Determinism rules
 //!
 //! The simulator promises bit-identical traces for identical seeds, so the
@@ -78,7 +84,56 @@ impl Hasher for CellHasher {
     }
 }
 
-type CellMap = HashMap<(i64, i64), Vec<usize>, BuildHasherDefault<CellHasher>>;
+/// The devices in one grid cell, BLE scanners first: `devs[..scanners]`
+/// scan and `devs[scanners..]` do not. Order within each part is arbitrary.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    devs: Vec<usize>,
+    scanners: usize,
+}
+
+impl Bucket {
+    fn insert(&mut self, d: usize, scanning: bool) {
+        self.devs.push(d);
+        if scanning {
+            let last = self.devs.len() - 1;
+            self.devs.swap(self.scanners, last);
+            self.scanners += 1;
+        }
+    }
+
+    fn remove(&mut self, d: usize) {
+        let mut at = self.find(d);
+        if at < self.scanners {
+            // Move the leaver to the end of the scanner prefix and shrink
+            // the prefix over it, so the swap-remove below pulls in a
+            // non-scanner.
+            self.scanners -= 1;
+            self.devs.swap(at, self.scanners);
+            at = self.scanners;
+        }
+        self.devs.swap_remove(at);
+    }
+
+    /// Moves `d` across the prefix boundary: to the prefix end when it
+    /// starts scanning, out of it when it stops. `d` must change state.
+    fn set_scanning(&mut self, d: usize, on: bool) {
+        let at = self.find(d);
+        if on {
+            self.devs.swap(at, self.scanners);
+            self.scanners += 1;
+        } else {
+            self.scanners -= 1;
+            self.devs.swap(at, self.scanners);
+        }
+    }
+
+    fn find(&self, d: usize) -> usize {
+        self.devs.iter().position(|&x| x == d).expect("device was in its cell")
+    }
+}
+
+type CellMap = HashMap<(i64, i64), Bucket, BuildHasherDefault<CellHasher>>;
 
 /// Default grid cell size (meters); matches the default maximum radio range
 /// ([`crate::WifiParams::range_m`]).
@@ -109,9 +164,12 @@ impl Position {
 #[derive(Debug, Clone)]
 pub struct World {
     positions: Vec<Position>,
+    /// Per device: whether it is BLE-scanning ([`World::set_scanning`]).
+    scanning: Vec<bool>,
     cell_m: f64,
-    /// Cell → device indices in that cell. Probed by key only; in-cell order
-    /// is irrelevant because query results are sorted (see module docs).
+    /// Cell → devices in that cell, scanners first. Probed by key only;
+    /// in-cell order is otherwise irrelevant because query results are
+    /// sorted (see module docs).
     grid: CellMap,
     /// When set, queries bypass the grid and use the linear-scan oracle.
     brute_force: bool,
@@ -138,7 +196,13 @@ impl World {
     /// Panics if `cell_m` is not strictly positive and finite.
     pub fn with_cell_size(cell_m: f64) -> Self {
         assert!(cell_m > 0.0 && cell_m.is_finite(), "grid cell size must be positive");
-        World { positions: Vec::new(), cell_m, grid: CellMap::default(), brute_force: false }
+        World {
+            positions: Vec::new(),
+            scanning: Vec::new(),
+            cell_m,
+            grid: CellMap::default(),
+            brute_force: false,
+        }
     }
 
     /// The grid cell size in meters.
@@ -158,11 +222,18 @@ impl World {
         ((pos.x / self.cell_m).floor() as i64, (pos.y / self.cell_m).floor() as i64)
     }
 
-    /// Adds a device at the given position and returns its id.
+    /// Adds a non-scanning device at the given position and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is not finite: such a device would land in
+    /// an arbitrary cell and be out of range of everything.
     pub fn add_device(&mut self, pos: Position) -> DeviceId {
         let idx = self.positions.len();
+        assert_finite(idx, pos);
         self.positions.push(pos);
-        self.grid.entry(self.cell_of(pos)).or_default().push(idx);
+        self.scanning.push(false);
+        self.grid.entry(self.cell_of(pos)).or_default().insert(idx, false);
         DeviceId(idx)
     }
 
@@ -172,19 +243,35 @@ impl World {
     }
 
     /// Moves a device instantaneously, updating its grid cell incrementally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is not finite (see [`World::add_device`]).
     pub fn set_position(&mut self, id: DeviceId, pos: Position) {
+        assert_finite(id.0, pos);
         let old_cell = self.cell_of(self.positions[id.0]);
         let new_cell = self.cell_of(pos);
         self.positions[id.0] = pos;
         if old_cell != new_cell {
             let bucket = self.grid.get_mut(&old_cell).expect("device was indexed");
-            let at = bucket.iter().position(|&d| d == id.0).expect("device was in its cell");
-            bucket.swap_remove(at);
-            if bucket.is_empty() {
+            bucket.remove(id.0);
+            if bucket.devs.is_empty() {
                 self.grid.remove(&old_cell);
             }
-            self.grid.entry(new_cell).or_default().push(id.0);
+            self.grid.entry(new_cell).or_default().insert(id.0, self.scanning[id.0]);
         }
+    }
+
+    /// Marks a device as BLE-scanning or not, moving it between its cell's
+    /// scanner and non-scanner parts. [`World::scanners_into`] returns only
+    /// scanning devices; every other query ignores this state.
+    pub fn set_scanning(&mut self, id: DeviceId, on: bool) {
+        if self.scanning[id.0] == on {
+            return;
+        }
+        self.scanning[id.0] = on;
+        let cell = self.cell_of(self.positions[id.0]);
+        self.grid.get_mut(&cell).expect("device was indexed").set_scanning(id.0, on);
     }
 
     /// Distance between two devices in meters.
@@ -203,7 +290,7 @@ impl World {
     /// order (and everything derived from it) is deterministic.
     pub fn cell_occupancy(&self) -> Vec<((i64, i64), usize)> {
         let mut cells: Vec<((i64, i64), usize)> =
-            self.grid.iter().map(|(&cell, bucket)| (cell, bucket.len())).collect();
+            self.grid.iter().map(|(&cell, bucket)| (cell, bucket.devs.len())).collect();
         cells.sort_unstable_by_key(|&(cell, _)| cell);
         cells
     }
@@ -233,6 +320,24 @@ impl World {
             out.extend(self.neighbors_scan(of, range_m));
             return;
         }
+        self.walk_into(of, range_m, false, out);
+    }
+
+    /// Like [`World::neighbors_into`], but collects only the devices marked
+    /// scanning ([`World::set_scanning`]). The grid walk reads just each
+    /// cell's scanner prefix, so a query costs nothing per non-scanner.
+    pub fn scanners_into(&self, of: DeviceId, range_m: f64, out: &mut Vec<DeviceId>) {
+        out.clear();
+        if self.brute_force {
+            out.extend(self.neighbors_scan(of, range_m).filter(|d| self.scanning[d.0]));
+            return;
+        }
+        self.walk_into(of, range_m, true, out);
+    }
+
+    /// The grid walk behind both queries: every device (or, with
+    /// `scanners_only`, every scanner) within `range_m` of `of`.
+    fn walk_into(&self, of: DeviceId, range_m: f64, scanners_only: bool, out: &mut Vec<DeviceId>) {
         let p = self.positions[of.0];
         // Cells overlapping the query circle's bounding box. The box is
         // padded by a few ulps' worth of slack: `distance` rounds through
@@ -254,7 +359,9 @@ impl World {
                 let Some(bucket) = self.grid.get(&(cx, cy)) else {
                     continue;
                 };
-                for &d in bucket {
+                let devs =
+                    if scanners_only { &bucket.devs[..bucket.scanners] } else { &bucket.devs };
+                for &d in devs {
                     // Same predicate as `in_range`, so grid and scan agree
                     // bit for bit on every boundary case.
                     if d != of.0 && self.positions[d].distance(p) <= range_m {
@@ -290,6 +397,18 @@ impl World {
         let n = self.positions.len();
         (0..n).map(DeviceId).filter(move |&d| self.in_range(of, d, range_m))
     }
+}
+
+/// Rejects a NaN or infinite coordinate: it would cast to an arbitrary
+/// cell, and every distance to it is NaN or infinite, so the device would be
+/// silently out of range of every radio.
+pub(crate) fn assert_finite(dev: usize, pos: Position) {
+    assert!(
+        pos.x.is_finite() && pos.y.is_finite(),
+        "device {dev}: position ({}, {}) is not finite",
+        pos.x,
+        pos.y
+    );
 }
 
 #[cfg(test)]
@@ -405,6 +524,88 @@ mod tests {
         w.set_brute_force(true);
         let brute: Vec<_> = w.neighbors(DeviceId(0), 100.0).collect();
         assert_eq!(grid, brute);
+    }
+
+    /// Every bucket holds exactly its scanners in its `scanners` prefix, and
+    /// every device sits once, in the bucket of its cell.
+    fn assert_prefix_invariant(w: &World) {
+        let mut seen = vec![0; w.len()];
+        for (cell, b) in &w.grid {
+            assert!(!b.devs.is_empty(), "empty bucket left at {cell:?}");
+            for (i, &d) in b.devs.iter().enumerate() {
+                assert_eq!(w.scanning[d], i < b.scanners, "cell {cell:?} slot {i} dev {d}");
+                assert_eq!(w.cell_index(DeviceId(d)), *cell);
+                seen[d] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1), "device indexed {seen:?} times");
+    }
+
+    #[test]
+    fn swap_removes_keep_scanners_first() {
+        // Cell (0, 0): all four scan; cell (1, 0): none does; cell (2, 0):
+        // devices 8 and 10 of 8..=11 scan. Cell size 10 m.
+        let layout = |w: &mut World| {
+            for i in 0..12 {
+                let d = w.add_device(Position::new((i / 4) as f64 * 10.0 + 1.0, (i % 4) as f64));
+                if i < 4 || i == 8 || i == 10 {
+                    w.set_scanning(d, true);
+                }
+            }
+        };
+        let mut probe = World::with_cell_size(10.0);
+        layout(&mut probe);
+        assert_prefix_invariant(&probe);
+        for cell in [(0, 0), (1, 0), (2, 0)] {
+            // Move out the device at every slot of the bucket in turn (its
+            // first, middle and last entries, scanner or not), then keep
+            // emptying the bucket from that point.
+            for at in 0..4 {
+                let mut w = World::with_cell_size(10.0);
+                layout(&mut w);
+                let mut order = w.grid[&cell].devs.clone();
+                order.rotate_left(at);
+                for (k, d) in order.into_iter().enumerate() {
+                    let (scanners, len) = (w.grid[&cell].scanners, w.grid[&cell].devs.len());
+                    w.set_position(DeviceId(d), Position::new(95.0, 95.0));
+                    assert_prefix_invariant(&w);
+                    match w.grid.get(&cell) {
+                        Some(b) => {
+                            assert_eq!(b.devs.len(), len - 1);
+                            assert_eq!(b.scanners, scanners - usize::from(w.scanning[d]));
+                        }
+                        None => assert_eq!(k, 3, "bucket vanished early"),
+                    }
+                    let mut got = Vec::new();
+                    w.scanners_into(DeviceId(0), 200.0, &mut got);
+                    let want: Vec<_> =
+                        w.neighbors_scan(DeviceId(0), 200.0).filter(|n| w.scanning[n.0]).collect();
+                    assert_eq!(got, want);
+                }
+            }
+        }
+        // Toggling inside a mixed bucket keeps the prefix too.
+        for (d, on) in [(9, true), (8, false), (11, true), (9, false), (10, false), (8, true)] {
+            probe.set_scanning(DeviceId(d), on);
+            assert_prefix_invariant(&probe);
+        }
+        // Moving a scanner into a no-scanner bucket puts it first there.
+        probe.set_position(DeviceId(0), Position::new(15.0, 0.0));
+        assert_prefix_invariant(&probe);
+        assert_eq!(probe.grid[&(1, 0)].devs[0], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "device 1: position (NaN, 0) is not finite")]
+    fn adding_a_device_at_a_nan_position_panics() {
+        world(&[(0.0, 0.0), (f64::NAN, 0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "device 0: position (0, inf) is not finite")]
+    fn moving_a_device_to_an_infinite_position_panics() {
+        let mut w = world(&[(0.0, 0.0)]);
+        w.set_position(DeviceId(0), Position::new(0.0, f64::INFINITY));
     }
 
     #[test]

@@ -13,8 +13,20 @@
 //! cell under a kilometer-wide query visits millions of empty cells — valid
 //! but pointless to sweep 256 times); the NFC-scale regime gets its own
 //! small-world generator below instead.
+//!
+//! The scanner index (`World::scanners_into`, the grid's scanners-first
+//! buckets) is held to the same oracle filtered by scan state, both on a
+//! bare `World` and through a `Runner` whose stacks toggle scanning and BLE
+//! power while devices move.
 
-use omni_sim::{DeviceId, Position, World};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use omni_sim::{
+    Command, DeviceCaps, DeviceId, NodeApi, NodeEvent, Position, Runner, SimConfig, SimDuration,
+    Stack, World,
+};
+use omni_wire::TechType;
 use proptest::prelude::*;
 
 /// Positions on a half-meter lattice so exact-distance boundary cases
@@ -56,6 +68,63 @@ fn assert_equivalent(w: &World, ranges: &[f64]) {
             );
             // Determinism rule: results are strictly ascending by id.
             assert!(got.windows(2).all(|p| p[0] < p[1]), "unsorted result for dev {d}");
+        }
+    }
+}
+
+/// Asserts, in grid and brute-force mode alike, that `scanners_into` is the
+/// oracle filtered by `scanning` and that `neighbors_into` is the oracle
+/// itself whatever the scan state.
+fn assert_scanner_index(w: &World, scanning: &dyn Fn(DeviceId) -> bool, ranges: &[f64]) {
+    let mut brute = w.clone();
+    brute.set_brute_force(true);
+    let mut buf = Vec::new();
+    for world in [w, &brute] {
+        for d in 0..world.len() {
+            let of = DeviceId(d);
+            for &r in ranges {
+                let all: Vec<DeviceId> = world.neighbors_scan(of, r).collect();
+                let want: Vec<DeviceId> = all.iter().copied().filter(|&n| scanning(n)).collect();
+                world.scanners_into(of, r, &mut buf);
+                assert_eq!(buf, want, "dev {d} range {r}: scanner index disagrees");
+                world.neighbors_into(of, r, &mut buf);
+                assert_eq!(buf, all, "dev {d} range {r}: neighbors depend on scan state");
+            }
+        }
+    }
+}
+
+/// One step of a scanner-index scenario on a bare `World`.
+#[derive(Debug, Clone)]
+enum WorldOp {
+    Scan(prop::sample::Index, bool),
+    Move(prop::sample::Index, Position),
+    /// Move the first device onto the second one's position.
+    CoLocate(prop::sample::Index, prop::sample::Index),
+}
+
+fn world_op() -> impl Strategy<Value = WorldOp> {
+    (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..4, lattice_pos()).prop_map(
+        |(a, b, kind, pos)| match kind {
+            0 => WorldOp::Scan(a, true),
+            1 => WorldOp::Scan(a, false),
+            2 => WorldOp::Move(a, pos),
+            _ => WorldOp::CoLocate(a, b),
+        },
+    )
+}
+
+/// A stack that applies the commands the test queues for its device, one
+/// batch per millisecond timer.
+struct Commander(Rc<RefCell<Vec<Command>>>);
+
+impl Stack for Commander {
+    fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
+        if matches!(event, NodeEvent::Start | NodeEvent::Timer { .. }) {
+            for c in self.0.borrow_mut().drain(..) {
+                api.push(c);
+            }
+            api.set_timer(0, SimDuration::from_millis(1));
         }
     }
 }
@@ -142,6 +211,98 @@ proptest! {
                 let s: Vec<DeviceId> = w.neighbors_scan(DeviceId(d), range).collect();
                 assert_eq!(g, s);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The scanners-first buckets against the oracle filtered by a model
+    /// of who scans, through scan toggles (off repeats what a BLE power-off
+    /// does to the index), cross-cell moves and co-located devices, on
+    /// several cell sizes; checked after every step.
+    #[test]
+    fn scanner_index_matches_the_filtered_oracle(
+        initial in proptest::collection::vec(lattice_pos(), 2..24),
+        ops in proptest::collection::vec(world_op(), 0..32),
+        ranges in proptest::collection::vec(0.0f64..120.0, 1..3),
+        cell_m in prop_oneof![Just(30.0), Just(100.0), 5.0f64..150.0],
+    ) {
+        let mut w = World::with_cell_size(cell_m);
+        for &p in &initial {
+            w.add_device(p);
+        }
+        w.add_device(initial[0]);
+        let mut scanning = vec![false; w.len()];
+        assert_scanner_index(&w, &|d| scanning[d.0], &ranges);
+        for op in ops {
+            match op {
+                WorldOp::Scan(i, on) => {
+                    let d = i.index(w.len());
+                    w.set_scanning(DeviceId(d), on);
+                    scanning[d] = on;
+                }
+                WorldOp::Move(i, to) => w.set_position(DeviceId(i.index(w.len())), to),
+                WorldOp::CoLocate(i, j) => {
+                    let to = w.position(DeviceId(j.index(w.len())));
+                    w.set_position(DeviceId(i.index(w.len())), to);
+                }
+            }
+            assert_scanner_index(&w, &|d| scanning[d.0], &ranges);
+        }
+    }
+
+    /// The runner keeps the index in step with its own radio state:
+    /// `BleSetScan`, `BlePower` off and on, teleports (onto other devices
+    /// too), and devices without BLE whose commands are ignored. The oracle
+    /// filters by `Runner::ble_scanning`.
+    #[test]
+    fn runner_scan_and_power_changes_keep_the_scanner_index(
+        initial in proptest::collection::vec((lattice_pos(), 0u8..3), 2..16),
+        ops in proptest::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>(), 0u8..6, lattice_pos()),
+            0..24
+        ),
+    ) {
+        let mut sim = Runner::new(SimConfig::default());
+        let mut inboxes = Vec::new();
+        for &(p, caps) in &initial {
+            let caps = match caps {
+                0 => DeviceCaps::PI,
+                1 => DeviceCaps::BEACON,
+                _ => DeviceCaps { ble: false, wifi: true, nfc: true },
+            };
+            let dev = sim.add_device(caps, p);
+            let inbox = Rc::new(RefCell::new(Vec::new()));
+            sim.set_stack(dev, Box::new(Commander(inbox.clone())));
+            inboxes.push(inbox);
+        }
+        let ranges = [sim.config().range_m(TechType::BleBeacon), 0.0, 100.0];
+        sim.run_for(SimDuration::from_millis(2));
+        for (a, b, kind, pos) in ops {
+            let d = a.index(inboxes.len());
+            let cmd = match kind {
+                0 => Some(Command::BleSetScan { duty: Some(1.0) }),
+                1 => Some(Command::BleSetScan { duty: Some(0.25) }),
+                2 => Some(Command::BleSetScan { duty: None }),
+                3 => Some(Command::BlePower(false)),
+                4 => Some(Command::BlePower(true)),
+                _ => None,
+            };
+            match cmd {
+                Some(c) => inboxes[d].borrow_mut().push(c),
+                None => {
+                    let to = if b.index(2) == 0 {
+                        pos
+                    } else {
+                        sim.world().position(DeviceId(b.index(inboxes.len())))
+                    };
+                    sim.schedule_teleport(DeviceId(d), sim.now(), to);
+                }
+            }
+            sim.run_for(SimDuration::from_millis(2));
+            assert_scanner_index(sim.world(), &|n| sim.ble_scanning(n), &ranges);
         }
     }
 }

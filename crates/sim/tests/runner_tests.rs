@@ -5,8 +5,8 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use omni_sim::{
-    Command, ConnId, DeviceCaps, DeviceId, EnergyState, NodeApi, NodeEvent, Position, Runner,
-    SimConfig, SimDuration, SimTime, Stack, TcpError,
+    ChurnWindow, Command, ConnId, DeviceCaps, DeviceId, EnergyState, FaultConfig, NodeApi,
+    NodeEvent, Position, Runner, SimConfig, SimDuration, SimTime, Stack, TcpError,
 };
 
 /// A scriptable stack for tests: runs `on_start` commands, records every
@@ -700,4 +700,174 @@ fn restarting_an_advertising_slot_keeps_a_single_cadence() {
     // Single cadence: ~20 beacons in 10 s at 500 ms; a doubled cadence
     // (the regression) would deliver ~40.
     assert!((18..=21).contains(&twos), "got {twos} beacons — cadence not single");
+}
+
+fn advertise(slot: u32, payload: &'static [u8], interval_ms: u64) -> Command {
+    Command::BleAdvertiseSet {
+        slot,
+        payload: Bytes::from_static(payload),
+        interval: SimDuration::from_millis(interval_ms),
+    }
+}
+
+const SCAN: Command = Command::BleSetScan { duty: Some(1.0) };
+
+/// The times at which `log` recorded `label`.
+fn times_of(log: &[(SimTime, String)], label: &str) -> Vec<SimTime> {
+    log.iter().filter(|(_, l)| l == label).map(|&(t, _)| t).collect()
+}
+
+/// Asserts that consecutive `times` are exactly `every` apart.
+fn assert_cadence(times: &[SimTime], every: SimDuration, what: &str) {
+    assert!(times.len() >= 2, "{what}: only {} beacons", times.len());
+    for w in times.windows(2) {
+        assert_eq!(w[1].duration_since(w[0]), every, "{what}: off cadence at {:?}", w[1]);
+    }
+}
+
+/// Re-armed pulses wait in per-interval lanes beside the event heap; an
+/// event and a pulse due in the same microsecond must still dispatch in
+/// the order they were scheduled, whichever queue holds each.
+#[test]
+fn heap_events_and_lane_pulses_due_together_dispatch_in_schedule_order() {
+    let (mut sim, a, b) = two_device_sim();
+    let (tx, _) = Probe::new();
+    sim.set_stack(a, Box::new(tx.with_start(vec![advertise(0, b"p", 500)])));
+    let mut armed = false;
+    let (rx, rxlog) = Probe::new();
+    let rx = rx.with_start(vec![SCAN]).with_reaction(move |ev, api| {
+        if matches!(ev, NodeEvent::BleBeacon { .. }) && !armed {
+            armed = true;
+            // The pulse due 500 ms from now was re-armed before this
+            // delivery, so it was scheduled first; the one due in 1000 ms
+            // is re-armed only at the next pulse, after this timer.
+            api.set_timer(1, SimDuration::from_millis(500));
+            api.set_timer(2, SimDuration::from_millis(1000));
+        }
+    });
+    sim.set_stack(b, Box::new(rx));
+    sim.run_until(SimTime::from_secs(3));
+    let log = rxlog.borrow();
+    let first = times_of(&log, "beacon:p")[0];
+    let at = |t: SimTime| -> Vec<&str> {
+        log.iter().filter(|(x, _)| *x == t).map(|(_, l)| l.as_str()).collect()
+    };
+    assert_eq!(at(first + SimDuration::from_millis(500)), ["beacon:p", "timer:1"]);
+    assert_eq!(at(first + SimDuration::from_millis(1000)), ["timer:2", "beacon:p"]);
+}
+
+/// Re-registering a slot with a new interval leaves the old registration's
+/// pulse pending in the old interval's lane while the new cadence fills a
+/// second lane; the stale pulse must die on its generation, so the slot
+/// never pulses on the old cadence again. Another slot keeps the old
+/// interval's lane live throughout.
+#[test]
+fn a_slot_moved_to_a_new_interval_never_pulses_on_the_old_cadence() {
+    let (mut sim, a, b) = two_device_sim();
+    let (tx, _) = Probe::new();
+    let tx = tx
+        .with_start(vec![
+            advertise(0, b"keep", 500),
+            advertise(1, b"old", 500),
+            Command::SetTimer { token: 1, delay: SimDuration::from_millis(2_210) },
+        ])
+        .with_reaction(|ev, api| {
+            if matches!(ev, NodeEvent::Timer { token: 1 }) {
+                api.push(advertise(1, b"new", 300));
+            }
+        });
+    sim.set_stack(a, Box::new(tx));
+    let (rx, rxlog) = Probe::new();
+    sim.set_stack(b, Box::new(rx.with_start(vec![SCAN])));
+    sim.run_until(SimTime::from_secs(10));
+    let log = rxlog.borrow();
+    let switch = SimTime::from_millis(2_210);
+    assert!(times_of(&log, "beacon:old").iter().all(|&t| t < switch));
+    let new = times_of(&log, "beacon:new");
+    assert!(new[0] >= switch);
+    assert_cadence(&new, SimDuration::from_millis(300), "re-registered slot");
+    // ~7.8 s at 300 ms after the jittered first pulse.
+    assert!((25..=27).contains(&new.len()), "got {} beacons", new.len());
+    assert_cadence(&times_of(&log, "beacon:keep"), SimDuration::from_millis(500), "kept slot");
+}
+
+/// A churn window mutes the advertiser, but its pulses keep cycling through
+/// the lane, so it resumes on its original phase when the window ends.
+#[test]
+fn a_churned_down_advertiser_resumes_on_its_original_phase() {
+    let faults = FaultConfig {
+        churn: vec![ChurnWindow {
+            dev: 0,
+            down_at: SimTime::from_millis(2_100),
+            up_at: SimTime::from_millis(4_300),
+        }],
+        ..Default::default()
+    };
+    let mut sim = Runner::new(SimConfig { faults, ..Default::default() });
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let (tx, _) = Probe::new();
+    sim.set_stack(a, Box::new(tx.with_start(vec![advertise(0, b"c", 500)])));
+    let (rx, rxlog) = Probe::new();
+    sim.set_stack(b, Box::new(rx.with_start(vec![SCAN])));
+    sim.run_until(SimTime::from_secs(8));
+    let heard = times_of(&rxlog.borrow(), "beacon:c");
+    let phase = heard[0].as_micros() % 500_000;
+    assert!(heard.iter().all(|t| t.as_micros() % 500_000 == phase), "phase drifted");
+    let (down, up) = (SimTime::from_millis(2_100), SimTime::from_millis(4_300));
+    assert!(heard.iter().all(|&t| t < down || t >= up), "heard while down");
+    let before = heard.iter().filter(|&&t| t < down).count();
+    let after = heard.iter().filter(|&&t| t >= up).count();
+    // 2.1 s and 3.7 s of air time at one pulse per 500 ms.
+    assert!((4..=5).contains(&before), "{before} before the window");
+    assert!((7..=8).contains(&after), "{after} after the window");
+}
+
+/// A dozen advertisers on twelve distinct intervals, two of them with a
+/// second slot on yet another interval: fourteen lanes, every slot on its
+/// exact cadence.
+#[test]
+fn many_interval_lanes_keep_every_cadence_exact() {
+    const PAYLOADS: [&[u8]; 14] =
+        [b"0", b"1", b"2", b"3", b"4", b"5", b"6", b"7", b"8", b"9", b"10", b"11", b"12", b"13"];
+    let interval_ms = |k: usize| 100 + 37 * k as u64;
+    let mut sim = Runner::new(SimConfig::default());
+    let rx_dev = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let (rx, rxlog) = Probe::new();
+    sim.set_stack(rx_dev, Box::new(rx.with_start(vec![SCAN])));
+    for k in 0..12 {
+        let angle = k as f64 * std::f64::consts::TAU / 12.0;
+        let dev =
+            sim.add_device(DeviceCaps::PI, Position::new(9.0 * angle.cos(), 9.0 * angle.sin()));
+        let mut start = vec![advertise(0, PAYLOADS[k], interval_ms(k))];
+        if k < 2 {
+            start.push(advertise(1, PAYLOADS[12 + k], interval_ms(12 + k)));
+        }
+        let (tx, _) = Probe::new();
+        sim.set_stack(dev, Box::new(tx.with_start(start)));
+    }
+    sim.run_until(SimTime::from_secs(20));
+    let log = rxlog.borrow();
+    for (k, payload) in PAYLOADS.iter().enumerate() {
+        let label = format!("beacon:{}", String::from_utf8_lossy(payload));
+        let every = SimDuration::from_millis(interval_ms(k));
+        let times = times_of(&log, &label);
+        assert_cadence(&times, every, &label);
+        let expected = 20_000 / interval_ms(k);
+        assert!(times.len() as u64 + 1 >= expected, "{label}: {} beacons", times.len());
+    }
+}
+
+#[test]
+#[should_panic(expected = "device 1: position (NaN, 3) is not finite")]
+fn teleporting_to_a_nan_position_panics() {
+    let (mut sim, _, b) = two_device_sim();
+    sim.schedule_teleport(b, SimTime::from_secs(1), Position::new(f64::NAN, 3.0));
+}
+
+#[test]
+#[should_panic(expected = "device 0: position (-inf, 0) is not finite")]
+fn walking_to_an_infinite_position_panics() {
+    let (mut sim, a, _) = two_device_sim();
+    sim.schedule_walk(a, SimTime::from_secs(1), Position::new(f64::NEG_INFINITY, 0.0), 1.4);
 }
