@@ -160,7 +160,9 @@ impl Baseline {
 
     /// Compares a fresh run (`self`) against the committed baseline.
     /// Returns the violation messages — empty means the gate passes.
-    /// Comparing different benches or modes is itself a violation.
+    /// Comparing different benches or modes is itself a violation, and so is
+    /// a gated metric the fresh run emits but the committed baseline lacks:
+    /// a new gate must be recorded before it can pass.
     pub fn compare_against(&self, committed: &Baseline) -> Vec<String> {
         let mut bad = Vec::new();
         if self.bench != committed.bench {
@@ -213,6 +215,15 @@ impl Baseline {
                     fmt_f64(want.value),
                     fmt_f64(drift),
                     fmt_f64(band)
+                ));
+            }
+        }
+        for (name, got) in &self.metrics {
+            if got.gate && committed.get(name).is_none() {
+                bad.push(format!(
+                    "{}/{name}: gated metric missing from the committed baseline — record it \
+                     with scripts/bench_baseline.sh --update",
+                    self.bench
                 ));
             }
         }
@@ -389,6 +400,16 @@ mod tests {
         let bad = fresh.compare_against(&sample());
         assert_eq!(bad.len(), 1);
         assert!(bad[0].contains("missing"), "{bad:?}");
+    }
+
+    #[test]
+    fn new_gated_metric_missing_from_committed_fails() {
+        let mut fresh = sample();
+        fresh.gate("new_gate", 1.0, 0.0);
+        fresh.info("new_info", 2.0);
+        let bad = fresh.compare_against(&sample());
+        assert_eq!(bad.len(), 1, "only the new gate fails: {bad:?}");
+        assert!(bad[0].contains("new_gate") && bad[0].contains("--update"), "{bad:?}");
     }
 
     #[test]

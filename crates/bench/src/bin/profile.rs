@@ -18,47 +18,26 @@
 //! gated at 0% tolerance in `BENCH_profile.json`; timing-derived numbers
 //! (overhead, shares) are informational.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use omni_bench::baseline::{self, Baseline};
+use omni_bench::fleet::{Beacon, PairGrid};
 use omni_bench::ObsRun;
 use omni_obs::{flamegraph_collapsed, parse_collapsed, Obs, PhaseReport};
 use omni_sim::{
-    ChurnWindow, Command, DeviceCaps, FaultConfig, FlightRecorder, LinkPartition, NodeApi,
-    NodeEvent, Position, Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
+    ChurnWindow, DeviceCaps, FaultConfig, FlightRecorder, LinkPartition, Position, Runner,
+    SamplerConfig, SimConfig, SimDuration, SimTime,
 };
 
 /// Fleet seed; both the off and on runs use it, so any divergence is the
 /// profiler's fault, not the scenario's.
 const SEED: u64 = 17;
-
-/// Beacons and scans; counts what it hears.
-struct Chatty {
-    heard: Rc<RefCell<u64>>,
-    scans: bool,
-}
-
-impl Stack for Chatty {
-    fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
-        match event {
-            NodeEvent::Start => {
-                if self.scans {
-                    api.push(Command::BleSetScan { duty: Some(0.8) });
-                }
-                api.push(Command::BleAdvertiseSet {
-                    slot: 0,
-                    payload: Bytes::from_static(b"prof"),
-                    interval: SimDuration::from_millis(500),
-                });
-            }
-            NodeEvent::BleBeacon { .. } => *self.heard.borrow_mut() += 1,
-            _ => {}
-        }
-    }
-}
+/// Stub payload for both workloads.
+const PAYLOAD: &[u8] = b"prof";
+/// Scan duty cycle of every scanning device.
+const SCAN_DUTY: f64 = 0.8;
 
 /// Everything the fleet run externalizes, captured for byte comparison.
 struct FleetArtifacts {
@@ -87,18 +66,19 @@ fn run_fleet(profile: bool) -> (FleetArtifacts, Option<PhaseReport>) {
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     sim.enable_sampler(SamplerConfig::default());
-    let heard = Rc::new(RefCell::new(0u64));
+    let heard = Rc::new(Cell::new(0));
     for i in 0..200 {
         let pos = Position::new((i % 20) as f64 * 8.0, (i / 20) as f64 * 8.0);
         let dev = sim.add_device(DeviceCaps::PI, pos);
-        sim.set_stack(dev, Box::new(Chatty { heard: heard.clone(), scans: true }));
+        let scan = Some(SCAN_DUTY);
+        sim.set_stack(dev, Box::new(Beacon { payload: PAYLOAD, scan, heard: heard.clone() }));
     }
     sim.run_until(SimTime::from_secs(10));
     let report = sim.profiler().map(|p| p.report());
     let artifacts = FleetArtifacts {
         sampler_jsonl: sim.sampler().map(|s| s.to_jsonl()).unwrap_or_default(),
         recorder_dump: FlightRecorder::from_obs(&obs).to_jsonl(),
-        heard: *heard.borrow(),
+        heard: heard.get(),
     };
     (artifacts, report)
 }
@@ -110,26 +90,17 @@ fn run_cell(n: usize, ticks: u64, profile: bool) -> (f64, u64, Option<PhaseRepor
     if profile {
         sim.enable_profiler();
     }
-    let heard = Rc::new(RefCell::new(0u64));
     // Pairs 3 m apart on a 50 m site grid: dense local radio neighborhoods,
     // no cross-site traffic — the same shape the scale bench uses.
-    let sites = n.div_ceil(2);
-    let cols = (sites as f64).sqrt().ceil() as usize;
-    for i in 0..n {
-        let site = i / 2;
-        let dx = if i % 2 == 0 { 0.0 } else { 3.0 };
-        let pos = Position::new((site % cols) as f64 * 50.0 + dx, (site / cols) as f64 * 50.0);
-        let d = sim.add_device(DeviceCaps::PI, pos);
-        sim.set_stack(d, Box::new(Chatty { heard: heard.clone(), scans: i % 16 == 0 }));
-    }
+    let grid = PairGrid { site_pitch_m: 50.0, pair_gap_m: 3.0 };
+    let heard = grid.add_fleet(&mut sim, n, PAYLOAD, |i| (i % 16 == 0).then_some(SCAN_DUTY));
     let started = Instant::now();
     for t in 1..=ticks {
         sim.run_until(SimTime::from_millis(500 * t));
     }
     let secs = started.elapsed().as_secs_f64();
     let report = sim.profiler().map(|p| p.report());
-    let heard = *heard.borrow();
-    (secs, heard, report)
+    (secs, heard.get(), report)
 }
 
 /// Prints the profiled cell's per-phase share breakdown.

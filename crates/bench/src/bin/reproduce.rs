@@ -1,18 +1,277 @@
-//! Runs the full evaluation: every table and figure, in paper order.
+//! Runs the paper's whole evaluation in one process: Table 3, Table 4 with
+//! Figures 4–5, Table 5 with Figure 6, and Figure 7 in paper order, then the
+//! ablations. Each section prints the measured values next to the paper's.
+//!
+//! Every default-seed cell also lands in `target/obs/BENCH_reproduce.json`:
+//! the 60 table, figure and ablation cells are gated at zero tolerance, and
+//! the beacon-interval sweep is recorded as information only (each sweep row
+//! is one draw of the first-pulse jitter, not an expected latency).
+//! `scripts/bench_baseline.sh` compares that file against the committed
+//! `BENCH_reproduce.json`.
 
-use std::process::Command;
+use omni_bench::baseline::{self, Baseline};
+use omni_bench::experiments::{
+    data_latency_ms, discovery_energy, discovery_latency_ms, fig7_cell, table3, table4_cell,
+    table5_cell, DisseminateVariant, System, TABLE4_ROWS,
+};
+use omni_bench::report::{Cell, Chart, Table};
+use omni_bench::ObsRun;
+use omni_core::{AdaptiveBeacon, OmniConfig};
+use omni_obs::Obs;
+use omni_sim::SimDuration;
+use omni_wire::TechType;
 
 fn main() {
-    for bin in ["table3", "table4", "table5", "fig7"] {
-        println!("\n########## {bin} ##########\n");
-        let status =
-            Command::new(std::env::current_exe().unwrap().parent().unwrap().join(bin)).status();
-        match status {
-            Ok(s) if s.success() => {}
-            other => {
-                eprintln!("{bin} failed: {other:?}");
-                std::process::exit(1);
+    let obs = ObsRun::new("reproduce");
+    let mut bline = Baseline::new("reproduce", true);
+    for (name, section) in [
+        ("table3", table3_section as fn(&Obs, &mut Baseline)),
+        ("table4", table4_section),
+        ("table5", table5_section),
+        ("fig7", fig7_section),
+        ("ablations", ablations_section),
+    ] {
+        println!("\n########## {name} ##########\n");
+        section(&obs, &mut bline);
+    }
+    baseline::emit(&bline);
+}
+
+/// A baseline key fragment: the label in lowercase ASCII, with every other
+/// character replaced by `_`.
+fn key(label: &str) -> String {
+    label
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
+        .collect()
+}
+
+/// Table 3: baseline current draw per D2D operation.
+fn table3_section(obs: &Obs, bline: &mut Baseline) {
+    let rows = table3(Some(obs));
+    let mut t = Table::new(
+        "Table 3: Baseline current draw for D2D technology operations (mA)",
+        &["Current (mA)"],
+    );
+    for r in &rows {
+        t.row(r.operation, vec![Cell::new(r.paper_ma, r.measured_ma)]);
+        bline.gate(&format!("table3.{}_ma", key(r.operation)), r.measured_ma, 0.0);
+    }
+    print!("{}", t.render());
+    println!();
+    println!("Notes: values are relative to WiFi standby (92.1 mA) where the paper's are;");
+    println!("BLE rows are absolute (WiFi radio off). WiFi-receive reports the model's");
+    println!("receive-current constant — see EXPERIMENTS.md for the full-duplex caveat.");
+}
+
+/// Table 4 and Figures 4–5: the controlled comparison of SP, SA and Omni
+/// across context/data technology pairs.
+fn table4_section(obs: &Obs, bline: &mut Baseline) {
+    let systems = [System::Sp, System::Sa, System::Omni];
+    let mut energy =
+        Table::new("Table 4: Total Energy (avg mA rel. baseline)", &["SP", "SA", "Omni"]);
+    let mut latency = Table::new("Table 4: Service Latency (ms)", &["SP", "SA", "Omni"]);
+    let mut fig4 = Chart::new("Figure 4: Energy Consumption Comparison", "avg mA rel. baseline");
+    let mut fig5 = Chart::new("Figure 5: Application Interaction Latency", "ms");
+
+    for row in &TABLE4_ROWS {
+        let label = format!("{}/{}", row.context, row.data);
+        let mut ecells = Vec::new();
+        let mut lcells = Vec::new();
+        for (i, sys) in systems.iter().enumerate() {
+            match table4_cell(*sys, row, Some(obs)) {
+                Some(m) => {
+                    ecells.push(Cell { paper: row.paper_energy[i], measured: Some(m.energy_ma) });
+                    lcells.push(Cell { paper: row.paper_latency[i], measured: Some(m.latency_ms) });
+                    fig4.bar(format!("{label} {sys}"), m.energy_ma);
+                    fig5.bar(format!("{label} {sys}"), m.latency_ms);
+                    let cell = format!("table4.{}.{}", key(&label), key(&sys.to_string()));
+                    bline.gate(&format!("{cell}.energy_ma"), m.energy_ma, 0.0);
+                    bline.gate(&format!("{cell}.latency_ms"), m.latency_ms, 0.0);
+                }
+                None => {
+                    ecells.push(Cell::NA);
+                    lcells.push(Cell::NA);
+                }
             }
         }
+        energy.row(label.clone(), ecells);
+        latency.row(label, lcells);
     }
+    print!("{}", energy.render());
+    println!();
+    print!("{}", latency.render());
+    println!();
+    print!("{}", fig4.render());
+    println!();
+    print!("{}", fig5.render());
+}
+
+/// Table 5 and Figure 6: the Disseminate-like collaborative download of a
+/// 30 MB file by three devices.
+fn table5_section(obs: &Obs, bline: &mut Baseline) {
+    let variants = [
+        ("Direct Download", DisseminateVariant::Direct),
+        ("SP (WiFi only)", DisseminateVariant::Sp),
+        ("SA (BLE + WiFi)", DisseminateVariant::Sa),
+        ("Omni (BLE + WiFi)", DisseminateVariant::Omni),
+    ];
+    // Paper Table 5 values: (time_s, energy_ma) per variant, per rate.
+    let paper_100: [(Option<f64>, Option<f64>); 4] = [
+        (Some(300.0), None),
+        (Some(229.588), Some(72.39)),
+        (Some(102.679), Some(67.12)),
+        (Some(101.292), Some(66.91)),
+    ];
+    let paper_1000: [(Option<f64>, Option<f64>); 4] = [
+        (Some(30.0), None),
+        (Some(30.0), Some(80.03)),
+        (Some(13.100), Some(267.79)),
+        (Some(11.965), Some(270.288)),
+    ];
+
+    let mut time_table = Table::new(
+        "Table 5: Time to complete 30 MB download (s)",
+        &["100 KBps infra", "1000 KBps infra"],
+    );
+    let mut energy_table = Table::new(
+        "Table 5: Avg energy consumed (mA rel. baseline)",
+        &["100 KBps infra", "1000 KBps infra"],
+    );
+    let mut fig6_time = Chart::new("Figure 6: transfer time for D2D media downloads", "s");
+    let mut fig6_energy = Chart::new("Figure 6: energy for D2D media downloads", "avg mA");
+
+    for (i, (label, variant)) in variants.iter().enumerate() {
+        let m100 = table5_cell(*variant, 100_000.0, Some(obs));
+        let m1000 = table5_cell(*variant, 1_000_000.0, Some(obs));
+        time_table.row(
+            *label,
+            vec![
+                Cell { paper: paper_100[i].0, measured: Some(m100.time_s) },
+                Cell { paper: paper_1000[i].0, measured: Some(m1000.time_s) },
+            ],
+        );
+        energy_table.row(
+            *label,
+            vec![
+                Cell { paper: paper_100[i].1, measured: Some(m100.energy_ma) },
+                Cell { paper: paper_1000[i].1, measured: Some(m1000.energy_ma) },
+            ],
+        );
+        fig6_time.bar(format!("{label} @100KBps"), m100.time_s);
+        fig6_time.bar(format!("{label} @1000KBps"), m1000.time_s);
+        fig6_energy.bar(format!("{label} @100KBps"), m100.energy_ma);
+        fig6_energy.bar(format!("{label} @1000KBps"), m1000.energy_ma);
+        let cell = format!("table5.{}", key(&format!("{variant:?}")));
+        for (rate, m) in [("100kbps", m100), ("1000kbps", m1000)] {
+            bline.gate(&format!("{cell}.{rate}.time_s"), m.time_s, 0.0);
+            bline.gate(&format!("{cell}.{rate}.energy_ma"), m.energy_ma, 0.0);
+        }
+        // The paper's derived statistic: total charge (mA·s) to completion.
+        println!(
+            "{label}: total charge {:.0} mA*s @100KBps, {:.0} mA*s @1000KBps",
+            m100.energy_ma * m100.time_s,
+            m1000.energy_ma * m1000.time_s
+        );
+    }
+    println!();
+    print!("{}", time_table.render());
+    println!();
+    print!("{}", energy_table.render());
+    println!();
+    print!("{}", fig6_time.render());
+    println!();
+    print!("{}", fig6_energy.render());
+}
+
+/// Figure 7: energy and latency for PRoPHET interactions (A → B → C with a
+/// 5 s carry delay).
+fn fig7_section(obs: &Obs, bline: &mut Baseline) {
+    let mut latency = Chart::new("Figure 7: PRoPHET delivery latency", "s");
+    let mut energy = Chart::new("Figure 7: PRoPHET mean device energy", "avg mA rel. baseline");
+    for sys in [System::Sp, System::Sa, System::Omni] {
+        let m = fig7_cell(sys, Some(obs));
+        latency.bar(sys.to_string(), m.latency_s);
+        energy.bar(sys.to_string(), m.energy_ma);
+        println!("{sys}: delivered after {:.2} s, mean energy {:.2} mA", m.latency_s, m.energy_ma);
+        let cell = format!("fig7.{}", key(&sys.to_string()));
+        bline.gate(&format!("{cell}.latency_s"), m.latency_s, 0.0);
+        bline.gate(&format!("{cell}.energy_ma"), m.energy_ma, 0.0);
+    }
+    println!();
+    print!("{}", latency.render());
+    println!();
+    print!("{}", energy.render());
+    println!();
+    println!("Paper (Figure 7, qualitative): latency is dominated by the 5 s carry delay for");
+    println!("Omni while SP/SA add WiFi discovery/connection per hop; Omni's energy is");
+    println!("substantially lower because no periodic multicast transmission is needed.");
+}
+
+/// Ablations of Omni's two design contributions, each switch toggled on an
+/// otherwise-identical stack, plus the beacon-interval sweep and the
+/// adaptive-beacon extension (DESIGN.md §4, §4b).
+fn ablations_section(obs: &Obs, bline: &mut Baseline) {
+    println!("== Ablation: context/data bifurcation (beacon only on the cheapest tech) ==");
+    let omni = discovery_energy(OmniConfig::default(), Some(obs));
+    let all = OmniConfig { advertise_on_all_techs: true, ..Default::default() };
+    let everywhere = discovery_energy(all, Some(obs));
+    println!("  engagement policy (Omni)     : {omni:>7.2} mA");
+    println!("  advertise on all (SA-style)  : {everywhere:>7.2} mA");
+    println!("  -> the bifurcation saves {:.2} mA of continuous discovery draw", everywhere - omni);
+    bline.gate("ablation.bifurcation.omni_ma", omni, 0.0);
+    bline.gate("ablation.bifurcation.all_techs_ma", everywhere, 0.0);
+
+    println!();
+    println!("== Ablation: low-level neighbor discovery integration ==");
+    let pinned = OmniConfig { data_techs: Some(vec![TechType::WifiTcp]), ..Default::default() };
+    let with_nd = data_latency_ms(pinned.clone(), Some(obs));
+    let mut without = pinned;
+    without.integrate_low_level_nd = false;
+    let without_nd = data_latency_ms(without, Some(obs));
+    println!("  beacon carries WiFi address (Omni): {with_nd:>9.2} ms");
+    println!("  addresses not integrated (SA)     : {without_nd:>9.2} ms");
+    println!(
+        "  -> integration removes the {:.1} s network-establishment cost",
+        (without_nd - with_nd) / 1e3
+    );
+    bline.gate("ablation.nd.integrated_ms", with_nd, 0.0);
+    bline.gate("ablation.nd.not_integrated_ms", without_nd, 0.0);
+
+    println!();
+    println!("== Sweep: address/context beacon interval (paper fixes 500 ms) ==");
+    println!("  interval   discovery-latency   discovery-energy");
+    for ms in [100u64, 250, 500, 1000, 2000] {
+        let interval = SimDuration::from_millis(ms);
+        let lat = discovery_latency_ms(interval, Some(obs));
+        let cfg = OmniConfig { beacon_interval: interval, ..Default::default() };
+        let energy = discovery_energy(cfg, Some(obs));
+        println!("  {ms:>5} ms   {lat:>12.1} ms   {energy:>11.2} mA");
+        bline.info(&format!("sweep.{ms}ms.latency_ms"), lat);
+        bline.info(&format!("sweep.{ms}ms.energy_ma"), energy);
+    }
+
+    println!();
+    println!("== Extension: adaptive beacon frequency (paper §3.1 future work) ==");
+    let fixed_fast = {
+        let cfg =
+            OmniConfig { beacon_interval: SimDuration::from_millis(250), ..Default::default() };
+        discovery_energy(cfg, Some(obs))
+    };
+    let adaptive = {
+        let cfg = OmniConfig {
+            adaptive_beacon: Some(AdaptiveBeacon {
+                min: SimDuration::from_millis(250),
+                max: SimDuration::from_secs(4),
+            }),
+            ..Default::default()
+        };
+        discovery_energy(cfg, Some(obs))
+    };
+    println!("  fixed 250 ms forever        : {fixed_fast:>7.2} mA");
+    println!("  adaptive 250 ms -> 4 s decay: {adaptive:>7.2} mA");
+    println!("  -> same worst-case discovery latency when the neighborhood changes,");
+    println!("     {:.2} mA saved once it stabilizes", fixed_fast - adaptive);
+    bline.gate("ablation.adaptive.fixed_250ms_ma", fixed_fast, 0.0);
+    bline.gate("ablation.adaptive.decay_ma", adaptive, 0.0);
 }

@@ -12,55 +12,28 @@
 //! wall-clock and allocation budgets, and holds the best of the 10 000-node
 //! cells to a throughput floor.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bytes::Bytes;
 use omni_bench::baseline::Baseline;
+use omni_bench::fleet::{PairGrid, TICK_MS};
 use omni_bench::report::{Chart, Table};
 use omni_bench::ObsRun;
 use omni_obs::Obs;
-use omni_sim::{
-    Command, DeviceCaps, NodeApi, NodeEvent, Position, Runner, SimConfig, SimDuration, SimTime,
-    Stack,
-};
+use omni_sim::{Runner, SimConfig, SimTime};
 
-/// Counts every heap allocation (and reallocation) the process makes, so
-/// each cell can report allocations per tick — the number that explodes
-/// first when a hot loop grows a per-event `Vec`.
-struct CountingAlloc;
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// Counts heap allocations so each cell can report allocations per tick —
+/// the number that explodes first when a hot loop grows a per-event `Vec`.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
-/// One tick = one beacon round.
-const TICK_MS: u64 = 500;
-/// Devices are placed in pairs `PAIR_GAP_M` apart (inside BLE range), with
-/// pair sites on a `SITE_PITCH_M` grid — one grid cell per site. Density is
-/// constant regardless of fleet size, so per-device work is flat under the
-/// spatial index and any superlinear slowdown is the neighbor query's.
-const SITE_PITCH_M: f64 = 100.0;
-/// Distance between the two devices of a pair.
-const PAIR_GAP_M: f64 = 10.0;
+/// Devices are placed in pairs 10 m apart (inside BLE range), with pair
+/// sites on a 100 m grid — one grid cell per site. Density is constant
+/// regardless of fleet size, so any superlinear slowdown is the neighbor
+/// query's.
+const GRID: PairGrid = PairGrid { site_pitch_m: 100.0, pair_gap_m: 10.0 };
 /// Every `SCAN_STRIDE`-th device scans; the rest only advertise. Keeps
 /// delivery fan-out sparse so the measurement isolates neighbor lookup.
 const SCAN_STRIDE: usize = 50;
@@ -99,32 +72,6 @@ fn ticks_for(n: usize) -> u64 {
     }
 }
 
-/// Advertises every tick; every `SCAN_STRIDE`-th device also scans and
-/// counts receipts (proof the fleet actually interacts).
-struct Beacon {
-    scans: bool,
-    heard: Rc<RefCell<u64>>,
-}
-
-impl Stack for Beacon {
-    fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
-        match event {
-            NodeEvent::Start => {
-                if self.scans {
-                    api.push(Command::BleSetScan { duty: Some(1.0) });
-                }
-                api.push(Command::BleAdvertiseSet {
-                    slot: 0,
-                    payload: Bytes::from_static(b"scale"),
-                    interval: SimDuration::from_millis(TICK_MS),
-                });
-            }
-            NodeEvent::BleBeacon { .. } => *self.heard.borrow_mut() += 1,
-            _ => {}
-        }
-    }
-}
-
 struct CellResult {
     ticks_per_sec: f64,
     mean_tick_us: f64,
@@ -140,23 +87,11 @@ fn run_cell(n: usize, brute_force: bool, obs: &Obs) -> CellResult {
     let ticks = ticks_for(n);
     let mut sim = Runner::new(SimConfig::default());
     sim.set_brute_force_neighbors(brute_force);
-    let heard = Rc::new(RefCell::new(0u64));
-    let sites = n.div_ceil(2);
-    let cols = (sites as f64).sqrt().ceil() as usize;
-    for i in 0..n {
-        let site = i / 2;
-        let dx = if i % 2 == 0 { 0.0 } else { PAIR_GAP_M };
-        let pos = Position::new(
-            (site % cols) as f64 * SITE_PITCH_M + dx,
-            (site / cols) as f64 * SITE_PITCH_M,
-        );
-        let d = sim.add_device(DeviceCaps::PI, pos);
-        sim.set_stack(d, Box::new(Beacon { scans: i % SCAN_STRIDE == 0, heard: heard.clone() }));
-    }
+    let heard = GRID.add_fleet(&mut sim, n, b"scale", |i| (i % SCAN_STRIDE == 0).then_some(1.0));
 
     let label = if brute_force { format!("n{n}.brute") } else { format!("n{n}") };
     let tick_us = obs.digest(&format!("scale.{label}.tick_us"));
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = counting_alloc::allocs();
     let started = Instant::now();
     for t in 1..=ticks {
         let tick_start = Instant::now();
@@ -164,10 +99,10 @@ fn run_cell(n: usize, brute_force: bool, obs: &Obs) -> CellResult {
         tick_us.record(tick_start.elapsed().as_micros() as u64);
     }
     let total_s = started.elapsed().as_secs_f64();
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = counting_alloc::allocs() - allocs_before;
     let ticks_per_sec = ticks as f64 / total_s;
     obs.gauge(&format!("scale.{label}.ticks_per_sec")).set(ticks_per_sec as i64);
-    let heard = *heard.borrow();
+    let heard = heard.get();
     CellResult {
         ticks_per_sec,
         mean_tick_us: total_s * 1e6 / ticks as f64,

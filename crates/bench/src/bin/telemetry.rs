@@ -24,19 +24,16 @@
 
 use std::time::Instant;
 
-use bytes::Bytes;
 use omni_bench::baseline::Baseline;
+use omni_bench::fleet::PairGrid;
 use omni_bench::ObsRun;
 use omni_sim::{
-    ChurnWindow, Command, DeviceCaps, FaultConfig, LinkPartition, NodeApi, NodeEvent, Position,
-    Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
+    ChurnWindow, FaultConfig, LinkPartition, Runner, SamplerConfig, SimConfig, SimDuration, SimTime,
 };
 
-/// Beacon cadence (matches the scale bench).
-const TICK_MS: u64 = 500;
-/// Pair sites on a constant-density grid, two devices per site.
-const SITE_PITCH_M: f64 = 100.0;
-const PAIR_GAP_M: f64 = 10.0;
+/// Pair sites on a constant-density grid, two devices per site (the scale
+/// bench's layout).
+const GRID: PairGrid = PairGrid { site_pitch_m: 100.0, pair_gap_m: 10.0 };
 /// Every `SCAN_STRIDE`-th device scans (plus the partitioned pair).
 const SCAN_STRIDE: usize = 50;
 /// Sampling interval.
@@ -47,25 +44,6 @@ const CHURN_US: (u64, u64) = (25_000_000, 34_500_000);
 /// Devices taken down by the churn window (disjoint from the pair 0↔1).
 const CHURN_FIRST: usize = 10;
 const CHURN_N: usize = 8;
-
-struct Beacon {
-    scans: bool,
-}
-
-impl Stack for Beacon {
-    fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
-        if let NodeEvent::Start = event {
-            if self.scans {
-                api.push(Command::BleSetScan { duty: Some(1.0) });
-            }
-            api.push(Command::BleAdvertiseSet {
-                slot: 0,
-                payload: Bytes::from_static(b"telemetry"),
-                interval: SimDuration::from_millis(TICK_MS),
-            });
-        }
-    }
-}
 
 fn faults() -> FaultConfig {
     FaultConfig {
@@ -121,21 +99,9 @@ fn main() {
         ..Default::default()
     });
 
-    let sites = n.div_ceil(2);
-    let cols = (sites as f64).sqrt().ceil() as usize;
-    for i in 0..n {
-        let site = i / 2;
-        let dx = if i % 2 == 0 { 0.0 } else { PAIR_GAP_M };
-        let pos = Position::new(
-            (site % cols) as f64 * SITE_PITCH_M + dx,
-            (site / cols) as f64 * SITE_PITCH_M,
-        );
-        let d = sim.add_device(DeviceCaps::PI, pos);
-        // The partitioned pair both scan, so every beacon between them is a
-        // per-window partition-drop signal while the window is open.
-        let scans = i < 2 || i % SCAN_STRIDE == 0;
-        sim.set_stack(d, Box::new(Beacon { scans }));
-    }
+    // The partitioned pair both scan, so every beacon between them is a
+    // per-window partition-drop signal while the window is open.
+    GRID.add_fleet(&mut sim, n, b"telemetry", |i| (i < 2 || i % SCAN_STRIDE == 0).then_some(1.0));
 
     let wall = Instant::now();
     sim.run_until(SimTime::from_secs(run_secs));

@@ -17,9 +17,7 @@
 //! `--smoke` runs the assertions quietly for `scripts/ci.sh`; without the
 //! flag it also reports per-op throughput.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
@@ -27,27 +25,11 @@ use omni_bench::ObsRun;
 use omni_wire::frame::{self, Incoming};
 use omni_wire::{FrameView, OmniAddress, PackedStruct, PackedView, RelayHeader, TraceId};
 
-/// Counts every heap allocation (and reallocation) the process makes.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 const ITERS: u64 = 100_000;
 
@@ -56,13 +38,13 @@ fn measure(mut op: impl FnMut()) -> (f64, f64) {
     // One warmup pass lets lazy one-time allocations (scratch growth,
     // formatting machinery) land outside the measured window.
     op();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     let started = Instant::now();
     for _ in 0..ITERS {
         op();
     }
     let ns = started.elapsed().as_nanos() as f64 / ITERS as f64;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting_alloc::allocs() - before;
     (allocs as f64 / ITERS as f64, ns)
 }
 

@@ -1,18 +1,23 @@
 //! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (§4). Each function runs deterministic simulations and returns
-//! measured numbers; the binaries print them next to the paper's values.
+//! evaluation (§4) and the ablations of its design choices. Each function
+//! runs deterministic simulations and returns measured numbers; the
+//! `reproduce` binary prints them next to the paper's values.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use bytes::Bytes;
 use omni_apps::disseminate::{omni_disseminate, FileSpec, SpDisseminate};
 use omni_apps::prophet::{omni_prophet, Bundle, ProphetConfig, SpProphet};
 use omni_baselines::sa::SaBuilder;
 use omni_baselines::sp::{SpBleDevice, SpWifiDevice};
-use omni_core::{OmniBuilder, OmniConfig, OmniStack};
+use omni_core::{ContextParams, OmniBuilder, OmniConfig, OmniStack};
 use omni_obs::Obs;
 use omni_sim::{
     Command, DeviceCaps, DeviceId, NodeApi, NodeEvent, Position, Runner, SimConfig, SimDuration,
     SimTime, Stack,
 };
-use omni_wire::TechType;
+use omni_wire::{StatusCode, TechType};
 
 use crate::interaction::{
     omni_initiator, omni_responder, SpBleInitiator, SpBleResponder, SpWifiInitiator,
@@ -151,7 +156,7 @@ pub fn table3(obs: Option<&Obs>) -> Vec<OpDraw> {
                             match ev {
                                 NodeEvent::Start => api.push(Command::WifiJoin),
                                 NodeEvent::WifiJoined { .. } => api.push(Command::WifiMcastSend {
-                                    payload: bytes::Bytes::from_static(&[0u8; 30]),
+                                    payload: Bytes::from_static(&[0u8; 30]),
                                     wire_len: 30,
                                     bulk: false,
                                 }),
@@ -207,7 +212,7 @@ pub fn table3(obs: Option<&Obs>) -> Vec<OpDraw> {
                             Command::WifiPower(false),
                             Command::BleAdvertiseSet {
                                 slot: 0,
-                                payload: bytes::Bytes::from_static(b"x"),
+                                payload: Bytes::from_static(b"x"),
                                 interval: SimConfig::default().ble.adv_pulse,
                             },
                         ],
@@ -624,4 +629,125 @@ pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
         .sum::<f64>()
         / 3.0;
     ProphetMeasured { latency_s: at.as_secs_f64(), energy_ma: energy }
+}
+
+// ---------------------------------------------------------------------
+// Ablations: the design choices the evaluation motivates (DESIGN.md §4)
+// ---------------------------------------------------------------------
+
+/// Average discovery-phase current (mA rel. baseline) for a pair of idle,
+/// beaconing devices under a given config. Toggling
+/// `advertise_on_all_techs` isolates the context/data bifurcation; varying
+/// `beacon_interval` or `adaptive_beacon` prices the beacon cadence.
+pub fn discovery_energy(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
+    let mut sim = Runner::new(SimConfig::default());
+    if let Some(o) = obs {
+        sim.set_obs(o.clone());
+        cfg.obs = Some(o.clone());
+    }
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    for d in [a, b] {
+        let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone()).build(&sim, d);
+        sim.set_stack(
+            d,
+            Box::new(OmniStack::new(mgr, |omni| {
+                omni.add_context(
+                    ContextParams::default(),
+                    Bytes::from_static(b"svc:ablation"),
+                    Box::new(|_, _, _| {}),
+                );
+            })),
+        );
+    }
+    sim.run_until(SimTime::from_secs(60));
+    sim.energy().average_ma(a, SimTime::ZERO, SimTime::from_secs(60)) - BASELINE_MA
+}
+
+/// 30 B data latency (ms) after a 10 s warmup under a given config.
+/// Toggling `integrate_low_level_nd` isolates the value of carrying the
+/// WiFi address in the BLE address beacon.
+pub fn data_latency_ms(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
+    let mut sim = Runner::new(SimConfig::default());
+    if let Some(o) = obs {
+        sim.set_obs(o.clone());
+        cfg.obs = Some(o.clone());
+    }
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let dest = OmniBuilder::omni_address(&sim, b);
+    let sent: Rc<RefCell<(Option<SimTime>, Option<SimTime>)>> = Rc::new(RefCell::new((None, None)));
+    let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone()).build(&sim, a);
+    let s = sent.clone();
+    sim.set_stack(
+        a,
+        Box::new(OmniStack::new(mgr, move |omni| {
+            let s2 = s.clone();
+            omni.request_timers(Box::new(move |_, o| {
+                let s3 = s2.clone();
+                if s2.borrow().0.is_none() {
+                    s2.borrow_mut().0 = Some(o.now);
+                    o.send_data(
+                        vec![dest],
+                        Bytes::from_static(b"ablation-probe-thirty-bytes!!!"),
+                        Box::new(move |code, _, o2| {
+                            if code == StatusCode::SendDataSuccess {
+                                s3.borrow_mut().1 = Some(o2.now);
+                            }
+                        }),
+                    );
+                }
+            }));
+            omni.set_timer(1, SimDuration::from_secs(10));
+        })),
+    );
+    let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg).build(&sim, b);
+    sim.set_stack(
+        b,
+        Box::new(OmniStack::new(mgr, |omni| {
+            omni.request_data(Box::new(|_, _, _| {}));
+        })),
+    );
+    sim.run_until(SimTime::from_secs(30));
+    let (start, end) = *sent.borrow();
+    (end.expect("send completes") - start.expect("send issued")).as_secs_f64() * 1e3
+}
+
+/// Discovery latency (ms): time until B first hears A's context pack when
+/// A beacons every `beacon_interval`. One rendezvous, so one draw of A's
+/// seeded first-pulse jitter.
+pub fn discovery_latency_ms(beacon_interval: SimDuration, obs: Option<&Obs>) -> f64 {
+    let mut sim = Runner::new(SimConfig::default());
+    if let Some(o) = obs {
+        sim.set_obs(o.clone());
+    }
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let heard: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
+    let cfg = OmniConfig { beacon_interval, obs: obs.cloned(), ..Default::default() };
+    let mgr = OmniBuilder::new().with_ble().with_config(cfg.clone()).build(&sim, a);
+    sim.set_stack(
+        a,
+        Box::new(OmniStack::new(mgr, move |omni| {
+            omni.add_context(
+                ContextParams { interval: beacon_interval },
+                Bytes::from_static(b"svc:sweep"),
+                Box::new(|_, _, _| {}),
+            );
+        })),
+    );
+    let mgr = OmniBuilder::new().with_ble().with_config(cfg).build(&sim, b);
+    let h = heard.clone();
+    sim.set_stack(
+        b,
+        Box::new(OmniStack::new(mgr, move |omni| {
+            let h2 = h.clone();
+            omni.request_context(Box::new(move |_, _, o| {
+                h2.borrow_mut().get_or_insert(o.now);
+            }));
+        })),
+    );
+    sim.run_until(SimTime::from_secs(30));
+    let at = heard.borrow().expect("discovered");
+    at.as_secs_f64() * 1e3
 }

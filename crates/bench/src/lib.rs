@@ -1,12 +1,14 @@
 //! Experiment harness for the Omni reproduction: drivers that regenerate
 //! every table and figure of the paper's evaluation (see `DESIGN.md` §4 for
-//! the experiment index), plus the result-table formatter the binaries use.
+//! the experiment index), the stub beacon fleet the simulator benches share,
+//! and the result-table formatter the binaries use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
 pub mod experiments;
+pub mod fleet;
 pub mod interaction;
 pub mod report;
 

@@ -11,13 +11,14 @@
 #
 # Committed baselines live at the repo root (BENCH_telemetry.json, …) and are
 # always smoke-mode: simulation metrics are deterministic, so the bands are
-# tight and the gate doubles as a determinism regression check. A failing
-# compare prints one line per drifted metric and exits non-zero.
+# tight and the gate doubles as a determinism regression check. `reproduce`
+# has a single mode, which records itself as smoke and ignores the flag. A
+# failing compare prints one line per drifted metric and exits non-zero.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES=(telemetry reliability scale relay profile)
+BENCHES=(telemetry reliability scale relay profile reproduce)
 REUSE=0
 UPDATE=0
 for a in "$@"; do

@@ -44,6 +44,9 @@ cargo run --release -p omni-bench --bin telemetry -- --smoke
 echo "== relay smoke (sparse-chain delivery floor, same-seed replay) =="
 cargo run --release -p omni-bench --bin relay -- --smoke
 
+echo "== reproduce (every paper table, figure and ablation, in process) =="
+cargo run --release -p omni-bench --bin reproduce
+
 echo "== bench baseline gate (drift vs committed BENCH_*.json) =="
 scripts/bench_baseline.sh --smoke
 
