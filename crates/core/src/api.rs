@@ -186,12 +186,18 @@ impl OmniCtl {
 
     /// Instructs Omni to share `context` periodically according to
     /// `params`; the callback receives the context id (paper Table 1).
+    /// A context whose first byte is a manager-reserved tag
+    /// ([`crate::relay::CONTEXT_RELAY_TAG`] or
+    /// [`crate::relay::PROPHET_SUMMARY_TAG`]) is refused with
+    /// `ADD_CONTEXT_FAILURE`.
     pub fn add_context(&mut self, params: ContextParams, context: Bytes, status: StatusCallback) {
         self.calls.push(ApiCall::AddContext { params, context, status });
     }
 
     /// Changes the parameters, content, or callback of the context pack
-    /// identified by `id`.
+    /// identified by `id`. New content starting with a manager-reserved tag
+    /// is refused with `UPDATE_CONTEXT_FAILURE`, as in
+    /// [`OmniCtl::add_context`].
     pub fn update_context(
         &mut self,
         id: u64,

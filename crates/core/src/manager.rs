@@ -19,6 +19,7 @@
 //!   technologies until all are exhausted, and only then reporting failure
 //!   to the application.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
@@ -79,6 +80,19 @@ fn send_queue_label(ty: TechType) -> &'static str {
         TechType::WifiTcp => "send-wifi-tcp",
         TechType::Nfc => "send-nfc",
     }
+}
+
+/// Why an application context must be refused, if it starts with a
+/// manager-reserved tag. Receivers read such a payload as a relay envelope
+/// or a PRoPHET summary, so it would be delivered under a spoofed origin or
+/// dropped.
+fn reserved_tag_refusal(context: &Bytes) -> Option<String> {
+    let tag = match context.first() {
+        Some(&relay::CONTEXT_RELAY_TAG) => "0xE7 (context relay envelope)",
+        Some(&relay::PROPHET_SUMMARY_TAG) => "0xE8 (PRoPHET summary)",
+        _ => return None,
+    };
+    Some(format!("context starts with reserved tag {tag}"))
 }
 
 /// Cached manager-level instruments (no registry lookups on hot paths).
@@ -517,11 +531,13 @@ impl OmniManager {
     }
 
     /// Opens a sealed context/beacon payload; `None` means the beacon is
-    /// not authentic for our group and must be ignored.
-    fn open(&self, payload: &Bytes) -> Option<Bytes> {
+    /// not authentic for our group and must be ignored. Without a group key
+    /// the payload is borrowed: a `Bytes` clone is a locked atomic op, and
+    /// this runs for every heard beacon.
+    fn open<'a>(&self, payload: &'a Bytes) -> Option<Cow<'a, Bytes>> {
         match self.cipher.as_ref() {
-            Some(c) => ContextCipher::open(&c.key(), payload),
-            None => Some(payload.clone()),
+            Some(c) => ContextCipher::open(&c.key(), payload).map(Cow::Owned),
+            None => Some(Cow::Borrowed(payload)),
         }
     }
 
@@ -575,12 +591,16 @@ impl OmniManager {
     // Pump: queues, callbacks, deferred work
     // ------------------------------------------------------------------
 
-    /// Processes queues until quiescent.
+    /// Processes queues until quiescent. A technology is polled only while
+    /// its send queue holds requests (see [`D2dTechnology::poll`]), so a
+    /// pass with nothing to send costs one atomic load per technology.
     pub fn pump(&mut self, api: &mut NodeApi<'_>) {
         for _ in 0..256 {
             let mut progressed = false;
             for slot in &mut self.techs {
-                slot.tech.poll(api);
+                if !slot.send.is_empty() {
+                    slot.tech.poll(api);
+                }
             }
             while let Some(item) = self.receive.pop() {
                 progressed = true;
@@ -646,10 +666,8 @@ impl OmniManager {
         // Forwarded relay copies keep the *origin* in `source`; observing
         // them would poison the peer map with a non-link-local mapping
         // (the forwarder's own beacons handle link-local discovery).
-        let observe = item.packed.relay.is_none();
-        let is_new_peer = observe && self.peers.get(item.packed.source).is_none();
-        if observe {
-            self.peers.observe(item.packed.source, item.tech, item.source, now);
+        if item.packed.relay.is_none() {
+            let is_new_peer = self.peers.observe(item.packed.source, item.tech, item.source, now);
             if let Some(m) = &self.mgr_obs {
                 m.peers.set(self.peers.len() as i64);
                 if is_new_peer {
@@ -700,7 +718,7 @@ impl OmniManager {
                     self.note_auth_rejected(item.packed.source, now);
                     return;
                 };
-                self.handle_context_plain(item.packed.source, plain, api);
+                self.handle_context_plain(item.packed.source, &plain, api);
             }
             ContentKind::Data => match item.packed.relay {
                 Some(header) => self.handle_relay_data(item, header, api),
@@ -721,7 +739,7 @@ impl OmniManager {
     /// `source` is the origin, even for frames that arrived via relay hops).
     fn deliver_data(&mut self, item: &ReceivedItem, now: SimTime) {
         let src = item.packed.source;
-        let payload = item.packed.payload.clone();
+        let payload = &item.packed.payload;
         if let Some(m) = &self.mgr_obs {
             m.data_delivered.inc();
             m.delivered_by_tech[item.tech.index()].inc();
@@ -737,7 +755,7 @@ impl OmniManager {
         let mut cbs = std::mem::take(&mut self.data_cbs);
         for cb in cbs.iter_mut() {
             let mut ctl = crate::api::OmniCtl::at(now);
-            cb(src, &payload, &mut ctl);
+            cb(src, payload, &mut ctl);
             self.pending_calls.extend(ctl.calls);
         }
         debug_assert!(self.data_cbs.is_empty());
@@ -1023,16 +1041,15 @@ impl OmniManager {
     /// Handles a decrypted context payload: unwraps relay envelopes,
     /// delivers to the application, and floods onward when relaying is
     /// enabled (paper §5 future work, BLE-Mesh-style multi-hop context).
-    fn handle_context_plain(&mut self, relayer: OmniAddress, plain: Bytes, api: &mut NodeApi<'_>) {
-        const RELAY_TAG: u8 = 0xE7;
+    fn handle_context_plain(&mut self, relayer: OmniAddress, plain: &Bytes, api: &mut NodeApi<'_>) {
         if plain.first() == Some(&relay::PROPHET_SUMMARY_TAG) {
-            // Manager-internal PRoPHET summary (like the 0xE7 envelope,
-            // the 0xE8 tag is reserved): never delivered to applications,
-            // never re-relayed.
-            self.handle_prophet_summary(relayer, &plain, api);
+            // Manager-internal PRoPHET summary (like the relay envelope, its
+            // tag is reserved): never delivered to applications, never
+            // re-relayed.
+            self.handle_prophet_summary(relayer, plain, api);
             return;
         }
-        if plain.first() == Some(&RELAY_TAG) && plain.len() >= 10 {
+        if plain.first() == Some(&relay::CONTEXT_RELAY_TAG) && plain.len() >= 10 {
             let ttl = plain[1];
             let mut origin_bytes = [0u8; 8];
             origin_bytes.copy_from_slice(&plain[2..10]);
@@ -1041,14 +1058,14 @@ impl OmniManager {
                 return; // our own context echoed back through a relay
             }
             let inner = plain.slice(10..);
-            self.fire_context(origin, inner.clone(), api.now);
+            self.fire_context(origin, &inner, api.now);
             if ttl > 0 && self.cfg.relay_ttl > 0 {
                 self.relay_context(origin, &inner, ttl - 1, api);
             }
         } else {
-            self.fire_context(relayer, plain.clone(), api.now);
+            self.fire_context(relayer, plain, api.now);
             if self.cfg.relay_ttl > 0 {
-                self.relay_context(relayer, &plain, self.cfg.relay_ttl - 1, api);
+                self.relay_context(relayer, plain, self.cfg.relay_ttl - 1, api);
             }
         }
     }
@@ -1075,11 +1092,11 @@ impl OmniManager {
         self.pump_custody(api);
     }
 
-    fn fire_context(&mut self, src: OmniAddress, payload: Bytes, now: omni_sim::SimTime) {
+    fn fire_context(&mut self, src: OmniAddress, payload: &Bytes, now: omni_sim::SimTime) {
         let mut cbs = std::mem::take(&mut self.context_cbs);
         for cb in cbs.iter_mut() {
             let mut ctl = crate::api::OmniCtl::at(now);
-            cb(src, &payload, &mut ctl);
+            cb(src, payload, &mut ctl);
             self.pending_calls.extend(ctl.calls);
         }
         debug_assert!(self.context_cbs.is_empty());
@@ -1096,7 +1113,6 @@ impl OmniManager {
         ttl: u8,
         api: &mut NodeApi<'_>,
     ) {
-        const RELAY_TAG: u8 = 0xE7;
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in inner.iter() {
             h ^= u64::from(b);
@@ -1116,7 +1132,7 @@ impl OmniManager {
             self.ctx_relay_seen.retain(|_, at| cutoff.saturating_since(*at) < w * 4);
         }
         let mut envelope = bytes::BytesMut::with_capacity(10 + inner.len());
-        envelope.put_u8(RELAY_TAG);
+        envelope.put_u8(relay::CONTEXT_RELAY_TAG);
         envelope.put_u8(ttl);
         envelope.put_slice(&origin.to_bytes());
         envelope.put_slice(inner);
@@ -1290,6 +1306,14 @@ impl OmniManager {
     fn apply_call(&mut self, call: ApiCall, api: &mut NodeApi<'_>) {
         match call {
             ApiCall::AddContext { params, context, status } => {
+                if let Some(description) = reserved_tag_refusal(&context) {
+                    self.deferred.push_back((
+                        Rc::new(RefCell::new(status)),
+                        StatusCode::AddContextFailure,
+                        ResponseInfo::ContextFailure { description, context_id: None },
+                    ));
+                    return;
+                }
                 let id = self.next_context_id;
                 self.next_context_id += 1;
                 let sealed = self.seal(context);
@@ -1348,6 +1372,14 @@ impl OmniManager {
             }
             ApiCall::UpdateContext { id, params, context, status } => {
                 let cb: SharedCb = Rc::new(RefCell::new(status));
+                if let Some(description) = reserved_tag_refusal(&context) {
+                    self.deferred.push_back((
+                        cb,
+                        StatusCode::UpdateContextFailure,
+                        ResponseInfo::ContextFailure { description, context_id: Some(id) },
+                    ));
+                    return;
+                }
                 if id == ADDRESS_BEACON_CONTEXT_ID || !self.contexts.contains_key(&id) {
                     self.deferred.push_back((
                         cb,
@@ -2183,6 +2215,134 @@ impl OmniManager {
                 entry.carried.remove(&tech);
             }
             self.submit_context(tech, CtxOp::Remove, id, interval, None, None, Vec::new());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use omni_sim::DeviceId;
+
+    use super::*;
+
+    /// A technology that counts `poll` calls and records every request it
+    /// drains, answering none of them.
+    struct CountingTech {
+        ty: TechType,
+        addr: LowAddr,
+        queues: Option<TechQueues>,
+        polls: Rc<Cell<usize>>,
+        drained: Rc<RefCell<Vec<(TechType, SendOp)>>>,
+    }
+
+    impl D2dTechnology for CountingTech {
+        fn enable(
+            &mut self,
+            queues: TechQueues,
+            _token_base: u64,
+            _api: &mut NodeApi<'_>,
+        ) -> (TechType, LowAddr) {
+            self.queues = Some(queues);
+            (self.ty, self.addr)
+        }
+
+        fn disable(&mut self, _api: &mut NodeApi<'_>) {}
+
+        fn tech_type(&self) -> TechType {
+            self.ty
+        }
+
+        fn poll(&mut self, _api: &mut NodeApi<'_>) {
+            self.polls.set(self.polls.get() + 1);
+            while let Some(req) = self.queues.as_ref().and_then(|q| q.send.pop()) {
+                self.drained.borrow_mut().push((self.ty, req.op));
+            }
+        }
+
+        fn on_node_event(&mut self, _event: &NodeEvent, _api: &mut NodeApi<'_>) -> bool {
+            false
+        }
+    }
+
+    const PEER: OmniAddress = OmniAddress::from_u64(0xBEEF);
+    const PEER_BLE: BleAddress = BleAddress([2, 0, 0, 0, 0xBE, 0xEF]);
+
+    fn heard(packed: PackedStruct) -> ReceivedItem {
+        ReceivedItem { tech: TechType::BleBeacon, source: LowAddr::Ble(PEER_BLE), packed }
+    }
+
+    fn peer_beacon() -> ReceivedItem {
+        let beacon =
+            AddressBeaconPayload { mesh: Some(MeshAddress::from_u64(0xBEEF)), ble: Some(PEER_BLE) };
+        heard(PackedStruct::address_beacon(PEER, &beacon))
+    }
+
+    #[test]
+    fn pump_polls_only_technologies_with_queued_sends() {
+        let drained = Rc::new(RefCell::new(Vec::new()));
+        let own = [
+            (TechType::BleBeacon, LowAddr::Ble(BleAddress([2, 0, 0, 0, 0, 1]))),
+            (TechType::WifiMulticast, LowAddr::Mesh(MeshAddress::from_u64(1))),
+            (TechType::WifiTcp, LowAddr::Mesh(MeshAddress::from_u64(1))),
+        ];
+        let polls: Vec<Rc<Cell<usize>>> = own.iter().map(|_| Rc::new(Cell::new(0))).collect();
+        let techs: Vec<Box<dyn D2dTechnology>> = own
+            .iter()
+            .zip(&polls)
+            .map(|(&(ty, addr), polls)| {
+                Box::new(CountingTech {
+                    ty,
+                    addr,
+                    queues: None,
+                    polls: polls.clone(),
+                    drained: drained.clone(),
+                }) as Box<dyn D2dTechnology>
+            })
+            .collect();
+        let mut mgr = OmniManager::new(OmniAddress::from_u64(1), OmniConfig::default(), techs);
+        let mut cmds = Vec::new();
+        let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, &mut cmds);
+        // The app answers every context it hears with a data send.
+        let mut ctl = crate::api::OmniCtl::new();
+        ctl.request_context(Box::new(|src, _, omni| {
+            omni.send_data(vec![src], Bytes::from_static(b"reply"), Box::new(|_, _, _| {}));
+        }));
+        mgr.queue_calls(ctl);
+        mgr.start(&mut api);
+        assert!(
+            matches!(drained.borrow()[..], [(TechType::BleBeacon, SendOp::AddContext { .. })]),
+            "start queues the address beacon on BLE: {:?}",
+            drained.borrow()
+        );
+        mgr.receive.push(peer_beacon());
+        mgr.pump(&mut api);
+        assert!(mgr.peers().get(PEER).is_some(), "the first beacon maps the peer");
+
+        // A beacon from a known peer queues no send, so no technology is
+        // polled: not in the pass that pops it, nor in the confirming pass.
+        let reset = || polls.iter().for_each(|p| p.set(0));
+        reset();
+        drained.borrow_mut().clear();
+        mgr.receive.push(peer_beacon());
+        mgr.pump(&mut api);
+        let counts: Vec<usize> = polls.iter().map(|p| p.get()).collect();
+        assert_eq!(counts, [0, 0, 0], "polls per technology for one heard beacon");
+
+        // A send queued by a callback during the pump reaches its carrier's
+        // `poll` before the same pump returns, and only the carrier is
+        // polled.
+        reset();
+        mgr.receive.push(heard(PackedStruct::context(PEER, Bytes::from_static(b"hello"))));
+        mgr.pump(&mut api);
+        let sends = drained.borrow();
+        let [(carrier, SendOp::SendData { dest_omni, .. })] = sends[..] else {
+            panic!("expected one data send, drained {sends:?}");
+        };
+        assert_eq!(dest_omni, PEER);
+        for ((ty, _), polls) in own.iter().zip(&polls) {
+            assert_eq!(polls.get(), usize::from(*ty == carrier), "polls of {ty}");
         }
     }
 }

@@ -15,6 +15,7 @@
 //! 16 ms data path exists only when low-level neighbor discovery is "in the
 //! fold" (paper §1).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
@@ -75,9 +76,19 @@ impl PeerMap {
 
     /// Records a transmission from `omni` on `tech` with low-level `source`.
     /// "By including the omni_address, we are able to refresh part of the
-    /// peer mapping with each message" (paper §3.3).
-    pub fn observe(&mut self, omni: OmniAddress, tech: TechType, source: LowAddr, now: SimTime) {
-        let rec = self.peers.entry(omni).or_default();
+    /// peer mapping with each message" (paper §3.3). Returns whether `omni`
+    /// was new to the map, so callers need no second probe.
+    pub fn observe(
+        &mut self,
+        omni: OmniAddress,
+        tech: TechType,
+        source: LowAddr,
+        now: SimTime,
+    ) -> bool {
+        let (rec, new) = match self.peers.entry(omni) {
+            Entry::Occupied(e) => (e.into_mut(), false),
+            Entry::Vacant(e) => (e.insert(PeerRecord::default()), true),
+        };
         rec.seen[tech.index()] = Some((source, now));
         match (tech, source) {
             (TechType::BleBeacon, LowAddr::Ble(a)) => rec.ble = Some((a, now)),
@@ -88,6 +99,7 @@ impl PeerMap {
             (TechType::WifiMulticast, LowAddr::Mesh(m)) => rec.mesh_mcast = Some((m, now)),
             _ => {}
         }
+        new
     }
 
     /// Records the contents of an address beacon received over `via`.
@@ -188,11 +200,17 @@ mod tests {
     fn observations_refresh_per_tech_sightings() {
         let mut m = PeerMap::new();
         let p = OmniAddress::from_u64(1);
-        m.observe(p, TechType::BleBeacon, LowAddr::Ble(BleAddress([1; 6])), t(0));
+        assert!(m.observe(p, TechType::BleBeacon, LowAddr::Ble(BleAddress([1; 6])), t(0)));
         let rec = m.get(p).unwrap();
         assert!(rec.fresh_on(TechType::BleBeacon, t(1000), TTL));
         assert!(!rec.fresh_on(TechType::BleBeacon, t(10_000), TTL));
         assert!(!rec.fresh_on(TechType::WifiTcp, t(0), TTL));
+        // Later sightings, on the same or another technology, are not new.
+        assert!(!m.observe(p, TechType::BleBeacon, LowAddr::Ble(BleAddress([1; 6])), t(500)));
+        let mesh = LowAddr::Mesh(MeshAddress::from_u64(1));
+        assert!(!m.observe(p, TechType::WifiTcp, mesh, t(600)));
+        assert!(m.observe(OmniAddress::from_u64(2), TechType::WifiTcp, mesh, t(600)));
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

@@ -28,9 +28,13 @@ use bytes::{BufMut, Bytes, BytesMut};
 use omni_sim::{SimDuration, SimTime};
 use omni_wire::{OmniAddress, PackedStruct};
 
+/// Context-pack tag of the multi-hop context-relay envelope: the tag, a TTL
+/// byte and the 8-byte origin address precede the relayed context.
+pub const CONTEXT_RELAY_TAG: u8 = 0xE7;
+
 /// Context-pack tag carrying a PRoPHET delivery-predictability summary
-/// between managers (sits alongside the `0xE7` context-relay envelope; both
-/// are intercepted before application delivery).
+/// between managers. Receivers intercept both manager tags before
+/// application delivery, so application contexts may not start with either.
 pub const PROPHET_SUMMARY_TAG: u8 = 0xE8;
 
 /// Forwarding strategy for relayed data frames.

@@ -4,10 +4,9 @@
 //! methods": `enable` (receiving the three queues and returning the
 //! technology type plus its low-level address) and `disable`. Our trait adds
 //! two driver hooks required by the event-driven substrate: `poll` (drain the
-//! send queue and make protocol progress) and `on_node_event` (react to radio
-//! events). Neither widens the contract conceptually — in the paper's
-//! threaded prototype both correspond to the technology's private thread
-//! loop.
+//! send queue) and `on_node_event` (react to radio events and timers).
+//! Neither widens the contract conceptually — in the paper's threaded
+//! prototype both correspond to the technology's private thread loop.
 
 use omni_obs::Obs;
 use omni_sim::{NodeApi, NodeEvent};
@@ -37,9 +36,10 @@ pub trait D2dTechnology {
     /// The technology type (stable across the object's lifetime).
     fn tech_type(&self) -> TechType;
 
-    /// Drains the send queue and advances internal protocol state. The
-    /// manager calls this after enqueueing requests and after delivering
-    /// events.
+    /// Drains the send queue. The manager calls this whenever the
+    /// technology's send queue holds requests, and only then; progress
+    /// driven by radio events and timers belongs in
+    /// [`on_node_event`](Self::on_node_event).
     fn poll(&mut self, api: &mut NodeApi<'_>);
 
     /// Offers a substrate event. Returns `true` when the event was consumed

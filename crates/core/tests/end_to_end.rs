@@ -233,6 +233,81 @@ fn remove_context_stops_advertisements() {
     assert!((2..=7).contains(&count), "heard {count} adverts, expected a short burst then stop");
 }
 
+/// Application contexts may not start with a manager-reserved tag. Every
+/// receiver would drop a `0xE8` pack as a PRoPHET summary, and deliver a
+/// `0xE7` pack as a relay envelope under the origin its bytes 2..10 name.
+/// Both tags are refused through the status callback, for `add_context` and
+/// `update_context`, and never reach the air.
+#[test]
+fn contexts_starting_with_reserved_tags_are_refused() {
+    // Tag, TTL, then eight bytes naming a spoofed origin.
+    const ENVELOPE: &[u8] = &[0xE7, 0, 0, 0, 0, 0, 0, 0, 0xAA, 0xAA, b'x'];
+    const SUMMARY: &[u8] = &[0xE8, 0];
+    let obs = Obs::new();
+    let mut sim = Runner::new(SimConfig::default());
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let omni_a = OmniBuilder::omni_address(&sim, a);
+    let log_a: Log = Rc::new(RefCell::new(AppLog::default()));
+    let record = move |log: &Log| -> omni_core::StatusCallback {
+        let log = log.clone();
+        Box::new(move |code, info, o| {
+            log.borrow_mut().statuses.push((o.now, code, info.to_string()));
+            // Try to turn the accepted context into a relay envelope.
+            if code == StatusCode::AddContextSuccess {
+                let id = info.context_id().expect("success carries the id");
+                let log = log.clone();
+                o.update_context(
+                    id,
+                    ContextParams::default(),
+                    Bytes::from_static(ENVELOPE),
+                    Box::new(move |code, info, o| {
+                        log.borrow_mut().statuses.push((o.now, code, info.to_string()));
+                    }),
+                );
+            }
+        })
+    };
+    let manager_a = OmniBuilder::new().with_ble().with_obs(&obs).build(&sim, a);
+    let la = log_a.clone();
+    let stack_a = OmniStack::new(manager_a, move |omni| {
+        for context in [SUMMARY, ENVELOPE, b"D:legit"] {
+            omni.add_context(ContextParams::default(), Bytes::from_static(context), record(&la));
+        }
+    });
+    let (stack_b, log_b) = listener_stack(&sim, b, OmniBuilder::new().with_ble(), b"");
+    sim.set_stack(a, Box::new(stack_a));
+    sim.set_stack(b, Box::new(stack_b));
+    sim.run_until(SimTime::from_secs(5));
+
+    let statuses: Vec<(StatusCode, String)> =
+        log_a.borrow().statuses.iter().map(|(_, code, info)| (*code, info.clone())).collect();
+    let refused = |code: StatusCode, tag: &str| {
+        statuses.iter().filter(|(c, info)| *c == code && info.contains(tag)).count()
+    };
+    assert_eq!(refused(StatusCode::AddContextFailure, "reserved tag 0xE8"), 1, "{statuses:?}");
+    assert_eq!(refused(StatusCode::AddContextFailure, "reserved tag 0xE7"), 1, "{statuses:?}");
+    assert_eq!(refused(StatusCode::UpdateContextFailure, "reserved tag 0xE7"), 1, "{statuses:?}");
+    assert_eq!(statuses.len(), 4, "one status per call: {statuses:?}");
+    // Refused adds allocate no id and register nothing: the only context
+    // operation a performed is the legitimate add, which got the first id.
+    let ops: Vec<u64> = obs
+        .events()
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ContextUpdated { id } => Some(id),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ops, [1], "context operations performed");
+    // b hears the legitimate context, unchanged and from a, and nothing else.
+    let heard = &log_b.borrow().contexts;
+    assert!(!heard.is_empty(), "b never heard a's context");
+    for (_, src, context) in heard {
+        assert_eq!((*src, context.as_slice()), (omni_a, b"D:legit".as_slice()));
+    }
+}
+
 /// Engagement: a WiFi-only peer is invisible on BLE; Omni detects its
 /// multicast beacons and engages the multicast technology, after which the
 /// BLE+WiFi device's context reaches the WiFi-only peer too.

@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# A/B comparison of one omnibench workload: a base revision against the
+# working tree. Run from anywhere in the repo:
+#
+#   scripts/omnibench_ab.sh <base-rev> <workload> <seed> [pairs]
+#
+# Exports <base-rev> into target/ab/<sha>/ (removed on exit) and builds
+# omnibench there and in the working tree, each into its own
+# CARGO_TARGET_DIR under target/ab/. Then runs <pairs> (default 10)
+# alternating pairs of BENCHMARK.json's command for its run_seconds,
+# flipping which side runs first every pair. For every end-to-end metric it
+# prints each side's median and quartiles, the change/base ratio of the
+# medians, how many pairs each side won (ties count for neither) and whether
+# the medians differ by more than the base's interquartile range. It also
+# checks that both sides agree on the simulated metrics and operation
+# counts. Per-run outputs stay in target/ab/runs/.
+#
+# A run takes about half a minute, so this is not part of scripts/ci.sh.
+
+set -euo pipefail
+cd "$(git rev-parse --show-toplevel)"
+
+if [[ $# -lt 3 || $# -gt 4 ]]; then
+  echo "usage: $0 <base-rev> <workload> <seed> [pairs]" >&2
+  exit 2
+fi
+base_rev=$1
+workload=$2
+seed=$3
+pairs=${4:-10}
+root=$PWD
+sha=$(git rev-parse --verify "$base_rev^{commit}")
+ab="$root/target/ab"
+base_dir="$ab/$sha"
+runs="$ab/runs"
+
+rm -rf "$base_dir" "$runs"
+mkdir -p "$base_dir" "$runs"
+trap 'rm -rf "$base_dir"' EXIT
+git archive "$sha" | tar -x -C "$base_dir"
+
+# BENCHMARK.json's command and run length, as the working tree states them.
+mapfile -t cmd < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+
+# side -> checkout and target directory. The base target directory is keyed
+# by commit, so a cached build is never reused for another revision.
+declare -A dir=([base]="$base_dir" [change]="$root")
+declare -A target=([base]="$ab/$sha.target" [change]="$ab/worktree.target")
+
+for side in base change; do
+  echo "== building omnibench ($side) =="
+  (cd "${dir[$side]}" && CARGO_TARGET_DIR="${target[$side]}" \
+    cargo build --quiet --release --offline --locked --manifest-path omnibench/Cargo.toml)
+done
+
+run() { # <side> <pair>
+  local side=$1 out="$runs/$1.$2"
+  rm -f "${dir[$side]}/target/omnibench/results.json"
+  if ! (cd "${dir[$side]}" && CARGO_TARGET_DIR="${target[$side]}" \
+    "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds") >"$out.txt" 2>"$out.err"; then
+    echo "   $side: exited non-zero (see $out.err)"
+  fi
+  cp "${dir[$side]}/target/omnibench/results.json" "$out.json"
+}
+
+for ((i = 0; i < pairs; i++)); do
+  if ((i % 2 == 0)); then order=(base change); else order=(change base); fi
+  echo "== pair $((i + 1))/$pairs: ${order[0]} first =="
+  for side in "${order[@]}"; do
+    run "$side" "$i"
+  done
+done
+
+python3 - "$runs" "$pairs" "$workload" "$seed" "$seconds" "$base_rev" "$sha" <<'EOF'
+import json
+import statistics
+import sys
+
+runs, pairs, workload, seed, seconds, rev, sha = sys.argv[1:]
+pairs = int(pairs)
+bench = json.load(open("BENCHMARK.json"))
+
+
+def load(side, i):
+    return json.load(open(f"{runs}/{side}.{i}.json"))["workloads"][0]
+
+
+res = {s: [load(s, i) for i in range(pairs)] for s in ("base", "change")}
+print(f"\nomnibench A/B: {workload}, seed {seed}, {pairs} pairs of {seconds} s runs")
+print(f"base = {rev} ({sha[:10]}), change = working tree\n")
+header = ("metric", "unit", "base median [q1, q3]", "change median [q1, q3]",
+          "change/base", "won base:change", "gap > base IQR")
+rows = [header]
+for m in bench["end_to_end"]:
+    name, higher = m["name"], m["better"] == "higher"
+    vals = {s: [r["metrics"][name]["value"] for r in res[s]] for s in res}
+    quart = {s: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+             for s, v in vals.items()}
+    wins = {"base": 0, "change": 0}
+    for b, c in zip(vals["base"], vals["change"]):
+        if b != c:
+            wins["change" if (c > b) == higher else "base"] += 1
+    bq, cq = quart["base"], quart["change"]
+    ratio = cq[1] / bq[1] if bq[1] else float("nan")
+    rows.append((name, m["unit"], f"{bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}]",
+                 f"{cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]", f"{ratio:.3f}",
+                 f"{wins['base']}:{wins['change']}",
+                 "yes" if abs(cq[1] - bq[1]) > bq[2] - bq[0] else "no"))
+widths = [max(len(r[k]) for r in rows) for k in range(len(header))]
+for r in rows:
+    print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+
+
+def outcome(r):
+    return (r["correct"], r["attempted"], r["failed"], r["simulated"])
+
+
+ref = outcome(res["base"][0])
+differ = [f"{s}.{i}" for s in res for i, r in enumerate(res[s]) if outcome(r) != ref]
+print("\nsimulated metrics and correct/attempted/failed:",
+      "identical in every run" if not differ else "DIFFER in " + ", ".join(differ))
+print("runs passing omnibench's correctness checks:",
+      ", ".join(f"{s} {sum(r['correct'] for r in res[s])} of {pairs}" for s in res))
+EOF
