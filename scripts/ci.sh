@@ -20,7 +20,7 @@ echo "== cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test =="
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 echo "== wire smoke (zero-copy allocation gate + codec microbenches) =="
 cargo run --release -p omni-bench --bin wire -- --smoke
