@@ -57,17 +57,23 @@ impl TechType {
     pub const fn supports_data(self) -> bool {
         true
     }
-}
 
-impl fmt::Display for TechType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The technology's name, as `Display` writes it. Metric labels and
+    /// event payloads take it as a `&'static str`, so recording never
+    /// allocates.
+    pub const fn label(self) -> &'static str {
+        match self {
             TechType::Nfc => "nfc",
             TechType::BleBeacon => "ble-beacon",
             TechType::WifiMulticast => "wifi-multicast",
             TechType::WifiTcp => "wifi-tcp",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TechType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
