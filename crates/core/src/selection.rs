@@ -6,7 +6,8 @@
 //! radio, the size of the data, and the time needed to form a connection."
 
 use omni_sim::{SimDuration, SimTime};
-use omni_wire::{OmniAddress, TechType, HEADER_LEN};
+use omni_wire::frame::DIRECTED_OVERHEAD;
+use omni_wire::TechType;
 
 use crate::config::LinkTimings;
 use crate::peers::PeerRecord;
@@ -28,18 +29,22 @@ pub struct Candidate {
 /// Enumerates delivery candidates for `size` bytes to the peer described by
 /// `record`, cheapest expected delivery time first.
 ///
+/// `size` drives the expected delivery times. `packed_len` is the encoded
+/// length of the packed struct the frame carries (header, trace, relay
+/// header and payload), which the BLE and NFC payload bounds check together
+/// with their framing;
 /// `enabled` lists the technologies this device currently has enabled;
 /// `ble_frame_overhead` is the directed-frame framing the BLE payload bound
-/// must absorb ([`DIRECTED_OVERHEAD`](omni_wire::frame::DIRECTED_OVERHEAD),
-/// or [`ACKED_OVERHEAD`](omni_wire::frame::ACKED_OVERHEAD) on the reliable
+/// must absorb ([`DIRECTED_OVERHEAD`], or
+/// [`ACKED_OVERHEAD`](omni_wire::frame::ACKED_OVERHEAD) on the reliable
 /// path);
 /// `has_session` reports whether a technology already holds an open session
 /// to the given address (sessions skip connection formation).
 #[allow(clippy::too_many_arguments)]
 pub fn candidates(
-    target: OmniAddress,
     record: &PeerRecord,
     size: u64,
+    packed_len: usize,
     enabled: &[TechType],
     timings: &LinkTimings,
     now: SimTime,
@@ -47,7 +52,6 @@ pub fn candidates(
     ble_frame_overhead: usize,
     mut has_session: impl FnMut(TechType, &LowAddr) -> bool,
 ) -> Vec<Candidate> {
-    let _ = target;
     let mut out = Vec::new();
     let on = |t: TechType| enabled.contains(&t);
     let fresh = |at: SimTime| now.saturating_since(at) <= ttl;
@@ -98,8 +102,7 @@ pub fn candidates(
     // directed frame adds its framing header on top of the packed struct.
     if on(TechType::BleBeacon) {
         if let Some((ble, at)) = record.ble {
-            let framed = size as usize + HEADER_LEN + ble_frame_overhead;
-            if fresh(at) && framed <= timings.ble_max_payload {
+            if fresh(at) && packed_len + ble_frame_overhead <= timings.ble_max_payload {
                 out.push(Candidate {
                     tech: TechType::BleBeacon,
                     dest: LowAddr::Ble(ble),
@@ -114,7 +117,7 @@ pub fn candidates(
     // it; failure falls through to the next candidate).
     if on(TechType::Nfc) {
         if let Some((nfc, at)) = record.nfc {
-            if fresh(at) && size as usize + HEADER_LEN + 9 <= timings.nfc_max_payload {
+            if fresh(at) && packed_len + DIRECTED_OVERHEAD <= timings.nfc_max_payload {
                 out.push(Candidate {
                     tech: TechType::Nfc,
                     dest: LowAddr::Nfc(nfc),
@@ -149,12 +152,17 @@ pub fn candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omni_wire::{BleAddress, MeshAddress};
+    use omni_wire::{BleAddress, MeshAddress, HEADER_LEN, TRACE_LEN};
 
     const TTL: SimDuration = SimDuration::from_secs(3);
 
     fn now() -> SimTime {
         SimTime::from_secs(10)
+    }
+
+    /// Encoded length of a traced packed struct carrying `size` bytes.
+    fn traced(size: u64) -> usize {
+        HEADER_LEN + TRACE_LEN + size as usize
     }
 
     fn record_with(mesh_direct: bool, mesh_mcast: bool, ble: bool) -> PeerRecord {
@@ -180,9 +188,9 @@ mod tests {
         // 30 B: TCP connect (6 ms) beats the BLE rendezvous (41 ms) — this is
         // Omni's Table 4 BLE/WiFi row.
         let c = candidates(
-            OmniAddress::from_u64(9),
             &record_with(true, false, true),
             30,
+            traced(30),
             &all(),
             &LinkTimings::default(),
             now(),
@@ -199,9 +207,9 @@ mod tests {
     #[test]
     fn ble_only_configuration_uses_ble() {
         let c = candidates(
-            OmniAddress::from_u64(9),
             &record_with(true, false, true),
             30,
+            traced(30),
             &[TechType::BleBeacon],
             &LinkTimings::default(),
             now(),
@@ -217,9 +225,9 @@ mod tests {
     #[test]
     fn bulk_data_never_offers_ble() {
         let c = candidates(
-            OmniAddress::from_u64(9),
             &record_with(true, false, true),
             25_000_000,
+            traced(25_000_000),
             &all(),
             &LinkTimings::default(),
             now(),
@@ -236,9 +244,9 @@ mod tests {
         // Peer known only via multicast: the TCP candidate must pay
         // scan + join + resolve — seconds, not milliseconds.
         let c = candidates(
-            OmniAddress::from_u64(9),
             &record_with(false, true, false),
             30,
+            traced(30),
             &[TechType::WifiTcp, TechType::WifiMulticast],
             &LinkTimings::default(),
             now(),
@@ -256,9 +264,9 @@ mod tests {
     #[test]
     fn open_sessions_skip_connection_formation() {
         let c = candidates(
-            OmniAddress::from_u64(9),
             &record_with(true, false, false),
             30,
+            traced(30),
             &[TechType::WifiTcp],
             &LinkTimings::default(),
             now(),
@@ -275,9 +283,9 @@ mod tests {
         // Everything last seen at t=10 s; ask at t=60 s.
         let late = SimTime::from_secs(60);
         let c = candidates(
-            OmniAddress::from_u64(9),
             &r,
             30,
+            traced(30),
             &all(),
             &LinkTimings::default(),
             late,
@@ -289,9 +297,9 @@ mod tests {
         // Refresh just the BLE sighting: BLE comes back.
         r.ble = Some((BleAddress([2; 6]), late));
         let c2 = candidates(
-            OmniAddress::from_u64(9),
             &r,
             30,
+            traced(30),
             &all(),
             &LinkTimings::default(),
             late,
@@ -307,9 +315,9 @@ mod tests {
     fn bulk_prefers_establish_tcp_over_multicast() {
         // 25 MB: establishing (≈2.8 s) + 3 s transfer ≪ 150 s of multicast.
         let c = candidates(
-            OmniAddress::from_u64(9),
             &record_with(false, true, false),
             25_000_000,
+            traced(25_000_000),
             &[TechType::WifiTcp, TechType::WifiMulticast],
             &LinkTimings::default(),
             now(),
@@ -319,5 +327,24 @@ mod tests {
         );
         assert_eq!(c[0].tech, TechType::WifiTcp);
         assert!(c[0].establish);
+    }
+
+    #[test]
+    fn payload_bounds_count_the_whole_packed_struct_and_its_framing() {
+        let timings = LinkTimings { nfc_max_payload: 64, ..LinkTimings::default() };
+        let mut r = record_with(false, false, true);
+        r.nfc = Some((omni_wire::NfcAddress([7; 4]), now()));
+        let offered = |packed_len: usize| -> Vec<TechType> {
+            candidates(&r, 1, packed_len, &all(), &timings, now(), TTL, 17, |_, _| false)
+                .into_iter()
+                .map(|c| c.tech)
+                .collect()
+        };
+        // BLE with acked framing (17 B) and NFC with directed framing
+        // (9 B), each against a 64 B limit.
+        assert_eq!(offered(47), [TechType::Nfc, TechType::BleBeacon]);
+        assert_eq!(offered(48), [TechType::Nfc]);
+        assert_eq!(offered(55), [TechType::Nfc]);
+        assert!(offered(56).is_empty());
     }
 }
