@@ -397,25 +397,25 @@ fn five_hundred_node_faulty_runs_are_bit_identical() {
     assert_eq!(e1, eb);
 }
 
-/// Differential oracle for the zero-copy wire refactor: a 500-node faulty
-/// fleet with the telemetry sampler, event ring, and flight recorder all
-/// attached, digested to a single FNV-1a value over every externalized
-/// artifact (sampler JSONL, recorder dump, ring events, receipt log, fault
-/// RNG draws). The constant below was captured from the owned-codec
-/// implementation *before* the zero-copy views landed; the refactored path
-/// must reproduce it bit for bit, proving the rewrite changed allocation
-/// behavior and nothing else.
+/// Pinned artifact digest of a 500-node faulty fleet. Its stacks are stub
+/// `Chatter`s that beacon and log what they hear; no `OmniManager` runs. So
+/// the digest covers the simulator (BLE medium, fault layer, telemetry
+/// sampler, event ring, flight recorder) and the runner's trace peeks into
+/// the frames it carries, and nothing of omni-core. It is FNV-1a over every
+/// externalized artifact (sampler JSONL, ring events, recorder dump, receipt
+/// log, fault RNG draws), so a mismatch means the simulator's observable
+/// behavior changed. The manager's own oracle is the transcript digest in
+/// `crates/core/tests/manager_transcript.rs`.
 ///
-/// Re-pinned twice since, both for intentional sampler JSONL format
-/// changes that shift the hashed bytes: the stream gained a
-/// self-describing header line and per-window digest objects (DESIGN.md
-/// §5j), and later the power-of-two histogram section (`"hist"`) was
-/// removed, `beacon.interval_us` moving into `"digests"` with the same
-/// per-window counts. Event ring, recorder dump, receipt log and fault
-/// draws were byte-identical across that second change. The wire path
-/// itself is still pinned by the differential and adversarial codec
-/// suites; this digest now guards the *current* artifact byte stream
-/// against silent drift from either layer.
+/// The constant was first captured before the zero-copy wire views landed,
+/// and reproduced after them. It was re-pinned twice since, both for
+/// intentional sampler JSONL format changes that shift the hashed bytes: the
+/// stream gained a self-describing header line and per-window digest objects
+/// (DESIGN.md §5j), and later the power-of-two histogram section (`"hist"`)
+/// was removed, `beacon.interval_us` moving into `"digests"` with the same
+/// per-window counts. Event ring, recorder dump, receipt log and fault draws
+/// were byte-identical across that second change. The wire codec is pinned
+/// by the differential and adversarial codec suites.
 #[test]
 fn five_hundred_node_faulty_artifacts_match_the_owned_codec_digest() {
     const PINNED_DIGEST: u64 = 0x5d53_d1ae_197e_0061;
@@ -503,7 +503,7 @@ fn five_hundred_node_faulty_artifacts_match_the_owned_codec_digest() {
     assert!(!heard.borrow().is_empty(), "the fleet actually exchanged beacons");
     assert_eq!(
         h, PINNED_DIGEST,
-        "500-node faulty-fleet artifacts diverged from the owned-codec oracle \
-         (got 0x{h:016x}) — the wire path changed observable behavior"
+        "500-node faulty-fleet artifacts diverged from the pinned digest \
+         (got 0x{h:016x}) — the simulator's observable behavior changed"
     );
 }
