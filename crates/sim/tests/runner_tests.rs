@@ -324,6 +324,63 @@ fn two_concurrent_flows_halve_throughput() {
     }
 }
 
+/// A flow reaches zero bytes up to a few µs before its boundary event. A
+/// send on another connection in that window must not swallow it: the
+/// medium's update then finds the flow complete, and it is still delivered.
+#[test]
+fn a_flow_completing_as_another_pair_sends_is_still_delivered() {
+    let mut sim = Runner::new(SimConfig::default());
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let c = sim.add_device(DeviceCaps::PI, Position::new(10.0, 0.0));
+    let d = sim.add_device(DeviceCaps::PI, Position::new(15.0, 0.0));
+    let (pa, alog) = Probe::new();
+    let pa = pa
+        .with_start(vec![Command::TcpConnect { token: 0, peer: sim.mesh_addr(b) }])
+        .with_reaction(|ev, api| {
+            if let NodeEvent::TcpConnectResult { result: Ok(conn), .. } = ev {
+                // Connected at 6 ms: 8.1 MB alone on the channel ends at
+                // exactly 1.006000 s, and its boundary is due 1 µs later.
+                for (payload, wire_len) in [(&b"first"[..], 8_099_940), (b"second", 100)] {
+                    api.push(Command::TcpSend {
+                        conn: *conn,
+                        payload: Bytes::from_static(payload),
+                        wire_len,
+                    });
+                }
+            }
+        });
+    let (pc, _) = Probe::new();
+    let mut cd = None;
+    let pc = pc
+        .with_start(vec![
+            Command::TcpConnect { token: 0, peer: sim.mesh_addr(d) },
+            Command::SetTimer { token: 1, delay: SimDuration::from_micros(1_006_000) },
+        ])
+        .with_reaction(move |ev, api| match ev {
+            NodeEvent::TcpConnectResult { result: Ok(conn), .. } => cd = Some(*conn),
+            NodeEvent::Timer { token: 1 } => api.push(Command::TcpSend {
+                conn: cd.expect("c is connected to d"),
+                payload: Bytes::from_static(b"late"),
+                wire_len: 10,
+            }),
+            _ => {}
+        });
+    let (pb, blog) = Probe::new();
+    let (pd, _) = Probe::new();
+    sim.set_stack(a, Box::new(pa));
+    sim.set_stack(b, Box::new(pb));
+    sim.set_stack(c, Box::new(pc));
+    sim.set_stack(d, Box::new(pd));
+    sim.run_until(SimTime::from_secs(3));
+    let blog = blog.borrow();
+    let got = |label: &str| blog.iter().any(|(_, l)| l == label);
+    assert!(got("msg:first"), "first message lost: {blog:?}");
+    assert!(got("msg:second"), "second message stuck behind the first: {blog:?}");
+    let sent = alog.borrow().iter().filter(|(_, l)| l.starts_with("sent:")).count();
+    assert_eq!(sent, 2, "the sender hears of both messages");
+}
+
 #[test]
 fn multicast_requires_join_and_stalls_unicast() {
     let (mut sim, a, b) = two_device_sim();
