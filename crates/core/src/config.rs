@@ -53,11 +53,13 @@ pub struct OmniConfig {
     /// each technology receives the handle via
     /// [`D2dTechnology::attach_obs`](crate::D2dTechnology::attach_obs).
     pub obs: Option<omni_obs::Obs>,
-    /// Optional bound on the three shared queues. When `Some(n)`, each queue
-    /// holds at most `n` items and evicts the oldest to admit a new one
-    /// (drops are counted, and surface as `queue.*.dropped` metrics plus
-    /// `QueueDropped` events when `obs` is set). `None` keeps the historical
-    /// unbounded behavior.
+    /// Optional bound on the receive queue and each technology's send
+    /// queue. When `Some(n)`, each holds at most `n` items and evicts the
+    /// oldest to admit a new one (drops are counted, and surface as
+    /// `queue.*.dropped` metrics plus `QueueDropped` events when `obs` is
+    /// set); an evicted send reports a failure to its caller. The response
+    /// queue is never bounded, so no status callback is lost. `None` keeps
+    /// the historical unbounded behavior.
     pub queue_capacity: Option<usize>,
     /// Reliable data path policy: ack deadlines, bounded retries with
     /// exponential backoff, and failover across the peer's technologies.

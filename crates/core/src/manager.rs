@@ -354,8 +354,13 @@ impl OmniManager {
     /// pluggable technologies.
     pub fn new(own: OmniAddress, cfg: OmniConfig, techs: Vec<Box<dyn D2dTechnology>>) -> Self {
         let node = own.as_u64() as u32;
-        fn mk_queue<T>(cfg: &OmniConfig, label: &'static str, node: u32) -> SharedQueue<T> {
-            let q = match cfg.queue_capacity {
+        fn mk_queue<T>(
+            cfg: &OmniConfig,
+            capacity: Option<usize>,
+            label: &'static str,
+            node: u32,
+        ) -> SharedQueue<T> {
+            let q = match capacity {
                 Some(n) => SharedQueue::bounded(n),
                 None => SharedQueue::new(),
             };
@@ -364,8 +369,10 @@ impl OmniManager {
                 None => q,
             }
         }
-        let receive = mk_queue(&cfg, "receive", node);
-        let response = mk_queue(&cfg, "response", node);
+        let receive = mk_queue(&cfg, cfg.queue_capacity, "receive", node);
+        // Never bounded: it carries the failures `surface_eviction` reports
+        // for evicted sends, and evicting one of those would lose it.
+        let response = mk_queue(&cfg, None, "response", node);
         let cfg_cipher = cfg.context_key.map(|key| ContextCipher::new(key, own.as_u64()));
         let beacon_interval = cfg.adaptive_beacon.map(|p| p.min).unwrap_or(cfg.beacon_interval);
         let techs = techs
@@ -375,7 +382,8 @@ impl OmniManager {
                     tech.attach_obs(obs);
                 }
                 let ty = tech.tech_type();
-                TechSlot { ty, tech, send: mk_queue(&cfg, send_queue_label(ty), node), addr: None }
+                let send = mk_queue(&cfg, cfg.queue_capacity, send_queue_label(ty), node);
+                TechSlot { ty, tech, send, addr: None }
             })
             .collect();
         let mgr_obs =

@@ -345,3 +345,42 @@ fn manager_transcript_matches_the_pinned_digest() {
     let digest = fnv1a(transcript.as_bytes());
     assert_eq!(digest, PINNED_DIGEST, "manager transcript digest {digest:#018x}");
 }
+
+/// With two-item queues, bursts evict sends, and the manager reports each
+/// eviction as a failure. Every context operation still calls back exactly
+/// once: the failures the evictions produce must not be evicted in turn.
+#[test]
+fn every_context_operation_calls_back_once_with_two_item_queues() {
+    let mut fleet = reliable();
+    fleet.omni.queue_capacity = Some(2);
+    let devices = fleet.devices.len();
+    let transcript = run(fleet);
+    assert!(transcript.contains("send queue overflow: oldest request evicted"));
+    for dev in 0..devices {
+        let statuses = |what: &str| {
+            let prefix = format!("dev{dev} {what} ");
+            transcript
+                .lines()
+                .filter_map(|l| l.strip_prefix("status ")?.split_once(' '))
+                .filter(|(_, rest)| rest.starts_with(&prefix))
+                .map(|(_, rest)| rest.to_owned())
+                .collect::<Vec<_>>()
+        };
+        let calls = |what: &str| statuses(what).len();
+        // The application updates its own context twice and removes it once
+        // if adding it returned the context's id.
+        let owns = usize::from(statuses("add-small").iter().any(|l| l.contains(" ContextId(")));
+        for (what, issued) in [
+            ("add-small", 1),
+            ("add-100", 1),
+            ("update-own", 2 * owns),
+            ("update-unknown", 1),
+            ("update-beacon", 1),
+            ("remove-own", owns),
+            ("remove-unknown", 1),
+            ("remove-beacon", 1),
+        ] {
+            assert_eq!(calls(what), issued, "dev{dev} {what}: status callbacks");
+        }
+    }
+}
