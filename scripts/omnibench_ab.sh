@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
-# A/B comparison of one omnibench workload: a base revision against the
+# A/B comparison of omnibench workloads: a base revision against the
 # working tree. Run from anywhere in the repo:
 #
-#   scripts/omnibench_ab.sh <base-rev> <workload> <seed> [pairs]
+#   scripts/omnibench_ab.sh <base-rev> <workloads> <seed> [pairs]
+#
+# <workloads> is one workload, a comma-separated list of them, or `all`
+# (every workload BENCHMARK.json names, in its order).
 #
 # Exports <base-rev> into target/ab/<sha>/ (removed on exit) and builds
-# omnibench there and in the working tree, each into its own
-# CARGO_TARGET_DIR under target/ab/. Then runs <pairs> (default 10)
-# alternating pairs of BENCHMARK.json's command for its run_seconds,
-# flipping which side runs first every pair. For every end-to-end metric it
-# prints each side's median and quartiles, the change/base ratio of the
-# medians, how many pairs each side won (ties count for neither) and whether
-# the medians differ by more than the base's interquartile range. It also
-# checks that both sides agree on the simulated metrics and operation
-# counts. Per-run outputs stay in target/ab/runs/.
+# omnibench there and in the working tree, once each, into its own
+# CARGO_TARGET_DIR under target/ab/. Then, workload by workload, runs
+# <pairs> (default 10) alternating pairs of BENCHMARK.json's command for its
+# run_seconds, flipping which side runs first every pair. After each
+# workload's pairs it prints one table: for every end-to-end metric, each
+# side's median and quartiles, the change/base ratio of the medians, how
+# many pairs each side won (ties count for neither) and whether the medians
+# differ by more than the base's interquartile range. Under the table one
+# line says whether both sides agree on the simulated metrics and operation
+# counts. Per-run outputs stay in target/ab/runs/<workload>/.
 #
 # A run takes about half a minute, so this is not part of scripts/ci.sh.
 
@@ -21,11 +25,10 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 if [[ $# -lt 3 || $# -gt 4 ]]; then
-  echo "usage: $0 <base-rev> <workload> <seed> [pairs]" >&2
+  echo "usage: $0 <base-rev> <workload[,workload...]|all> <seed> [pairs]" >&2
   exit 2
 fi
 base_rev=$1
-workload=$2
 seed=$3
 pairs=${4:-10}
 root=$PWD
@@ -34,14 +37,28 @@ ab="$root/target/ab"
 base_dir="$ab/$sha"
 runs="$ab/runs"
 
+# BENCHMARK.json's command, run length and workloads, as the working tree
+# states them.
+bench() { python3 -c "import json; b = json.load(open('BENCHMARK.json')); $1"; }
+mapfile -t cmd < <(bench 'print("\n".join(b["command"]))')
+seconds=$(bench 'print(b["run_seconds"])')
+mapfile -t known < <(bench 'print("\n".join(w["name"] for w in b["workloads"]))')
+if [[ $2 == all ]]; then
+  workloads=("${known[@]}")
+else
+  IFS=, read -ra workloads <<<"$2"
+fi
+for w in "${workloads[@]}"; do
+  if [[ ! " ${known[*]} " == *" $w "* ]]; then
+    echo "unknown workload '$w' (BENCHMARK.json has: ${known[*]})" >&2
+    exit 2
+  fi
+done
+
 rm -rf "$base_dir" "$runs"
 mkdir -p "$base_dir" "$runs"
 trap 'rm -rf "$base_dir"' EXIT
 git archive "$sha" | tar -x -C "$base_dir"
-
-# BENCHMARK.json's command and run length, as the working tree states them.
-mapfile -t cmd < <(python3 -c 'import json; print("\n".join(json.load(open("BENCHMARK.json"))["command"]))')
-seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
 # side -> checkout and target directory. The base target directory is keyed
 # by commit, so a cached build is never reused for another revision.
@@ -54,25 +71,18 @@ for side in base change; do
     cargo build --quiet --release --offline --locked --manifest-path omnibench/Cargo.toml)
 done
 
-run() { # <side> <pair>
-  local side=$1 out="$runs/$1.$2"
-  rm -f "${dir[$side]}/target/omnibench/results.json"
-  if ! (cd "${dir[$side]}" && CARGO_TARGET_DIR="${target[$side]}" \
-    "${cmd[@]}" --workload "$workload" --seed "$seed" --seconds "$seconds") >"$out.txt" 2>"$out.err"; then
-    echo "   $side: exited non-zero (see $out.err)"
+run() { # <workload> <side> <pair>
+  local out="$runs/$1/$2.$3"
+  rm -f "${dir[$2]}/target/omnibench/results.json"
+  if ! (cd "${dir[$2]}" && CARGO_TARGET_DIR="${target[$2]}" \
+    "${cmd[@]}" --workload "$1" --seed "$seed" --seconds "$seconds") >"$out.txt" 2>"$out.err"; then
+    echo "   $2: exited non-zero (see $out.err)"
   fi
-  cp "${dir[$side]}/target/omnibench/results.json" "$out.json"
+  cp "${dir[$2]}/target/omnibench/results.json" "$out.json"
 }
 
-for ((i = 0; i < pairs; i++)); do
-  if ((i % 2 == 0)); then order=(base change); else order=(change base); fi
-  echo "== pair $((i + 1))/$pairs: ${order[0]} first =="
-  for side in "${order[@]}"; do
-    run "$side" "$i"
-  done
-done
-
-python3 - "$runs" "$pairs" "$workload" "$seed" "$seconds" "$base_rev" "$sha" <<'EOF'
+report() { # <workload>
+  python3 - "$runs/$1" "$pairs" "$1" "$seed" "$seconds" "$base_rev" "$sha" <<'EOF'
 import json
 import statistics
 import sys
@@ -118,8 +128,21 @@ def outcome(r):
 
 ref = outcome(res["base"][0])
 differ = [f"{s}.{i}" for s in res for i, r in enumerate(res[s]) if outcome(r) != ref]
-print("\nsimulated metrics and correct/attempted/failed:",
+print(f"\n{workload}: simulated metrics and correct/attempted/failed:",
       "identical in every run" if not differ else "DIFFER in " + ", ".join(differ))
-print("runs passing omnibench's correctness checks:",
+print(f"{workload}: runs passing omnibench's correctness checks:",
       ", ".join(f"{s} {sum(r['correct'] for r in res[s])} of {pairs}" for s in res))
 EOF
+}
+
+for w in "${workloads[@]}"; do
+  mkdir -p "$runs/$w"
+  for ((i = 0; i < pairs; i++)); do
+    if ((i % 2 == 0)); then order=(base change); else order=(change base); fi
+    echo "== $w: pair $((i + 1))/$pairs: ${order[0]} first =="
+    for side in "${order[@]}"; do
+      run "$w" "$side" "$i"
+    done
+  done
+  report "$w"
+done
