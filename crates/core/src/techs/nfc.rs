@@ -19,8 +19,10 @@ use crate::tech::D2dTechnology;
 use crate::techs::{frame, pooled};
 
 const TOKEN_CONTEXT_BASE: u64 = 0x100;
-const TOKEN_DATA_BASE: u64 = 0x1_0000_0000;
-const TOKEN_RANGE: u64 = 1 << 16;
+/// Data-completion timers take the upper half of the technology's 2^16
+/// tokens; beyond it they would land in the next technology's range.
+const TOKEN_DATA_BASE: u64 = 1 << 15;
+const DATA_SLOTS: u64 = 1 << 15;
 
 #[derive(Debug, Clone)]
 struct NfcContext {
@@ -153,7 +155,7 @@ impl NfcTech {
                 }
                 api.push(Command::NfcSend { payload: framed });
                 self.next_data_slot += 1;
-                let slot = self.next_data_slot % TOKEN_RANGE;
+                let slot = self.next_data_slot % DATA_SLOTS;
                 self.data_inflight.insert(slot, req);
                 api.set_timer(self.token_base + TOKEN_DATA_BASE + slot, self.timings.nfc_touch);
             }
@@ -231,7 +233,7 @@ impl D2dTechnology for NfcTech {
                 let Some(offset) = token.checked_sub(self.token_base) else {
                     return false;
                 };
-                if (TOKEN_CONTEXT_BASE..TOKEN_CONTEXT_BASE + TOKEN_RANGE).contains(&offset) {
+                if (TOKEN_CONTEXT_BASE..TOKEN_DATA_BASE).contains(&offset) {
                     let slot = offset - TOKEN_CONTEXT_BASE;
                     if let Some(id) = self.slot_to_context.get(&slot).copied() {
                         if let Some(ctx) = self.contexts.get(&id).cloned() {
@@ -243,7 +245,7 @@ impl D2dTechnology for NfcTech {
                         }
                     }
                     true
-                } else if (TOKEN_DATA_BASE..TOKEN_DATA_BASE + TOKEN_RANGE).contains(&offset) {
+                } else if (TOKEN_DATA_BASE..TOKEN_DATA_BASE + DATA_SLOTS).contains(&offset) {
                     if let Some(req) = self.data_inflight.remove(&(offset - TOKEN_DATA_BASE)) {
                         if let SendOp::SendData { dest_omni, .. } = req.op {
                             self.respond(req.token, Ok(ResponseOk::DataSent { dest_omni }));
@@ -325,7 +327,13 @@ mod tests {
         });
         with_api(&mut cmds, |api| tech.poll(api));
         assert!(cmds.iter().any(|(_, c)| matches!(c, Command::NfcSend { .. })));
-        let token = (3u64 << 32) + TOKEN_DATA_BASE + 1;
+        let token = cmds
+            .iter()
+            .find_map(|(_, c)| match c {
+                Command::SetTimer { token, .. } => Some(*token),
+                _ => None,
+            })
+            .expect("the send armed its completion timer");
         with_api(&mut cmds, |api| {
             assert!(tech.on_node_event(&NodeEvent::Timer { token }, api));
         });

@@ -28,8 +28,10 @@ use crate::tech::D2dTechnology;
 
 const TOKEN_RESCAN: u64 = 0;
 const TOKEN_TICK: u64 = 1;
-const TOKEN_DATA_BASE: u64 = 0x1_0000_0000;
-const TOKEN_RANGE: u64 = 1 << 16;
+/// Data-completion timers take the upper half of the technology's 2^16
+/// tokens; beyond it they would land in the next technology's range.
+const TOKEN_DATA_BASE: u64 = 1 << 15;
+const DATA_SLOTS: u64 = 1 << 15;
 
 /// The multicast-over-WiFi-Mesh technology.
 #[derive(Debug)]
@@ -172,7 +174,7 @@ impl WifiMulticastTech {
                     + SimDuration::from_secs_f64(wire_len as f64 / self.timings.mcast_rate_bps);
                 self.send_frame(&ControlFrame::Packed(packed), wire_len, wire_len > 4096, api);
                 self.next_data_slot += 1;
-                let slot = self.next_data_slot % TOKEN_RANGE;
+                let slot = self.next_data_slot % DATA_SLOTS;
                 self.data_inflight.insert(slot, req);
                 api.set_timer(self.token_base + TOKEN_DATA_BASE + slot, airtime);
                 let _ = dest_omni;
@@ -327,7 +329,7 @@ impl D2dTechnology for WifiMulticastTech {
                 } else if offset == TOKEN_TICK {
                     self.tick(api);
                     true
-                } else if (TOKEN_DATA_BASE..TOKEN_DATA_BASE + TOKEN_RANGE).contains(&offset) {
+                } else if (TOKEN_DATA_BASE..TOKEN_DATA_BASE + DATA_SLOTS).contains(&offset) {
                     if let Some(req) = self.data_inflight.remove(&(offset - TOKEN_DATA_BASE)) {
                         if let SendOp::SendData { dest_omni, .. } = req.op {
                             self.respond(req.token, Ok(ResponseOk::DataSent { dest_omni }));

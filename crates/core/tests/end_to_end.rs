@@ -6,10 +6,13 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use omni_core::{ContextParams, OmniBuilder, OmniStack};
+use omni_core::{ContextParams, OmniBuilder, OmniConfig, OmniStack};
 use omni_obs::{EventKind, Obs};
-use omni_sim::{DeviceCaps, DeviceId, Position, Runner, SimConfig, SimTime};
-use omni_wire::{OmniAddress, StatusCode};
+use omni_sim::{
+    DeviceCaps, DeviceId, FaultConfig, FaultScope, LinkPartition, Position, Runner, SimConfig,
+    SimDuration, SimTime,
+};
+use omni_wire::{OmniAddress, StatusCode, TechType};
 
 #[derive(Debug, Default)]
 struct AppLog {
@@ -359,4 +362,67 @@ fn omni_runs_are_deterministic() {
         v
     };
     assert_eq!(run(), run());
+}
+
+/// The State-of-the-Art switches with data pinned to TCP, so a's send to b
+/// takes the establish path (scan, join, multicast resolve, connect). A
+/// WiFi-scoped partition from 12.4 s until `heal_ms` loses the resolve
+/// queries sent in that window. Returns a's status callbacks within 50 s.
+fn send_across_lost_resolves(heal_ms: u64) -> Vec<(SimTime, StatusCode, String)> {
+    let partition =
+        LinkPartition::new(0, 1, SimTime::from_millis(12_400), SimTime::from_millis(heal_ms))
+            .scoped(FaultScope::Wifi);
+    let faults = FaultConfig { partitions: vec![partition], ..Default::default() };
+    let mut sim = Runner::new(SimConfig { faults, ..Default::default() });
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let omni_b = OmniBuilder::omni_address(&sim, b);
+    let cfg = OmniConfig {
+        advertise_on_all_techs: true,
+        integrate_low_level_nd: false,
+        data_techs: Some(vec![TechType::WifiTcp]),
+        ..Default::default()
+    };
+    let builder = OmniBuilder::new().with_caps(DeviceCaps::PI).with_config(cfg);
+    let log_a: Log = Rc::new(RefCell::new(AppLog::default()));
+    let la = log_a.clone();
+    let stack_a = OmniStack::new(builder.build(&sim, a), move |omni| {
+        omni.request_timers(Box::new(move |_, o| {
+            let la = la.clone();
+            o.send_data(
+                vec![omni_b],
+                Bytes::from_static(b"thirty-bytes-over-the-establish"),
+                Box::new(move |code, info, o| {
+                    la.borrow_mut().statuses.push((o.now, code, info.to_string()));
+                }),
+            );
+        }));
+        omni.set_timer(1, SimDuration::from_secs(10));
+    });
+    let (stack_b, _) = listener_stack(&sim, b, builder, b"");
+    sim.set_stack(a, Box::new(stack_a));
+    sim.set_stack(b, Box::new(stack_b));
+    sim.run_until(SimTime::from_secs(50));
+    let statuses = std::mem::take(&mut log_a.borrow_mut().statuses);
+    statuses
+}
+
+/// TCP's resolve retry belongs to TCP: losing the first resolve query costs
+/// one retry, not the send.
+#[test]
+fn a_lost_resolve_query_is_retried() {
+    let statuses = send_across_lost_resolves(12_800);
+    assert_eq!(statuses.len(), 1, "one terminal callback: {statuses:?}");
+    assert_eq!(statuses[0].1, StatusCode::SendDataSuccess, "{statuses:?}");
+}
+
+/// With every resolve query lost, the establish path gives up after its
+/// retries and fails the send exactly once.
+#[test]
+fn resolution_that_never_answers_times_out() {
+    let statuses = send_across_lost_resolves(40_000);
+    assert_eq!(statuses.len(), 1, "one terminal callback: {statuses:?}");
+    let (_, code, info) = &statuses[0];
+    assert_eq!(*code, StatusCode::SendDataFailure, "{statuses:?}");
+    assert!(info.contains("address resolution timed out"), "{info}");
 }
