@@ -267,19 +267,15 @@ impl D2dTechnology for BleBeaconTech {
         // Gracefully fail anything still queued (paper §3.2: process
         // remaining requests and push the requisite responses).
         if let Some(queues) = self.queues.clone() {
-            for req in queues.send.drain() {
+            let mut held = queues.send.drain();
+            held.extend(self.inflight.drain(..).filter_map(|entry| match entry {
+                OneShot::Optimistic(req) => Some(req),
+                _ => None,
+            }));
+            held.extend(self.awaiting.drain().map(|(_, req)| req));
+            held.sort_by_key(|req| req.token);
+            for req in held {
                 self.fail(req.token, "technology disabled", req);
-            }
-            while let Some(entry) = self.inflight.pop_front() {
-                if let OneShot::Optimistic(req) = entry {
-                    self.fail(req.token, "technology disabled", req);
-                }
-            }
-            let waiting: Vec<u64> = self.awaiting.keys().copied().collect();
-            for corr in waiting {
-                if let Some(req) = self.awaiting.remove(&corr) {
-                    self.fail(req.token, "technology disabled", req);
-                }
             }
             self.respond(TechResponse::StatusChanged {
                 tech: TechType::BleBeacon,
@@ -332,6 +328,7 @@ impl D2dTechnology for BleBeaconTech {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::techs::testing::disabled_tokens;
     use omni_sim::{DeviceId, SimDuration, SimTime};
     use omni_wire::PackedStruct;
 
@@ -527,6 +524,48 @@ mod tests {
             frame::Incoming::Ack { corr: 42, trace: None },
             "ack is addressed to the data frame's source"
         );
+    }
+
+    fn acked_send(token: u64) -> SendRequest {
+        SendRequest {
+            token,
+            op: SendOp::SendData {
+                dest: LowAddr::Ble(BleAddress([9; 6])),
+                dest_omni: OmniAddress::from_u64(0x99),
+                wire_len: 1,
+                establish: false,
+            },
+            packed: Some(PackedStruct::data(OmniAddress::from_u64(1), Bytes::from_static(b"x"))),
+        }
+    }
+
+    #[test]
+    fn disable_fails_queued_and_awaiting_sends_in_token_order() {
+        let (tech, queues) = mk();
+        let mut tech = tech.with_link_acks(true);
+        let (mut cmds,) = api_harness();
+        with_api(&mut cmds, |api| {
+            tech.enable(queues.clone(), 0, api);
+        });
+        for token in [7, 2, 9, 4, 8, 3] {
+            queues.send.push(acked_send(token));
+        }
+        with_api(&mut cmds, |api| tech.poll(api));
+        for token in [5, 1] {
+            queues.send.push(acked_send(token));
+        }
+        with_api(&mut cmds, |api| tech.disable(api));
+        assert_eq!(disabled_tokens(queues.response.drain()), [1, 2, 3, 4, 5, 7, 8, 9]);
+        // A late ack and a new request find the technology gone.
+        let ack = frame::encode_ack(OmniAddress::from_u64(1), 7, None);
+        let ev = NodeEvent::BleOneShot { from: BleAddress([9; 6]), payload: ack };
+        with_api(&mut cmds, |api| {
+            assert!(!tech.on_node_event(&ev, api));
+            assert!(!tech.on_node_event(&NodeEvent::BleOneShotSent, api));
+        });
+        queues.send.push(acked_send(6));
+        with_api(&mut cmds, |api| tech.poll(api));
+        assert!(queues.response.is_empty());
     }
 
     #[test]

@@ -23,3 +23,27 @@ pub(crate) fn pooled(
     write(scratch);
     bytes::Bytes::copy_from_slice(scratch)
 }
+
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::queues::TechResponse;
+
+    /// The tokens `disable` failed, in order, after checking that each
+    /// failure says so and that exactly one `StatusChanged { available:
+    /// false }` ends the responses.
+    pub(crate) fn disabled_tokens(responses: Vec<TechResponse>) -> Vec<u64> {
+        let (last, failures) = responses.split_last().expect("responses");
+        assert!(matches!(last, TechResponse::StatusChanged { available: false, .. }), "{last:?}");
+        failures
+            .iter()
+            .map(|r| match r {
+                TechResponse::Outcome { token, result: Err(f), .. } => {
+                    assert_eq!(f.description, "technology disabled");
+                    assert_eq!(f.original.token, *token);
+                    *token
+                }
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+}

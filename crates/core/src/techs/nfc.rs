@@ -183,12 +183,13 @@ impl D2dTechnology for NfcTech {
     fn disable(&mut self, api: &mut NodeApi<'_>) {
         self.enabled = false;
         if let Some(queues) = self.queues.clone() {
-            for req in queues.send.drain() {
-                self.fail("technology disabled", req);
-            }
-            let inflight: Vec<_> = self.data_inflight.drain().collect();
-            for (slot, req) in inflight {
+            let mut held = queues.send.drain();
+            for (slot, req) in std::mem::take(&mut self.data_inflight) {
                 api.cancel_timer(self.token_base + TOKEN_DATA_BASE + slot);
+                held.push(req);
+            }
+            held.sort_by_key(|req| req.token);
+            for req in held {
                 self.fail("technology disabled", req);
             }
             queues
@@ -264,6 +265,7 @@ impl D2dTechnology for NfcTech {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::techs::testing::disabled_tokens;
     use bytes::Bytes;
     use omni_sim::{DeviceId, SimTime};
     use omni_wire::PackedStruct;
@@ -345,6 +347,57 @@ mod tests {
             }) => {}
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn touch_send(token: u64) -> SendRequest {
+        SendRequest {
+            token,
+            op: SendOp::SendData {
+                dest: LowAddr::Nfc(NfcAddress::from_u32(9)),
+                dest_omni: OmniAddress::from_u64(9),
+                wire_len: 10,
+                establish: false,
+            },
+            packed: Some(PackedStruct::data(OmniAddress::from_u64(1), Bytes::from_static(b"d"))),
+        }
+    }
+
+    #[test]
+    fn disable_fails_queued_and_touching_sends_in_token_order() {
+        let (mut tech, queues) = mk();
+        let mut cmds = Vec::new();
+        with_api(&mut cmds, |api| {
+            tech.enable(queues.clone(), 3 << 32, api);
+        });
+        for token in [7, 2, 9, 4, 8, 3] {
+            queues.send.push(touch_send(token));
+        }
+        with_api(&mut cmds, |api| tech.poll(api));
+        let timers: Vec<u64> = cmds
+            .iter()
+            .filter_map(|(_, c)| match c {
+                Command::SetTimer { token, .. } => Some(*token),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(timers.len(), 6);
+        for token in [5, 1] {
+            queues.send.push(touch_send(token));
+        }
+        with_api(&mut cmds, |api| tech.disable(api));
+        assert_eq!(disabled_tokens(queues.response.drain()), [1, 2, 3, 4, 5, 7, 8, 9]);
+        // The touch timers were cancelled, and firing one now does nothing.
+        for &token in &timers {
+            assert!(cmds
+                .iter()
+                .any(|(_, c)| matches!(c, Command::CancelTimer { token: t } if *t == token)));
+        }
+        with_api(&mut cmds, |api| {
+            assert!(!tech.on_node_event(&NodeEvent::Timer { token: timers[0] }, api));
+        });
+        queues.send.push(touch_send(6));
+        with_api(&mut cmds, |api| tech.poll(api));
+        assert!(queues.response.is_empty());
     }
 
     #[test]

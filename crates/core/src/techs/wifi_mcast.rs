@@ -267,12 +267,13 @@ impl D2dTechnology for WifiMulticastTech {
     fn disable(&mut self, api: &mut NodeApi<'_>) {
         self.enabled = false;
         if let Some(queues) = self.queues.clone() {
-            for req in queues.send.drain() {
-                self.fail(req.token, "technology disabled", req);
-            }
-            let inflight: Vec<_> = self.data_inflight.drain().collect();
-            for (slot, req) in inflight {
+            let mut held = queues.send.drain();
+            for (slot, req) in std::mem::take(&mut self.data_inflight) {
                 api.cancel_timer(self.token_base + TOKEN_DATA_BASE + slot);
+                held.push(req);
+            }
+            held.sort_by_key(|req| req.token);
+            for req in held {
                 self.fail(req.token, "technology disabled", req);
             }
             queues.response.push(TechResponse::StatusChanged {
@@ -348,6 +349,7 @@ impl D2dTechnology for WifiMulticastTech {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::techs::testing::disabled_tokens;
     use bytes::Bytes;
     use omni_sim::{DeviceId, SimTime};
 
@@ -535,6 +537,55 @@ mod tests {
             tech.on_node_event(&ev, api);
         });
         assert!(queues.receive.is_empty());
+    }
+
+    fn mcast_send(token: u64) -> SendRequest {
+        SendRequest {
+            token,
+            op: SendOp::SendData {
+                dest: LowAddr::Mesh(MeshAddress::from_u64(0xB2)),
+                dest_omni: OmniAddress::from_u64(9),
+                wire_len: 30,
+                establish: false,
+            },
+            packed: Some(PackedStruct::data(OmniAddress::from_u64(1), Bytes::from_static(b"x"))),
+        }
+    }
+
+    #[test]
+    fn disable_fails_queued_and_airborne_sends_in_token_order() {
+        let (mut tech, queues) = mk();
+        let mut cmds = Vec::new();
+        enable_and_join(&mut tech, &queues, &mut cmds);
+        for token in [7, 2, 9, 4, 8, 3] {
+            queues.send.push(mcast_send(token));
+        }
+        with_api(&mut cmds, |api| tech.poll(api));
+        let timers: Vec<u64> = cmds
+            .iter()
+            .filter_map(|(_, c)| match c {
+                Command::SetTimer { token, .. } => Some(*token),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(timers.len(), 6);
+        for token in [5, 1] {
+            queues.send.push(mcast_send(token));
+        }
+        with_api(&mut cmds, |api| tech.disable(api));
+        assert_eq!(disabled_tokens(queues.response.drain()), [1, 2, 3, 4, 5, 7, 8, 9]);
+        // The airtime timers were cancelled, and firing one now does nothing.
+        for &token in &timers {
+            assert!(cmds
+                .iter()
+                .any(|(_, c)| matches!(c, Command::CancelTimer { token: t } if *t == token)));
+        }
+        with_api(&mut cmds, |api| {
+            assert!(!tech.on_node_event(&NodeEvent::Timer { token: timers[0] }, api));
+        });
+        queues.send.push(mcast_send(6));
+        with_api(&mut cmds, |api| tech.poll(api));
+        assert!(queues.response.is_empty());
     }
 
     #[test]

@@ -285,26 +285,19 @@ impl D2dTechnology for WifiTcpTech {
     fn disable(&mut self, api: &mut NodeApi<'_>) {
         self.enabled = false;
         if let Some(queues) = self.queues.clone() {
-            for req in queues.send.drain() {
-                self.fail("technology disabled", req);
-            }
-            let peers: Vec<MeshAddress> = self.peers.keys().copied().collect();
-            for mesh in peers {
-                if let Some(mut peer) = self.peers.remove(&mesh) {
-                    if let Some(conn) = peer.conn {
-                        api.push(Command::TcpClose { conn });
-                    }
-                    for req in peer.inflight.drain(..).chain(peer.sendq.drain(..)) {
-                        self.fail("technology disabled", req);
-                    }
+            let mut held = queues.send.drain();
+            let mut peers: Vec<_> = self.peers.drain().collect();
+            peers.sort_unstable_by_key(|&(mesh, _)| mesh);
+            for (_, peer) in peers {
+                if let Some(conn) = peer.conn {
+                    api.push(Command::TcpClose { conn });
                 }
+                held.extend(peer.inflight.into_iter().chain(peer.sendq));
             }
-            if let Some(est) = self.establish.take() {
-                for req in est.reqs {
-                    self.fail("technology disabled", req);
-                }
-            }
-            for req in std::mem::take(&mut self.establish_queue) {
+            held.extend(self.establish.take().into_iter().flat_map(|est| est.reqs));
+            held.extend(std::mem::take(&mut self.establish_queue));
+            held.sort_by_key(|req| req.token);
+            for req in held {
                 self.fail("technology disabled", req);
             }
             queues
@@ -445,6 +438,7 @@ impl D2dTechnology for WifiTcpTech {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::techs::testing::disabled_tokens;
     use bytes::Bytes;
     use omni_sim::{DeviceId, SimTime, TcpError};
 
@@ -471,11 +465,15 @@ mod tests {
     }
 
     fn data_req(token: u64, establish: bool) -> SendRequest {
+        data_to(token, 0xB2, 9, establish)
+    }
+
+    fn data_to(token: u64, mesh: u64, omni: u64, establish: bool) -> SendRequest {
         SendRequest {
             token,
             op: SendOp::SendData {
-                dest: LowAddr::Mesh(MeshAddress::from_u64(0xB2)),
-                dest_omni: OmniAddress::from_u64(9),
+                dest: LowAddr::Mesh(MeshAddress::from_u64(mesh)),
+                dest_omni: OmniAddress::from_u64(omni),
                 wire_len: 30,
                 establish,
             },
@@ -675,6 +673,55 @@ mod tests {
         assert_eq!(item.tech, TechType::WifiTcp);
         assert_eq!(item.source, LowAddr::Mesh(MeshAddress::from_u64(0xB2)));
         assert_eq!(item.packed, packed);
+    }
+
+    #[test]
+    fn disable_fails_every_held_request_in_token_order() {
+        let (mut tech, queues) = mk();
+        let mut cmds = Vec::new();
+        with_api(&mut cmds, |api| {
+            tech.enable(queues.clone(), 2 << 32, api);
+            for (conn, mesh) in [(5, 0xB5), (6, 0xB9), (7, 0xB2)] {
+                let from = MeshAddress::from_u64(mesh);
+                tech.on_node_event(&NodeEvent::TcpIncoming { conn: ConnId(conn), from }, api);
+            }
+        });
+        // On the wire to three connected peers, waiting for a connect to a
+        // fourth, establishing a route to one destination and queued behind
+        // it for another.
+        for req in [
+            data_to(7, 0xB5, 9, false),
+            data_to(2, 0xB9, 9, false),
+            data_to(9, 0xB2, 9, false),
+            data_to(4, 0xB1, 9, false),
+            data_to(6, 0xB3, 10, true),
+            data_to(3, 0xB4, 11, true),
+            data_to(8, 0xB3, 10, true),
+        ] {
+            queues.send.push(req);
+        }
+        with_api(&mut cmds, |api| tech.poll(api));
+        for token in [5, 1] {
+            queues.send.push(data_req(token, false));
+        }
+        cmds.clear();
+        with_api(&mut cmds, |api| tech.disable(api));
+        assert_eq!(disabled_tokens(queues.response.drain()), [1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        // Connections close in mesh-address order.
+        let closed: Vec<ConnId> = cmds
+            .iter()
+            .filter_map(|(_, c)| match c {
+                Command::TcpClose { conn } => Some(*conn),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(closed, [ConnId(7), ConnId(5), ConnId(6)]);
+        with_api(&mut cmds, |api| {
+            assert!(!tech.on_node_event(&NodeEvent::TcpSendComplete { conn: ConnId(5) }, api));
+        });
+        queues.send.push(data_req(10, false));
+        with_api(&mut cmds, |api| tech.poll(api));
+        assert!(queues.response.is_empty());
     }
 
     #[test]
