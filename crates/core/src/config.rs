@@ -50,8 +50,8 @@ pub struct OmniConfig {
     /// Observability handle. When set, the manager exports peer-map /
     /// context gauges, engagement and data counters, and structured events;
     /// the three shared queues are instrumented (depth, wait, drops); and
-    /// each technology receives the handle via
-    /// [`D2dTechnology::attach_obs`](crate::D2dTechnology::attach_obs).
+    /// each technology's failures count into `tech.<label>.failures`
+    /// through its port ([`TechQueues::fail`](crate::TechQueues::fail)).
     pub obs: Option<omni_obs::Obs>,
     /// Optional bound on the receive queue and each technology's send
     /// queue. When `Some(n)`, each holds at most `n` items and evicts the

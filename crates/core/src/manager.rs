@@ -377,10 +377,7 @@ impl OmniManager {
         let beacon_interval = cfg.adaptive_beacon.map(|p| p.min).unwrap_or(cfg.beacon_interval);
         let techs = techs
             .into_iter()
-            .map(|mut tech| {
-                if let Some(obs) = &cfg.obs {
-                    tech.attach_obs(obs);
-                }
+            .map(|tech| {
                 let ty = tech.tech_type();
                 let send = mk_queue(&cfg, cfg.queue_capacity, send_queue_label(ty), node);
                 TechSlot { ty, tech, send, addr: None }
@@ -476,13 +473,15 @@ impl OmniManager {
         }
         self.started = true;
         for (i, slot) in self.techs.iter_mut().enumerate() {
-            let queues = TechQueues {
-                receive: self.receive.clone(),
-                response: self.response.clone(),
-                send: slot.send.clone(),
-            };
-            let token_base = ((i + 1) as u64) << 32;
-            let (ty, addr) = slot.tech.enable(queues, token_base, api);
+            let queues = TechQueues::new(
+                slot.ty,
+                ((i + 1) as u64) << 32,
+                self.receive.clone(),
+                self.response.clone(),
+                slot.send.clone(),
+                self.cfg.obs.as_ref(),
+            );
+            let (ty, addr) = slot.tech.enable(queues, api);
             debug_assert_eq!(ty, slot.ty);
             slot.addr = Some(addr);
         }
@@ -1430,9 +1429,9 @@ impl OmniManager {
             .collect();
         let record = self.peers.get(dest)?;
         let ble_frame_overhead = if self.cfg.retry.enabled() {
-            crate::techs::frame::ACKED_OVERHEAD
+            omni_wire::frame::ACKED_OVERHEAD
         } else {
-            crate::techs::frame::DIRECTED_OVERHEAD
+            omni_wire::frame::DIRECTED_OVERHEAD
         };
         let techs = &self.techs;
         Some(selection::candidates(
@@ -2022,12 +2021,7 @@ mod tests {
     }
 
     impl D2dTechnology for CountingTech {
-        fn enable(
-            &mut self,
-            queues: TechQueues,
-            _token_base: u64,
-            _api: &mut NodeApi<'_>,
-        ) -> (TechType, LowAddr) {
+        fn enable(&mut self, queues: TechQueues, _api: &mut NodeApi<'_>) -> (TechType, LowAddr) {
             self.queues = Some(queues);
             (self.ty, self.addr)
         }
@@ -2044,14 +2038,7 @@ mod tests {
             while let Some(req) = queues.send.pop() {
                 self.drained.borrow_mut().push((self.ty, req.op.clone()));
                 if self.fail_data && matches!(req.op, SendOp::SendData { .. }) {
-                    queues.response.push(TechResponse::Outcome {
-                        tech: self.ty,
-                        token: req.token,
-                        result: Err(TechFailure {
-                            description: format!("{} refused", self.ty),
-                            original: req,
-                        }),
-                    });
+                    queues.fail(format!("{} refused", self.ty), req);
                 }
             }
         }

@@ -29,7 +29,7 @@ use omni_obs::{Counter, Digest, EventKind, Gauge, Obs};
 use omni_wire::{BleAddress, MeshAddress, NfcAddress, OmniAddress, PackedStruct, TechType};
 use parking_lot::Mutex;
 
-use omni_sim::SimDuration;
+use omni_sim::{NodeApi, NodeEvent, SimDuration};
 
 /// A technology-specific low-level address.
 ///
@@ -367,7 +367,14 @@ pub enum TechResponse {
     },
 }
 
-/// The bundle of queues handed to a technology at `enable`.
+/// How many timer tokens each technology owns, starting at its token base.
+pub(crate) const TECH_TOKENS: u64 = 1 << 16;
+
+/// A technology's port, handed to it at `enable`: the paper's three queues,
+/// plus the technology's type, its `tech.<label>.failures` counter and its
+/// timer-token base. Its methods build every item a technology puts on the
+/// queues and confine its timers to its own 2^16 tokens, so a technology
+/// writes only its radio logic (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct TechQueues {
     /// Shared across all technologies: received transmissions.
@@ -376,6 +383,93 @@ pub struct TechQueues {
     pub response: SharedQueue<TechResponse>,
     /// Unique to this technology: transmission requests.
     pub send: SharedQueue<SendRequest>,
+    tech: TechType,
+    token_base: u64,
+    failures: Option<Counter>,
+}
+
+impl TechQueues {
+    /// The port of technology `tech`, whose timers use the tokens
+    /// `token_base..token_base + 2^16`. With `obs`, failures count into
+    /// `tech.<label>.failures`.
+    pub fn new(
+        tech: TechType,
+        token_base: u64,
+        receive: SharedQueue<ReceivedItem>,
+        response: SharedQueue<TechResponse>,
+        send: SharedQueue<SendRequest>,
+        obs: Option<&Obs>,
+    ) -> Self {
+        let failures = obs.map(|o| o.counter(&format!("tech.{}.failures", tech.label())));
+        TechQueues { receive, response, send, tech, token_base, failures }
+    }
+
+    /// Hands a transmission received from `source` to the manager.
+    pub fn deliver(&self, source: LowAddr, packed: PackedStruct) {
+        self.receive.push(ReceivedItem { tech: self.tech, source, packed });
+    }
+
+    /// Reports `req` done, with the outcome its operation names. A relayed
+    /// context is fire-and-forget and gets no response.
+    pub fn succeed(&self, req: &SendRequest) {
+        let ok = match req.op {
+            SendOp::AddContext { context_id, .. } => ResponseOk::ContextAdded { context_id },
+            SendOp::UpdateContext { context_id, .. } => ResponseOk::ContextUpdated { context_id },
+            SendOp::RemoveContext { context_id } => ResponseOk::ContextRemoved { context_id },
+            SendOp::SendData { dest_omni, .. } => ResponseOk::DataSent { dest_omni },
+            SendOp::RelayContext => return,
+        };
+        self.response.push(TechResponse::Outcome {
+            tech: self.tech,
+            token: req.token,
+            result: Ok(ok),
+        });
+    }
+
+    /// Reports `req` failed because of `why`, handing the whole request back
+    /// for replay on another technology.
+    pub fn fail(&self, why: impl Into<String>, req: SendRequest) {
+        if let Some(c) = &self.failures {
+            c.inc();
+        }
+        let (tech, token) = (self.tech, req.token);
+        let failure = TechFailure { description: why.into(), original: req };
+        self.response.push(TechResponse::Outcome { tech, token, result: Err(failure) });
+    }
+
+    /// Ends the technology's session: fails the send queue's requests and
+    /// the `held` ones together, in token order, then reports the
+    /// technology unavailable.
+    pub fn shut_down(self, held: impl IntoIterator<Item = SendRequest>) {
+        let mut reqs = self.send.drain();
+        reqs.extend(held);
+        reqs.sort_by_key(|req| req.token);
+        for req in reqs {
+            self.fail("technology disabled", req);
+        }
+        self.response.push(TechResponse::StatusChanged { tech: self.tech, available: false });
+    }
+
+    /// Arms the technology's timer `offset` (below 2^16) to fire after
+    /// `delay`.
+    pub fn set_timer(&self, api: &mut NodeApi<'_>, offset: u64, delay: SimDuration) {
+        debug_assert!(
+            offset < TECH_TOKENS,
+            "timer offset {offset:#x} outside the technology's range"
+        );
+        api.set_timer(self.token_base + offset, delay);
+    }
+
+    /// Cancels the technology's timer `offset`.
+    pub fn cancel_timer(&self, api: &mut NodeApi<'_>, offset: u64) {
+        api.cancel_timer(self.token_base + offset);
+    }
+
+    /// The offset of `event` when it is one of this technology's timers.
+    pub fn timer_offset(&self, event: &NodeEvent) -> Option<u64> {
+        let NodeEvent::Timer { token } = event else { return None };
+        token.checked_sub(self.token_base).filter(|&offset| offset < TECH_TOKENS)
+    }
 }
 
 #[cfg(test)]
@@ -529,6 +623,48 @@ mod tests {
         assert!(LowAddr::Ble(BleAddress([1, 2, 3, 4, 5, 6])).to_string().contains(':'));
         assert!(LowAddr::Mesh(MeshAddress::from_u64(9)).to_string().starts_with("mesh:"));
         assert!(LowAddr::Nfc(NfcAddress::from_u32(9)).to_string().starts_with("nfc:"));
+    }
+
+    fn nfc_port(obs: Option<&Obs>) -> TechQueues {
+        let (receive, response, send) =
+            (SharedQueue::new(), SharedQueue::new(), SharedQueue::new());
+        TechQueues::new(TechType::Nfc, 3 << 32, receive, response, send, obs)
+    }
+
+    #[test]
+    fn a_port_recognises_only_its_own_timers() {
+        let port = nfc_port(None);
+        let timer = |token| NodeEvent::Timer { token };
+        assert_eq!(port.timer_offset(&timer(3 << 32)), Some(0));
+        assert_eq!(port.timer_offset(&timer((3 << 32) + TECH_TOKENS - 1)), Some(TECH_TOKENS - 1));
+        assert_eq!(port.timer_offset(&timer((3 << 32) + TECH_TOKENS)), None);
+        assert_eq!(port.timer_offset(&timer((3 << 32) - 1)), None);
+        assert_eq!(port.timer_offset(&NodeEvent::BleOneShotSent), None);
+    }
+
+    #[test]
+    fn a_port_builds_outcomes_from_the_request_and_counts_failures() {
+        let obs = Obs::new();
+        let port = nfc_port(Some(&obs));
+        let remove = |token| SendRequest {
+            token,
+            op: SendOp::RemoveContext { context_id: 4 },
+            packed: None,
+        };
+        port.succeed(&remove(1));
+        port.succeed(&SendRequest { token: 2, op: SendOp::RelayContext, packed: None });
+        port.fail("gone", remove(3));
+        match &port.response.drain()[..] {
+            [TechResponse::Outcome {
+                tech: TechType::Nfc,
+                token: 1,
+                result: Ok(ResponseOk::ContextRemoved { context_id: 4 }),
+            }, TechResponse::Outcome { token: 3, result: Err(f), .. }] => {
+                assert_eq!((f.description.as_str(), f.original.token), ("gone", 3));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(obs.counter("tech.nfc.failures").get(), 1);
     }
 
     #[test]

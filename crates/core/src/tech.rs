@@ -8,7 +8,6 @@
 //! Neither widens the contract conceptually — in the paper's threaded
 //! prototype both correspond to the technology's private thread loop.
 
-use omni_obs::Obs;
 use omni_sim::{NodeApi, NodeEvent};
 use omni_wire::TechType;
 
@@ -18,19 +17,16 @@ use crate::queues::{LowAddr, TechQueues};
 pub trait D2dTechnology {
     /// Activates the technology.
     ///
-    /// `queues` is the three-queue bundle shared with the manager;
-    /// `token_base` is the start of the timer-token range reserved for this
-    /// technology (it may use `token_base..token_base + 2^16`). Returns the
-    /// technology type and the low-level address where it is reachable.
-    fn enable(
-        &mut self,
-        queues: TechQueues,
-        token_base: u64,
-        api: &mut NodeApi<'_>,
-    ) -> (TechType, LowAddr);
+    /// `queues` is the technology's port: the three queues shared with the
+    /// manager, plus the methods that build every response and received
+    /// item and that arm and recognise the technology's timers within its
+    /// own 2^16 tokens. The technology holds it until
+    /// [`disable`](Self::disable). Returns the technology type and the
+    /// low-level address where it is reachable.
+    fn enable(&mut self, queues: TechQueues, api: &mut NodeApi<'_>) -> (TechType, LowAddr);
 
-    /// Deactivates the technology: it should process remaining send-queue
-    /// requests (failing them) and stop all radio activity.
+    /// Deactivates the technology: it fails the requests still queued or
+    /// held ([`TechQueues::shut_down`]) and stops all radio activity.
     fn disable(&mut self, api: &mut NodeApi<'_>);
 
     /// The technology type (stable across the object's lifetime).
@@ -52,12 +48,5 @@ pub trait D2dTechnology {
     fn has_session(&self, addr: &LowAddr) -> bool {
         let _ = addr;
         false
-    }
-
-    /// Offers an observability handle before `enable`. Technologies that
-    /// export metrics (request/failure counters) keep a clone; the default
-    /// implementation ignores it, so existing technologies need no changes.
-    fn attach_obs(&mut self, obs: &Obs) {
-        let _ = obs;
     }
 }

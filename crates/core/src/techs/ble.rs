@@ -11,13 +11,11 @@ use std::collections::{HashMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
 use omni_sim::{Command, NodeApi, NodeEvent};
-use omni_wire::{BleAddress, OmniAddress, TechType};
+use omni_wire::{frame, BleAddress, OmniAddress, TechType};
 
-use crate::queues::{
-    LowAddr, ReceivedItem, ResponseOk, SendOp, SendRequest, TechFailure, TechQueues, TechResponse,
-};
+use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
 use crate::tech::D2dTechnology;
-use crate::techs::{frame, pooled};
+use crate::techs::pooled;
 
 /// What a pending one-shot transmission is waiting for.
 #[derive(Debug)]
@@ -42,6 +40,7 @@ pub struct BleBeaconTech {
     /// Reliable mode: directed data frames request a link-layer ack and
     /// `DataSent` reports genuine delivery instead of transmit-complete.
     link_acks: bool,
+    /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
     /// context_id → advertising slot.
     slots: HashMap<u64, u32>,
@@ -51,9 +50,6 @@ pub struct BleBeaconTech {
     /// Acked data sends awaiting the addressee's ack, keyed by the
     /// correlation token (= the request token).
     awaiting: HashMap<u64, SendRequest>,
-    enabled: bool,
-    /// `tech.ble-beacon.failures` counter, when observability is attached.
-    failures: Option<omni_obs::Counter>,
     /// Reusable encode scratch: frames are written here first, so a
     /// steady-state send pays one shared-buffer allocation for the outgoing
     /// frame instead of one per framing layer (DESIGN.md §5i).
@@ -81,8 +77,6 @@ impl BleBeaconTech {
             next_slot: 0,
             inflight: VecDeque::new(),
             awaiting: HashMap::new(),
-            enabled: false,
-            failures: None,
             scratch: BytesMut::new(),
         }
     }
@@ -95,41 +89,19 @@ impl BleBeaconTech {
         self
     }
 
-    fn respond(&self, resp: TechResponse) {
-        self.queues.as_ref().expect("enabled").response.push(resp);
-    }
-
-    fn fail(&self, token: u64, description: impl Into<String>, original: SendRequest) {
-        if let Some(c) = &self.failures {
-            c.inc();
-        }
-        self.respond(TechResponse::Outcome {
-            tech: TechType::BleBeacon,
-            token,
-            result: Err(TechFailure { description: description.into(), original }),
-        });
-    }
-
-    fn ok(&self, token: u64, ok: ResponseOk) {
-        self.respond(TechResponse::Outcome { tech: TechType::BleBeacon, token, result: Ok(ok) });
-    }
-
     fn handle_request(&mut self, req: SendRequest, api: &mut NodeApi<'_>) {
-        match req.op.clone() {
+        let Some(q) = &self.queues else { return };
+        let too_big = |len: usize| format!("payload {len} exceeds BLE limit {}", self.max_payload);
+        match req.op {
             SendOp::AddContext { context_id, interval }
             | SendOp::UpdateContext { context_id, interval } => {
-                let is_update = matches!(req.op, SendOp::UpdateContext { .. });
-                let Some(packed) = req.packed.clone() else {
-                    self.fail(req.token, "context request without payload", req);
+                let Some(packed) = &req.packed else {
+                    q.fail("context request without payload", req);
                     return;
                 };
                 let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
                 if encoded.len() > self.max_payload {
-                    self.fail(
-                        req.token,
-                        format!("payload {} exceeds BLE limit {}", encoded.len(), self.max_payload),
-                        req,
-                    );
+                    q.fail(too_big(encoded.len()), req);
                     return;
                 }
                 let slot = *self.slots.entry(context_id).or_insert_with(|| {
@@ -137,12 +109,7 @@ impl BleBeaconTech {
                     self.next_slot
                 });
                 api.push(Command::BleAdvertiseSet { slot, payload: encoded, interval });
-                let ok = if is_update {
-                    ResponseOk::ContextUpdated { context_id }
-                } else {
-                    ResponseOk::ContextAdded { context_id }
-                };
-                self.ok(req.token, ok);
+                q.succeed(&req);
             }
             SendOp::RelayContext => {
                 if let Some(packed) = req.packed {
@@ -156,35 +123,29 @@ impl BleBeaconTech {
             SendOp::RemoveContext { context_id } => match self.slots.remove(&context_id) {
                 Some(slot) => {
                     api.push(Command::BleAdvertiseStop { slot });
-                    self.ok(req.token, ResponseOk::ContextRemoved { context_id });
+                    q.succeed(&req);
                 }
-                None => {
-                    self.fail(req.token, format!("unknown context {context_id}"), req);
-                }
+                None => q.fail(format!("unknown context {context_id}"), req),
             },
             SendOp::SendData { dest, dest_omni, .. } => {
                 let LowAddr::Ble(_) = dest else {
-                    self.fail(req.token, "destination has no BLE address", req);
+                    q.fail("destination has no BLE address", req);
                     return;
                 };
-                let Some(packed) = req.packed.clone() else {
-                    self.fail(req.token, "data request without payload", req);
+                let Some(packed) = &req.packed else {
+                    q.fail("data request without payload", req);
                     return;
                 };
                 let link_acks = self.link_acks;
                 let framed = pooled(&mut self.scratch, |buf| {
                     if link_acks {
-                        frame::encode_acked_into(dest_omni, req.token, &packed, buf);
+                        frame::encode_acked_into(dest_omni, req.token, packed, buf);
                     } else {
-                        frame::encode_directed_into(dest_omni, &packed, buf);
+                        frame::encode_directed_into(dest_omni, packed, buf);
                     }
                 });
                 if framed.len() > self.max_payload {
-                    self.fail(
-                        req.token,
-                        format!("payload {} exceeds BLE limit {}", framed.len(), self.max_payload),
-                        req,
-                    );
+                    q.fail(too_big(framed.len()), req);
                     return;
                 }
                 api.push(Command::BleSendOneShot { payload: framed });
@@ -199,17 +160,9 @@ impl BleBeaconTech {
     }
 
     fn on_frame(&mut self, from: BleAddress, payload: &Bytes, api: &mut NodeApi<'_>) {
-        let Some(queues) = self.queues.as_ref() else {
-            return;
-        };
+        let Some(q) = &self.queues else { return };
         match frame::parse_for_shared(self.own_omni, payload) {
-            frame::Incoming::Plain(packed) => {
-                queues.receive.push(ReceivedItem {
-                    tech: TechType::BleBeacon,
-                    source: LowAddr::Ble(from),
-                    packed,
-                });
-            }
+            frame::Incoming::Plain(packed) => q.deliver(LowAddr::Ble(from), packed),
             frame::Incoming::Acked { corr, packed } => {
                 // Deliver, then acknowledge back to the sender. The ack is a
                 // fire-and-forget one-shot; losing it costs the sender a
@@ -217,11 +170,7 @@ impl BleBeaconTech {
                 // receivers still satisfy reliable senders.
                 let sender = packed.source;
                 let trace = packed.trace;
-                queues.receive.push(ReceivedItem {
-                    tech: TechType::BleBeacon,
-                    source: LowAddr::Ble(from),
-                    packed,
-                });
+                q.deliver(LowAddr::Ble(from), packed);
                 api.push(Command::BleSendOneShot {
                     payload: pooled(&mut self.scratch, |buf| {
                         frame::encode_ack_into(sender, corr, trace, buf);
@@ -233,9 +182,7 @@ impl BleBeaconTech {
                 // Late acks for attempts the manager already abandoned hit
                 // no entry and are ignored.
                 if let Some(req) = self.awaiting.remove(&corr) {
-                    if let SendOp::SendData { dest_omni, .. } = req.op {
-                        self.ok(req.token, ResponseOk::DataSent { dest_omni });
-                    }
+                    q.succeed(&req);
                 }
             }
             frame::Incoming::NotForUs => {}
@@ -244,18 +191,8 @@ impl BleBeaconTech {
 }
 
 impl D2dTechnology for BleBeaconTech {
-    fn attach_obs(&mut self, obs: &omni_obs::Obs) {
-        self.failures = Some(obs.counter("tech.ble-beacon.failures"));
-    }
-
-    fn enable(
-        &mut self,
-        queues: TechQueues,
-        _token_base: u64,
-        api: &mut NodeApi<'_>,
-    ) -> (TechType, LowAddr) {
+    fn enable(&mut self, queues: TechQueues, api: &mut NodeApi<'_>) -> (TechType, LowAddr) {
         self.queues = Some(queues);
-        self.enabled = true;
         // Integrated neighbor discovery: scan continuously (or at the
         // configured duty cycle).
         api.push(Command::BleSetScan { duty: Some(self.scan_duty) });
@@ -263,25 +200,12 @@ impl D2dTechnology for BleBeaconTech {
     }
 
     fn disable(&mut self, api: &mut NodeApi<'_>) {
-        self.enabled = false;
-        // Gracefully fail anything still queued (paper §3.2: process
-        // remaining requests and push the requisite responses).
-        if let Some(queues) = self.queues.clone() {
-            let mut held = queues.send.drain();
-            held.extend(self.inflight.drain(..).filter_map(|entry| match entry {
-                OneShot::Optimistic(req) => Some(req),
-                _ => None,
-            }));
-            held.extend(self.awaiting.drain().map(|(_, req)| req));
-            held.sort_by_key(|req| req.token);
-            for req in held {
-                self.fail(req.token, "technology disabled", req);
-            }
-            self.respond(TechResponse::StatusChanged {
-                tech: TechType::BleBeacon,
-                available: false,
-            });
-        }
+        let Some(q) = self.queues.take() else { return };
+        let optimistic = self.inflight.drain(..).filter_map(|entry| match entry {
+            OneShot::Optimistic(req) => Some(req),
+            _ => None,
+        });
+        q.shut_down(optimistic.chain(self.awaiting.drain().map(|(_, req)| req)));
         for (_, slot) in self.slots.drain() {
             api.push(Command::BleAdvertiseStop { slot });
         }
@@ -293,18 +217,13 @@ impl D2dTechnology for BleBeaconTech {
     }
 
     fn poll(&mut self, api: &mut NodeApi<'_>) {
-        if !self.enabled {
-            return;
-        }
         while let Some(req) = self.queues.as_ref().and_then(|q| q.send.pop()) {
             self.handle_request(req, api);
         }
     }
 
     fn on_node_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) -> bool {
-        if !self.enabled {
-            return false;
-        }
+        let Some(q) = &self.queues else { return false };
         match event {
             NodeEvent::BleBeacon { from, payload } | NodeEvent::BleOneShot { from, payload } => {
                 self.on_frame(*from, payload, api);
@@ -312,9 +231,7 @@ impl D2dTechnology for BleBeaconTech {
             }
             NodeEvent::BleOneShotSent => {
                 if let Some(OneShot::Optimistic(req)) = self.inflight.pop_front() {
-                    if let SendOp::SendData { dest_omni, .. } = req.op {
-                        self.ok(req.token, ResponseOk::DataSent { dest_omni });
-                    }
+                    q.succeed(&req);
                 }
                 true
             }
@@ -328,8 +245,9 @@ impl D2dTechnology for BleBeaconTech {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::techs::testing::disabled_tokens;
-    use omni_sim::{DeviceId, SimDuration, SimTime};
+    use crate::queues::{ResponseOk, TechResponse};
+    use crate::techs::testing::{disabled_tokens, port, with_api};
+    use omni_sim::{DeviceId, SimDuration};
     use omni_wire::PackedStruct;
 
     fn api_harness() -> (Vec<(DeviceId, Command)>,) {
@@ -339,27 +257,14 @@ mod tests {
     fn mk() -> (BleBeaconTech, TechQueues) {
         let tech =
             BleBeaconTech::new(OmniAddress::from_u64(1), BleAddress([2, 0, 0, 0, 0, 1]), 64, 1.0);
-        let queues = TechQueues {
-            receive: crate::queues::SharedQueue::new(),
-            response: crate::queues::SharedQueue::new(),
-            send: crate::queues::SharedQueue::new(),
-        };
-        (tech, queues)
-    }
-
-    fn with_api<R>(
-        cmds: &mut Vec<(DeviceId, Command)>,
-        f: impl FnOnce(&mut NodeApi<'_>) -> R,
-    ) -> R {
-        let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, cmds);
-        f(&mut api)
+        (tech, port(TechType::BleBeacon, 0))
     }
 
     #[test]
     fn enable_starts_scanning_and_reports_identity() {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
-        let (ty, addr) = with_api(&mut cmds, |api| tech.enable(queues, 0, api));
+        let (ty, addr) = with_api(&mut cmds, |api| tech.enable(queues, api));
         assert_eq!(ty, TechType::BleBeacon);
         assert!(matches!(addr, LowAddr::Ble(_)));
         assert!(cmds
@@ -372,7 +277,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(SendRequest {
             token: 5,
@@ -399,7 +304,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         let big = vec![0u8; 100];
         queues.send.push(SendRequest {
@@ -422,7 +327,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         // Build a frame addressed to omni 0x99 (not us).
         let inner = PackedStruct::data(OmniAddress::from_u64(7), Bytes::from_static(b"x"));
@@ -437,7 +342,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         let packed = PackedStruct::context(OmniAddress::from_u64(7), Bytes::from_static(b"svc"));
         let ev = NodeEvent::BleBeacon { from: BleAddress([9; 6]), payload: packed.encode() };
@@ -453,7 +358,7 @@ mod tests {
         let mut tech = tech.with_link_acks(true);
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(SendRequest {
             token: 7,
@@ -503,7 +408,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         cmds.clear();
         let packed = PackedStruct::data(OmniAddress::from_u64(7), Bytes::from_static(b"hi"));
@@ -545,7 +450,7 @@ mod tests {
         let mut tech = tech.with_link_acks(true);
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         for token in [7, 2, 9, 4, 8, 3] {
             queues.send.push(acked_send(token));
@@ -573,7 +478,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let (mut cmds,) = api_harness();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 0, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(SendRequest {
             token: 1,

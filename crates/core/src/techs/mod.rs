@@ -1,7 +1,12 @@
 //! D2D technology implementations for the Communication Technology API.
 
+use std::collections::HashMap;
+
+use omni_sim::{NodeApi, SimDuration};
+
+use crate::queues::{SendRequest, TechQueues, TECH_TOKENS};
+
 mod ble;
-pub(crate) mod frame;
 mod nfc;
 mod wifi_mcast;
 mod wifi_tcp;
@@ -10,6 +15,57 @@ pub use ble::BleBeaconTech;
 pub use nfc::NfcTech;
 pub use wifi_mcast::WifiMulticastTech;
 pub use wifi_tcp::WifiTcpTech;
+
+/// Data sends that complete when a timer fires: NFC's touch latency and
+/// multicast's airtime. Each waits under its own timer in the upper half of
+/// the technology's timer range, which this table owns.
+#[derive(Debug, Default)]
+pub(crate) struct TimedSends {
+    held: HashMap<u64, SendRequest>,
+    next: u64,
+}
+
+impl TimedSends {
+    /// The first timer offset of the upper half.
+    const BASE: u64 = TECH_TOKENS / 2;
+
+    /// Holds `req` until its timer fires, `delay` from now.
+    pub(crate) fn arm(
+        &mut self,
+        port: &TechQueues,
+        api: &mut NodeApi<'_>,
+        req: SendRequest,
+        delay: SimDuration,
+    ) {
+        self.next += 1;
+        let offset = Self::BASE + self.next % Self::BASE;
+        self.held.insert(offset, req);
+        port.set_timer(api, offset, delay);
+    }
+
+    /// Whether timer `offset` is one of the table's. If it holds a send
+    /// there, the send succeeds.
+    pub(crate) fn fire(&mut self, port: &TechQueues, offset: u64) -> bool {
+        if offset < Self::BASE {
+            return false;
+        }
+        if let Some(req) = self.held.remove(&offset) {
+            port.succeed(&req);
+        }
+        true
+    }
+
+    /// Cancels every timer and returns the sends they held.
+    pub(crate) fn cancel(&mut self, port: &TechQueues, api: &mut NodeApi<'_>) -> Vec<SendRequest> {
+        let held = std::mem::take(&mut self.held);
+        held.into_iter()
+            .map(|(offset, req)| {
+                port.cancel_timer(api, offset);
+                req
+            })
+            .collect()
+    }
+}
 
 /// Encodes one frame through a technology's reusable scratch buffer: the
 /// scratch's capacity is retained across sends, so a steady-state send pays
@@ -26,7 +82,26 @@ pub(crate) fn pooled(
 
 #[cfg(test)]
 pub(crate) mod testing {
-    use crate::queues::TechResponse;
+    use omni_sim::{Command, DeviceId, NodeApi, SimTime};
+    use omni_wire::TechType;
+
+    use crate::queues::{SharedQueue, TechQueues, TechResponse};
+
+    /// A port with fresh queues and no observability.
+    pub(crate) fn port(tech: TechType, token_base: u64) -> TechQueues {
+        let (receive, response, send) =
+            (SharedQueue::new(), SharedQueue::new(), SharedQueue::new());
+        TechQueues::new(tech, token_base, receive, response, send, None)
+    }
+
+    /// Runs `f` against a detached `NodeApi` that records into `cmds`.
+    pub(crate) fn with_api<R>(
+        cmds: &mut Vec<(DeviceId, Command)>,
+        f: impl FnOnce(&mut NodeApi<'_>) -> R,
+    ) -> R {
+        let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, cmds);
+        f(&mut api)
+    }
 
     /// The tokens `disable` failed, in order, after checking that each
     /// failure says so and that exactly one `StatusChanged { available:

@@ -9,22 +9,18 @@ use std::collections::HashMap;
 
 use bytes::BytesMut;
 use omni_sim::{Command, NodeApi, NodeEvent, SimDuration};
-use omni_wire::{NfcAddress, OmniAddress, TechType};
+use omni_wire::{frame, NfcAddress, OmniAddress, TechType};
 
 use crate::config::LinkTimings;
-use crate::queues::{
-    LowAddr, ReceivedItem, ResponseOk, SendOp, SendRequest, TechFailure, TechQueues, TechResponse,
-};
+use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
 use crate::tech::D2dTechnology;
-use crate::techs::{frame, pooled};
+use crate::techs::{pooled, TimedSends};
 
+/// Context touch timers take the offsets from here up to the data sends'
+/// upper half of the timer range.
 const TOKEN_CONTEXT_BASE: u64 = 0x100;
-/// Data-completion timers take the upper half of the technology's 2^16
-/// tokens; beyond it they would land in the next technology's range.
-const TOKEN_DATA_BASE: u64 = 1 << 15;
-const DATA_SLOTS: u64 = 1 << 15;
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct NfcContext {
     payload: bytes::Bytes,
     interval: SimDuration,
@@ -37,16 +33,13 @@ pub struct NfcTech {
     own_omni: OmniAddress,
     own_addr: NfcAddress,
     timings: LinkTimings,
+    /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
-    token_base: u64,
-    enabled: bool,
     contexts: HashMap<u64, NfcContext>,
     slot_to_context: HashMap<u64, u64>,
     next_slot: u64,
-    data_inflight: HashMap<u64, SendRequest>,
-    next_data_slot: u64,
-    /// `tech.nfc.failures` counter, when observability is attached.
-    failures: Option<omni_obs::Counter>,
+    /// Data sends waiting out the touch latency.
+    sends: TimedSends,
     /// Reusable encode scratch for outgoing frames (DESIGN.md §5i).
     scratch: BytesMut,
 }
@@ -59,46 +52,26 @@ impl NfcTech {
             own_addr,
             timings,
             queues: None,
-            token_base: 0,
-            enabled: false,
             contexts: HashMap::new(),
             slot_to_context: HashMap::new(),
             next_slot: 0,
-            data_inflight: HashMap::new(),
-            next_data_slot: 0,
-            failures: None,
+            sends: TimedSends::default(),
             scratch: BytesMut::new(),
         }
     }
 
-    fn respond(&self, token: u64, result: Result<ResponseOk, TechFailure>) {
-        self.queues.as_ref().expect("enabled").response.push(TechResponse::Outcome {
-            tech: TechType::Nfc,
-            token,
-            result,
-        });
-    }
-
-    fn fail(&self, description: impl Into<String>, original: SendRequest) {
-        if let Some(c) = &self.failures {
-            c.inc();
-        }
-        let token = original.token;
-        self.respond(token, Err(TechFailure { description: description.into(), original }));
-    }
-
     fn handle_request(&mut self, req: SendRequest, api: &mut NodeApi<'_>) {
-        match req.op.clone() {
+        let Some(q) = &self.queues else { return };
+        match req.op {
             SendOp::AddContext { context_id, interval }
             | SendOp::UpdateContext { context_id, interval } => {
-                let is_update = matches!(req.op, SendOp::UpdateContext { .. });
-                let Some(packed) = req.packed.clone() else {
-                    self.fail("context request without payload", req);
+                let Some(packed) = &req.packed else {
+                    q.fail("context request without payload", req);
                     return;
                 };
                 let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
                 if encoded.len() > self.timings.nfc_max_payload {
-                    self.fail("payload exceeds NFC limit", req);
+                    q.fail("payload exceeds NFC limit", req);
                     return;
                 }
                 let slot = match self.contexts.get(&context_id) {
@@ -106,20 +79,12 @@ impl NfcTech {
                     None => {
                         self.next_slot += 1;
                         self.slot_to_context.insert(self.next_slot, context_id);
-                        api.set_timer(
-                            self.token_base + TOKEN_CONTEXT_BASE + self.next_slot,
-                            interval,
-                        );
+                        q.set_timer(api, TOKEN_CONTEXT_BASE + self.next_slot, interval);
                         self.next_slot
                     }
                 };
                 self.contexts.insert(context_id, NfcContext { payload: encoded, interval, slot });
-                let ok = if is_update {
-                    ResponseOk::ContextUpdated { context_id }
-                } else {
-                    ResponseOk::ContextAdded { context_id }
-                };
-                self.respond(req.token, Ok(ok));
+                q.succeed(&req);
             }
             SendOp::RelayContext => {
                 if let Some(packed) = req.packed {
@@ -132,74 +97,48 @@ impl NfcTech {
             SendOp::RemoveContext { context_id } => match self.contexts.remove(&context_id) {
                 Some(ctx) => {
                     self.slot_to_context.remove(&ctx.slot);
-                    api.cancel_timer(self.token_base + TOKEN_CONTEXT_BASE + ctx.slot);
-                    self.respond(req.token, Ok(ResponseOk::ContextRemoved { context_id }));
+                    q.cancel_timer(api, TOKEN_CONTEXT_BASE + ctx.slot);
+                    q.succeed(&req);
                 }
-                None => self.fail(format!("unknown context {context_id}"), req),
+                None => q.fail(format!("unknown context {context_id}"), req),
             },
             SendOp::SendData { dest, dest_omni, .. } => {
                 let LowAddr::Nfc(_) = dest else {
-                    self.fail("destination has no NFC id", req);
+                    q.fail("destination has no NFC id", req);
                     return;
                 };
-                let Some(packed) = req.packed.clone() else {
-                    self.fail("data request without payload", req);
+                let Some(packed) = &req.packed else {
+                    q.fail("data request without payload", req);
                     return;
                 };
                 let framed = pooled(&mut self.scratch, |buf| {
-                    frame::encode_directed_into(dest_omni, &packed, buf);
+                    frame::encode_directed_into(dest_omni, packed, buf);
                 });
                 if framed.len() > self.timings.nfc_max_payload {
-                    self.fail("payload exceeds NFC limit", req);
+                    q.fail("payload exceeds NFC limit", req);
                     return;
                 }
                 api.push(Command::NfcSend { payload: framed });
-                self.next_data_slot += 1;
-                let slot = self.next_data_slot % DATA_SLOTS;
-                self.data_inflight.insert(slot, req);
-                api.set_timer(self.token_base + TOKEN_DATA_BASE + slot, self.timings.nfc_touch);
+                self.sends.arm(q, api, req, self.timings.nfc_touch);
             }
         }
     }
 }
 
 impl D2dTechnology for NfcTech {
-    fn attach_obs(&mut self, obs: &omni_obs::Obs) {
-        self.failures = Some(obs.counter("tech.nfc.failures"));
-    }
-
-    fn enable(
-        &mut self,
-        queues: TechQueues,
-        token_base: u64,
-        _api: &mut NodeApi<'_>,
-    ) -> (TechType, LowAddr) {
+    fn enable(&mut self, queues: TechQueues, _api: &mut NodeApi<'_>) -> (TechType, LowAddr) {
         self.queues = Some(queues);
-        self.token_base = token_base;
-        self.enabled = true;
         (TechType::Nfc, LowAddr::Nfc(self.own_addr))
     }
 
     fn disable(&mut self, api: &mut NodeApi<'_>) {
-        self.enabled = false;
-        if let Some(queues) = self.queues.clone() {
-            let mut held = queues.send.drain();
-            for (slot, req) in std::mem::take(&mut self.data_inflight) {
-                api.cancel_timer(self.token_base + TOKEN_DATA_BASE + slot);
-                held.push(req);
-            }
-            held.sort_by_key(|req| req.token);
-            for req in held {
-                self.fail("technology disabled", req);
-            }
-            queues
-                .response
-                .push(TechResponse::StatusChanged { tech: TechType::Nfc, available: false });
-        }
+        let Some(q) = self.queues.take() else { return };
+        let held = self.sends.cancel(&q, api);
         for (_, ctx) in self.contexts.drain() {
-            api.cancel_timer(self.token_base + TOKEN_CONTEXT_BASE + ctx.slot);
+            q.cancel_timer(api, TOKEN_CONTEXT_BASE + ctx.slot);
         }
         self.slot_to_context.clear();
+        q.shut_down(held);
     }
 
     fn tech_type(&self) -> TechType {
@@ -207,86 +146,43 @@ impl D2dTechnology for NfcTech {
     }
 
     fn poll(&mut self, api: &mut NodeApi<'_>) {
-        if !self.enabled {
-            return;
-        }
         while let Some(req) = self.queues.as_ref().and_then(|q| q.send.pop()) {
             self.handle_request(req, api);
         }
     }
 
     fn on_node_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        match event {
-            NodeEvent::NfcReceived { from, payload } => {
-                if let Some(packed) = frame::decode_for_shared(self.own_omni, payload) {
-                    self.queues.as_ref().expect("enabled").receive.push(ReceivedItem {
-                        tech: TechType::Nfc,
-                        source: LowAddr::Nfc(*from),
-                        packed,
-                    });
-                }
-                true
+        let Some(q) = &self.queues else { return false };
+        if let NodeEvent::NfcReceived { from, payload } = event {
+            if let Some(packed) = frame::decode_for_shared(self.own_omni, payload) {
+                q.deliver(LowAddr::Nfc(*from), packed);
             }
-            NodeEvent::Timer { token } => {
-                let Some(offset) = token.checked_sub(self.token_base) else {
-                    return false;
-                };
-                if (TOKEN_CONTEXT_BASE..TOKEN_DATA_BASE).contains(&offset) {
-                    let slot = offset - TOKEN_CONTEXT_BASE;
-                    if let Some(id) = self.slot_to_context.get(&slot).copied() {
-                        if let Some(ctx) = self.contexts.get(&id).cloned() {
-                            api.push(Command::NfcSend { payload: ctx.payload.clone() });
-                            api.set_timer(
-                                self.token_base + TOKEN_CONTEXT_BASE + slot,
-                                ctx.interval,
-                            );
-                        }
-                    }
-                    true
-                } else if (TOKEN_DATA_BASE..TOKEN_DATA_BASE + DATA_SLOTS).contains(&offset) {
-                    if let Some(req) = self.data_inflight.remove(&(offset - TOKEN_DATA_BASE)) {
-                        if let SendOp::SendData { dest_omni, .. } = req.op {
-                            self.respond(req.token, Ok(ResponseOk::DataSent { dest_omni }));
-                        }
-                    }
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => false,
+            return true;
         }
+        let Some(offset) = q.timer_offset(event) else { return false };
+        if !self.sends.fire(q, offset) {
+            let id = self.slot_to_context.get(&offset.wrapping_sub(TOKEN_CONTEXT_BASE));
+            if let Some(ctx) = id.and_then(|id| self.contexts.get(id)) {
+                api.push(Command::NfcSend { payload: ctx.payload.clone() });
+                q.set_timer(api, offset, ctx.interval);
+            }
+        }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::techs::testing::disabled_tokens;
+    use crate::queues::{ResponseOk, TechResponse};
+    use crate::techs::testing::{disabled_tokens, port, with_api};
     use bytes::Bytes;
-    use omni_sim::{DeviceId, SimTime};
     use omni_wire::PackedStruct;
 
     fn mk() -> (NfcTech, TechQueues) {
         let tech =
             NfcTech::new(OmniAddress::from_u64(1), NfcAddress::from_u32(7), LinkTimings::default());
-        let queues = TechQueues {
-            receive: crate::queues::SharedQueue::new(),
-            response: crate::queues::SharedQueue::new(),
-            send: crate::queues::SharedQueue::new(),
-        };
-        (tech, queues)
-    }
-
-    fn with_api<R>(
-        cmds: &mut Vec<(DeviceId, Command)>,
-        f: impl FnOnce(&mut NodeApi<'_>) -> R,
-    ) -> R {
-        let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, cmds);
-        f(&mut api)
+        (tech, port(TechType::Nfc, 3 << 32))
     }
 
     #[test]
@@ -294,7 +190,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 3 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(SendRequest {
             token: 1,
@@ -315,7 +211,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 3 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(SendRequest {
             token: 2,
@@ -367,7 +263,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 3 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         for token in [7, 2, 9, 4, 8, 3] {
             queues.send.push(touch_send(token));
@@ -405,7 +301,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 3 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         let packed = PackedStruct::context(OmniAddress::from_u64(9), Bytes::from_static(b"tag"));
         with_api(&mut cmds, |api| {

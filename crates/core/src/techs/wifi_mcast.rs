@@ -21,17 +21,12 @@ use omni_wire::{MeshAddress, OmniAddress, PackedStruct, TechType};
 
 use crate::config::LinkTimings;
 use crate::control::ControlFrame;
-use crate::queues::{
-    LowAddr, ReceivedItem, ResponseOk, SendOp, SendRequest, TechFailure, TechQueues, TechResponse,
-};
+use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
 use crate::tech::D2dTechnology;
+use crate::techs::{pooled, TimedSends};
 
 const TOKEN_RESCAN: u64 = 0;
 const TOKEN_TICK: u64 = 1;
-/// Data-completion timers take the upper half of the technology's 2^16
-/// tokens; beyond it they would land in the next technology's range.
-const TOKEN_DATA_BASE: u64 = 1 << 15;
-const DATA_SLOTS: u64 = 1 << 15;
 
 /// The multicast-over-WiFi-Mesh technology.
 #[derive(Debug)]
@@ -39,19 +34,15 @@ pub struct WifiMulticastTech {
     own_omni: OmniAddress,
     own_mesh: MeshAddress,
     timings: LinkTimings,
+    /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
-    token_base: u64,
-    enabled: bool,
     joined: bool,
     /// Active context packs: id → (pack, requested interval).
     contexts: HashMap<u64, (PackedStruct, SimDuration)>,
     tick_armed: bool,
-    /// Outstanding data sends keyed by their completion-timer slot.
-    data_inflight: HashMap<u64, SendRequest>,
-    next_data_slot: u64,
+    /// Data sends waiting out their airtime.
+    sends: TimedSends,
     rescan_armed: bool,
-    /// `tech.wifi-multicast.failures` counter, when observability is attached.
-    failures: Option<omni_obs::Counter>,
     /// Reusable encode scratch for outgoing control frames (DESIGN.md §5i).
     scratch: BytesMut,
 }
@@ -64,32 +55,13 @@ impl WifiMulticastTech {
             own_mesh,
             timings,
             queues: None,
-            token_base: 0,
-            enabled: false,
             joined: false,
             contexts: HashMap::new(),
             tick_armed: false,
-            data_inflight: HashMap::new(),
-            next_data_slot: 0,
+            sends: TimedSends::default(),
             rescan_armed: false,
-            failures: None,
             scratch: BytesMut::new(),
         }
-    }
-
-    fn respond(&self, token: u64, result: Result<ResponseOk, TechFailure>) {
-        self.queues.as_ref().expect("enabled").response.push(TechResponse::Outcome {
-            tech: TechType::WifiMulticast,
-            token,
-            result,
-        });
-    }
-
-    fn fail(&self, token: u64, description: impl Into<String>, original: SendRequest) {
-        if let Some(c) = &self.failures {
-            c.inc();
-        }
-        self.respond(token, Err(TechFailure { description: description.into(), original }));
     }
 
     fn send_frame(
@@ -99,9 +71,7 @@ impl WifiMulticastTech {
         bulk: bool,
         api: &mut NodeApi<'_>,
     ) {
-        self.scratch.clear();
-        frame.encode_into(&mut self.scratch);
-        let payload = Bytes::copy_from_slice(&self.scratch);
+        let payload = pooled(&mut self.scratch, |buf| frame.encode_into(buf));
         api.push(Command::WifiMcastSend { payload, wire_len, bulk });
     }
 
@@ -110,40 +80,33 @@ impl WifiMulticastTech {
         self.contexts.values().map(|(_, i)| *i).min().unwrap_or(SimDuration::from_millis(500))
     }
 
-    fn arm_tick(&mut self, api: &mut NodeApi<'_>) {
+    /// Arms the beacon tick and, to track transient networks, the periodic
+    /// rescan, each unless it is armed already. Both run only while this
+    /// technology is carrying context: the rescans cost energy.
+    fn arm_context_timers(&mut self, api: &mut NodeApi<'_>) {
+        let Some(q) = &self.queues else { return };
         if !self.contexts.is_empty() && !self.tick_armed {
             self.tick_armed = true;
-            api.set_timer(self.token_base + TOKEN_TICK, self.tick_interval());
+            q.set_timer(api, TOKEN_TICK, self.tick_interval());
         }
-    }
-
-    fn arm_rescan(&mut self, api: &mut NodeApi<'_>) {
-        // Periodic rescans track transient networks; only worth the energy
-        // while this technology is actively carrying context.
         if !self.contexts.is_empty() && !self.rescan_armed {
             self.rescan_armed = true;
-            api.set_timer(self.token_base + TOKEN_RESCAN, self.timings.mcast_rescan);
+            q.set_timer(api, TOKEN_RESCAN, self.timings.mcast_rescan);
         }
     }
 
-    fn handle_request(&mut self, req: SendRequest, api: &mut NodeApi<'_>) {
-        match req.op.clone() {
+    fn handle_request(&mut self, mut req: SendRequest, api: &mut NodeApi<'_>) {
+        let Some(q) = &self.queues else { return };
+        match req.op {
             SendOp::AddContext { context_id, interval }
             | SendOp::UpdateContext { context_id, interval } => {
-                let is_update = matches!(req.op, SendOp::UpdateContext { .. });
-                let Some(packed) = req.packed.clone() else {
-                    self.fail(req.token, "context request without payload", req);
+                let Some(packed) = req.packed.take() else {
+                    q.fail("context request without payload", req);
                     return;
                 };
                 self.contexts.insert(context_id, (packed, interval));
-                self.arm_tick(api);
-                self.arm_rescan(api);
-                let ok = if is_update {
-                    ResponseOk::ContextUpdated { context_id }
-                } else {
-                    ResponseOk::ContextAdded { context_id }
-                };
-                self.respond(req.token, Ok(ok));
+                q.succeed(&req);
+                self.arm_context_timers(api);
             }
             SendOp::RelayContext => {
                 if self.joined {
@@ -154,36 +117,33 @@ impl WifiMulticastTech {
                 }
             }
             SendOp::RemoveContext { context_id } => match self.contexts.remove(&context_id) {
-                Some(_) => {
-                    self.respond(req.token, Ok(ResponseOk::ContextRemoved { context_id }));
-                }
-                None => self.fail(req.token, format!("unknown context {context_id}"), req),
+                Some(_) => q.succeed(&req),
+                None => q.fail(format!("unknown context {context_id}"), req),
             },
-            SendOp::SendData { dest_omni, wire_len, .. } => {
+            SendOp::SendData { wire_len, .. } => {
                 if !self.joined {
-                    self.fail(req.token, "not joined to the mesh group", req);
+                    q.fail("not joined to the mesh group", req);
                     return;
                 }
-                let Some(packed) = req.packed.clone() else {
-                    self.fail(req.token, "data request without payload", req);
+                let Some(packed) = &req.packed else {
+                    q.fail("data request without payload", req);
                     return;
                 };
                 // Estimated channel occupancy: fixed airtime + bytes at the
                 // basic rate.
                 let airtime = self.timings.mcast_fixed
                     + SimDuration::from_secs_f64(wire_len as f64 / self.timings.mcast_rate_bps);
-                self.send_frame(&ControlFrame::Packed(packed), wire_len, wire_len > 4096, api);
-                self.next_data_slot += 1;
-                let slot = self.next_data_slot % DATA_SLOTS;
-                self.data_inflight.insert(slot, req);
-                api.set_timer(self.token_base + TOKEN_DATA_BASE + slot, airtime);
-                let _ = dest_omni;
+                let frame = ControlFrame::Packed(packed.clone());
+                let payload = pooled(&mut self.scratch, |buf| frame.encode_into(buf));
+                api.push(Command::WifiMcastSend { payload, wire_len, bulk: wire_len > 4096 });
+                self.sends.arm(q, api, req, airtime);
             }
         }
     }
 
     /// Transmits the consolidated beacon.
     fn tick(&mut self, api: &mut NodeApi<'_>) {
+        let Some(q) = &self.queues else { return };
         if self.contexts.is_empty() {
             self.tick_armed = false;
             return;
@@ -198,35 +158,27 @@ impl WifiMulticastTech {
             let frame = ControlFrame::Batch(packs);
             // One encode serves both the payload and the wire-length estimate
             // (this used to encode the whole batch twice).
-            self.scratch.clear();
-            frame.encode_into(&mut self.scratch);
-            let payload = Bytes::copy_from_slice(&self.scratch);
+            let payload = pooled(&mut self.scratch, |buf| frame.encode_into(buf));
             let wire = payload.len() as u64;
             api.push(Command::WifiMcastSend { payload, wire_len: wire, bulk: false });
         }
-        api.set_timer(self.token_base + TOKEN_TICK, self.tick_interval());
-    }
-
-    fn deliver(&self, packed: PackedStruct, from: MeshAddress) {
-        if packed.source != self.own_omni {
-            self.queues.as_ref().expect("enabled").receive.push(ReceivedItem {
-                tech: TechType::WifiMulticast,
-                source: LowAddr::Mesh(from),
-                packed,
-            });
-        }
+        q.set_timer(api, TOKEN_TICK, self.tick_interval());
     }
 
     fn on_multicast(&mut self, from: MeshAddress, payload: &Bytes, api: &mut NodeApi<'_>) -> bool {
+        let Some(q) = &self.queues else { return false };
+        let deliver = |packed: PackedStruct| {
+            if packed.source != self.own_omni {
+                q.deliver(LowAddr::Mesh(from), packed);
+            }
+        };
         match ControlFrame::decode_shared(payload) {
             Ok(ControlFrame::Packed(packed)) => {
-                self.deliver(packed, from);
+                deliver(packed);
                 true
             }
             Ok(ControlFrame::Batch(packs)) => {
-                for p in packs {
-                    self.deliver(p, from);
-                }
+                packs.into_iter().for_each(deliver);
                 true
             }
             Ok(ControlFrame::Resolve { target, .. }) if target == self.own_omni => {
@@ -245,19 +197,8 @@ impl WifiMulticastTech {
 }
 
 impl D2dTechnology for WifiMulticastTech {
-    fn attach_obs(&mut self, obs: &omni_obs::Obs) {
-        self.failures = Some(obs.counter("tech.wifi-multicast.failures"));
-    }
-
-    fn enable(
-        &mut self,
-        queues: TechQueues,
-        token_base: u64,
-        api: &mut NodeApi<'_>,
-    ) -> (TechType, LowAddr) {
+    fn enable(&mut self, queues: TechQueues, api: &mut NodeApi<'_>) -> (TechType, LowAddr) {
         self.queues = Some(queues);
-        self.token_base = token_base;
-        self.enabled = true;
         // Join the well-known group and listen for context from the
         // neighborhood. The join completes asynchronously.
         api.push(Command::WifiJoin);
@@ -265,26 +206,13 @@ impl D2dTechnology for WifiMulticastTech {
     }
 
     fn disable(&mut self, api: &mut NodeApi<'_>) {
-        self.enabled = false;
-        if let Some(queues) = self.queues.clone() {
-            let mut held = queues.send.drain();
-            for (slot, req) in std::mem::take(&mut self.data_inflight) {
-                api.cancel_timer(self.token_base + TOKEN_DATA_BASE + slot);
-                held.push(req);
-            }
-            held.sort_by_key(|req| req.token);
-            for req in held {
-                self.fail(req.token, "technology disabled", req);
-            }
-            queues.response.push(TechResponse::StatusChanged {
-                tech: TechType::WifiMulticast,
-                available: false,
-            });
-        }
+        let Some(q) = self.queues.take() else { return };
+        let held = self.sends.cancel(&q, api);
         self.contexts.clear();
-        api.cancel_timer(self.token_base + TOKEN_TICK);
+        q.cancel_timer(api, TOKEN_TICK);
         self.tick_armed = false;
         api.push(Command::WifiMcastListen(false));
+        q.shut_down(held);
     }
 
     fn tech_type(&self) -> TechType {
@@ -292,18 +220,13 @@ impl D2dTechnology for WifiMulticastTech {
     }
 
     fn poll(&mut self, api: &mut NodeApi<'_>) {
-        if !self.enabled {
-            return;
-        }
         while let Some(req) = self.queues.as_ref().and_then(|q| q.send.pop()) {
             self.handle_request(req, api);
         }
     }
 
     fn on_node_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) -> bool {
-        if !self.enabled {
-            return false;
-        }
+        let Some(q) = &self.queues else { return false };
         match event {
             NodeEvent::WifiJoined { ok } => {
                 if *ok {
@@ -316,32 +239,22 @@ impl D2dTechnology for WifiMulticastTech {
                 false // other technologies may also be waiting on joins
             }
             NodeEvent::Multicast { from, payload } => self.on_multicast(*from, payload, api),
-            NodeEvent::Timer { token } => {
-                let Some(offset) = token.checked_sub(self.token_base) else {
-                    return false;
-                };
-                if offset == TOKEN_RESCAN {
+            _ => match q.timer_offset(event) {
+                Some(TOKEN_RESCAN) => {
                     self.rescan_armed = false;
                     if !self.contexts.is_empty() {
                         api.push(Command::WifiScan);
-                        self.arm_rescan(api);
+                        self.arm_context_timers(api);
                     }
                     true
-                } else if offset == TOKEN_TICK {
+                }
+                Some(TOKEN_TICK) => {
                     self.tick(api);
                     true
-                } else if (TOKEN_DATA_BASE..TOKEN_DATA_BASE + DATA_SLOTS).contains(&offset) {
-                    if let Some(req) = self.data_inflight.remove(&(offset - TOKEN_DATA_BASE)) {
-                        if let SendOp::SendData { dest_omni, .. } = req.op {
-                            self.respond(req.token, Ok(ResponseOk::DataSent { dest_omni }));
-                        }
-                    }
-                    true
-                } else {
-                    false
                 }
-            }
-            _ => false,
+                Some(offset) => self.sends.fire(q, offset),
+                None => false,
+            },
         }
     }
 }
@@ -349,9 +262,10 @@ impl D2dTechnology for WifiMulticastTech {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::techs::testing::disabled_tokens;
+    use crate::queues::TechResponse;
+    use crate::techs::testing::{disabled_tokens, port, with_api};
     use bytes::Bytes;
-    use omni_sim::{DeviceId, SimTime};
+    use omni_sim::DeviceId;
 
     fn mk() -> (WifiMulticastTech, TechQueues) {
         let tech = WifiMulticastTech::new(
@@ -359,20 +273,7 @@ mod tests {
             MeshAddress::from_u64(0xA1),
             LinkTimings::default(),
         );
-        let queues = TechQueues {
-            receive: crate::queues::SharedQueue::new(),
-            response: crate::queues::SharedQueue::new(),
-            send: crate::queues::SharedQueue::new(),
-        };
-        (tech, queues)
-    }
-
-    fn with_api<R>(
-        cmds: &mut Vec<(DeviceId, Command)>,
-        f: impl FnOnce(&mut NodeApi<'_>) -> R,
-    ) -> R {
-        let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, cmds);
-        f(&mut api)
+        (tech, port(TechType::WifiMulticast, 1 << 32))
     }
 
     fn enable_and_join(
@@ -381,7 +282,7 @@ mod tests {
         cmds: &mut Vec<(DeviceId, Command)>,
     ) {
         with_api(cmds, |api| {
-            tech.enable(queues.clone(), 1 << 32, api);
+            tech.enable(queues.clone(), api);
             tech.on_node_event(&NodeEvent::WifiJoined { ok: true }, api);
         });
     }
@@ -593,7 +494,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 1 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         // Not joined yet.
         queues.send.push(SendRequest {

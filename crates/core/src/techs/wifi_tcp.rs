@@ -21,9 +21,7 @@ use omni_wire::{MeshAddress, OmniAddress, PackedStruct, TechType};
 
 use crate::config::LinkTimings;
 use crate::control::ControlFrame;
-use crate::queues::{
-    LowAddr, ReceivedItem, ResponseOk, SendOp, SendRequest, TechFailure, TechQueues, TechResponse,
-};
+use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
 use crate::tech::D2dTechnology;
 use crate::techs::pooled;
 
@@ -60,9 +58,8 @@ pub struct WifiTcpTech {
     own_omni: OmniAddress,
     own_mesh: MeshAddress,
     timings: LinkTimings,
+    /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
-    token_base: u64,
-    enabled: bool,
     peers: HashMap<MeshAddress, PeerConn>,
     conn_peer: HashMap<ConnId, MeshAddress>,
     connect_tokens: HashMap<u64, MeshAddress>,
@@ -70,9 +67,9 @@ pub struct WifiTcpTech {
     /// Addresses resolved through the establishment procedure.
     resolved: HashMap<OmniAddress, MeshAddress>,
     establish: Option<Establish>,
-    establish_queue: VecDeque<SendRequest>,
-    /// `tech.wifi-tcp.failures` counter, when observability is attached.
-    failures: Option<omni_obs::Counter>,
+    /// Establish-path sends waiting for the current procedure, with their
+    /// destinations.
+    establish_queue: VecDeque<(OmniAddress, SendRequest)>,
     /// Reusable encode scratch for outgoing frames (DESIGN.md §5i).
     scratch: BytesMut,
 }
@@ -85,8 +82,6 @@ impl WifiTcpTech {
             own_mesh,
             timings,
             queues: None,
-            token_base: 0,
-            enabled: false,
             peers: HashMap::new(),
             conn_peer: HashMap::new(),
             connect_tokens: HashMap::new(),
@@ -94,41 +89,22 @@ impl WifiTcpTech {
             resolved: HashMap::new(),
             establish: None,
             establish_queue: VecDeque::new(),
-            failures: None,
             scratch: BytesMut::new(),
         }
     }
 
-    fn respond(&self, token: u64, result: Result<ResponseOk, TechFailure>) {
-        self.queues.as_ref().expect("enabled").response.push(TechResponse::Outcome {
-            tech: TechType::WifiTcp,
-            token,
-            result,
-        });
-    }
-
-    fn fail(&self, description: impl Into<String>, original: SendRequest) {
-        if let Some(c) = &self.failures {
-            c.inc();
-        }
-        let token = original.token;
-        self.respond(token, Err(TechFailure { description: description.into(), original }));
-    }
-
     fn send_via(&mut self, mesh: MeshAddress, req: SendRequest, api: &mut NodeApi<'_>) {
+        let Some(q) = &self.queues else { return };
         let peer = self.peers.entry(mesh).or_default();
         if let Some(conn) = peer.conn {
-            let (packed, wire_len) = match (&req.packed, &req.op) {
-                (Some(p), SendOp::SendData { wire_len, .. }) => (p.clone(), *wire_len),
-                _ => {
-                    self.fail("malformed data request", req);
-                    return;
-                }
+            let (Some(packed), SendOp::SendData { wire_len, .. }) = (&req.packed, &req.op) else {
+                q.fail("malformed data request", req);
+                return;
             };
             let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
-            let wire = wire_len.max(encoded.len() as u64);
+            let wire = (*wire_len).max(encoded.len() as u64);
             api.push(Command::TcpSend { conn, payload: encoded, wire_len: wire });
-            self.peers.get_mut(&mesh).expect("entry").inflight.push_back(req);
+            peer.inflight.push_back(req);
         } else {
             peer.sendq.push_back(req);
             if !peer.connecting {
@@ -152,10 +128,9 @@ impl WifiTcpTech {
     }
 
     fn establish_failed(&mut self, why: &str, api: &mut NodeApi<'_>) {
-        if let Some(est) = self.establish.take() {
-            for req in est.reqs {
-                self.fail(why, req);
-            }
+        let Some(q) = &self.queues else { return };
+        for req in self.establish.take().into_iter().flat_map(|est| est.reqs) {
+            q.fail(why, req);
         }
         self.next_establish(api);
     }
@@ -164,11 +139,7 @@ impl WifiTcpTech {
         if self.establish.is_some() {
             return;
         }
-        if let Some(req) = self.establish_queue.pop_front() {
-            let SendOp::SendData { dest_omni, .. } = req.op else {
-                self.fail("malformed establish request", req);
-                return;
-            };
+        if let Some((dest_omni, req)) = self.establish_queue.pop_front() {
             if let Some(&mesh) = self.resolved.get(&dest_omni) {
                 self.send_via(mesh, req, api);
                 self.next_establish(api);
@@ -178,26 +149,27 @@ impl WifiTcpTech {
         }
     }
 
-    fn send_resolve(&mut self, dest_omni: OmniAddress, api: &mut NodeApi<'_>) {
+    fn send_resolve(&self, q: &TechQueues, dest_omni: OmniAddress, api: &mut NodeApi<'_>) {
         let frame = ControlFrame::Resolve { target: dest_omni, requester: self.own_omni };
         api.push(Command::WifiMcastSend { payload: frame.encode(), wire_len: 17, bulk: false });
-        api.set_timer(self.token_base + TOKEN_RESOLVE_RETRY, self.timings.resolve_retry);
+        q.set_timer(api, TOKEN_RESOLVE_RETRY, self.timings.resolve_retry);
     }
 
     fn handle_request(&mut self, req: SendRequest, api: &mut NodeApi<'_>) {
+        let Some(q) = &self.queues else { return };
         let SendOp::SendData { dest, dest_omni, establish, .. } = req.op else {
             // Context operations (including relays) belong to the context
             // technologies.
-            self.fail("wifi-tcp carries data only", req);
+            q.fail("wifi-tcp carries data only", req);
             return;
         };
         if req.packed.is_none() {
-            self.fail("data request without payload", req);
+            q.fail("data request without payload", req);
             return;
         }
         if !establish {
             let LowAddr::Mesh(mesh) = dest else {
-                self.fail("destination has no mesh address", req);
+                q.fail("destination has no mesh address", req);
                 return;
             };
             self.send_via(mesh, req, api);
@@ -210,7 +182,7 @@ impl WifiTcpTech {
         }
         match self.establish.as_mut() {
             Some(est) if est.dest_omni == dest_omni => est.reqs.push(req),
-            Some(_) => self.establish_queue.push_back(req),
+            Some(_) => self.establish_queue.push_back((dest_omni, req)),
             None => self.start_establish(dest_omni, req, api),
         }
     }
@@ -221,6 +193,7 @@ impl WifiTcpTech {
         result: &Result<ConnId, omni_sim::TcpError>,
         api: &mut NodeApi<'_>,
     ) -> bool {
+        let Some(q) = &self.queues else { return false };
         let Some(mesh) = self.connect_tokens.remove(&token) else {
             return false;
         };
@@ -231,17 +204,15 @@ impl WifiTcpTech {
         match result {
             Ok(conn) => {
                 peer.conn = Some(*conn);
+                let queued: Vec<_> = peer.sendq.drain(..).collect();
                 self.conn_peer.insert(*conn, mesh);
-                let queued: Vec<_> =
-                    self.peers.get_mut(&mesh).expect("peer").sendq.drain(..).collect();
                 for req in queued {
                     self.send_via(mesh, req, api);
                 }
             }
             Err(e) => {
-                let queued: Vec<_> = peer.sendq.drain(..).collect();
-                for req in queued {
-                    self.fail(format!("tcp connect failed: {e}"), req);
+                for req in peer.sendq.drain(..) {
+                    q.fail(format!("tcp connect failed: {e}"), req);
                 }
             }
         }
@@ -249,6 +220,7 @@ impl WifiTcpTech {
     }
 
     fn on_closed(&mut self, conn: ConnId, error: bool) -> bool {
+        let Some(q) = &self.queues else { return false };
         let Some(mesh) = self.conn_peer.remove(&conn) else {
             return false;
         };
@@ -256,9 +228,8 @@ impl WifiTcpTech {
             peer.conn = None;
             peer.connecting = false;
             let why = if error { "connection lost" } else { "connection closed by peer" };
-            let stranded: Vec<_> = peer.inflight.drain(..).chain(peer.sendq.drain(..)).collect();
-            for req in stranded {
-                self.fail(why, req);
+            for req in peer.inflight.drain(..).chain(peer.sendq.drain(..)) {
+                q.fail(why, req);
             }
         }
         true
@@ -266,45 +237,26 @@ impl WifiTcpTech {
 }
 
 impl D2dTechnology for WifiTcpTech {
-    fn attach_obs(&mut self, obs: &omni_obs::Obs) {
-        self.failures = Some(obs.counter("tech.wifi-tcp.failures"));
-    }
-
-    fn enable(
-        &mut self,
-        queues: TechQueues,
-        token_base: u64,
-        _api: &mut NodeApi<'_>,
-    ) -> (TechType, LowAddr) {
+    fn enable(&mut self, queues: TechQueues, _api: &mut NodeApi<'_>) -> (TechType, LowAddr) {
         self.queues = Some(queues);
-        self.token_base = token_base;
-        self.enabled = true;
         (TechType::WifiTcp, LowAddr::Mesh(self.own_mesh))
     }
 
     fn disable(&mut self, api: &mut NodeApi<'_>) {
-        self.enabled = false;
-        if let Some(queues) = self.queues.clone() {
-            let mut held = queues.send.drain();
-            let mut peers: Vec<_> = self.peers.drain().collect();
-            peers.sort_unstable_by_key(|&(mesh, _)| mesh);
-            for (_, peer) in peers {
-                if let Some(conn) = peer.conn {
-                    api.push(Command::TcpClose { conn });
-                }
-                held.extend(peer.inflight.into_iter().chain(peer.sendq));
+        let Some(q) = self.queues.take() else { return };
+        let mut peers: Vec<_> = self.peers.drain().collect();
+        peers.sort_unstable_by_key(|&(mesh, _)| mesh);
+        let mut held = Vec::new();
+        for (_, peer) in peers {
+            if let Some(conn) = peer.conn {
+                api.push(Command::TcpClose { conn });
             }
-            held.extend(self.establish.take().into_iter().flat_map(|est| est.reqs));
-            held.extend(std::mem::take(&mut self.establish_queue));
-            held.sort_by_key(|req| req.token);
-            for req in held {
-                self.fail("technology disabled", req);
-            }
-            queues
-                .response
-                .push(TechResponse::StatusChanged { tech: TechType::WifiTcp, available: false });
+            held.extend(peer.inflight.into_iter().chain(peer.sendq));
         }
+        held.extend(self.establish.take().into_iter().flat_map(|est| est.reqs));
+        held.extend(self.establish_queue.drain(..).map(|(_, req)| req));
         self.conn_peer.clear();
+        q.shut_down(held);
     }
 
     fn tech_type(&self) -> TechType {
@@ -312,18 +264,13 @@ impl D2dTechnology for WifiTcpTech {
     }
 
     fn poll(&mut self, api: &mut NodeApi<'_>) {
-        if !self.enabled {
-            return;
-        }
         while let Some(req) = self.queues.as_ref().and_then(|q| q.send.pop()) {
             self.handle_request(req, api);
         }
     }
 
     fn on_node_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) -> bool {
-        if !self.enabled {
-            return false;
-        }
+        let Some(q) = &self.queues else { return false };
         match event {
             NodeEvent::WifiScanDone { found } => {
                 if let Some(est) = self.establish.as_mut() {
@@ -345,7 +292,7 @@ impl D2dTechnology for WifiTcpTech {
                             est.phase = Phase::Resolving;
                             est.attempts = 1;
                             let dest = est.dest_omni;
-                            self.send_resolve(dest, api);
+                            self.send_resolve(q, dest, api);
                         } else {
                             self.establish_failed("could not join mesh group", api);
                         }
@@ -358,7 +305,7 @@ impl D2dTechnology for WifiTcpTech {
                     self.resolved.insert(addr, mesh);
                     if let Some(est) = self.establish.as_ref() {
                         if est.phase == Phase::Resolving && est.dest_omni == addr {
-                            api.cancel_timer(self.token_base + TOKEN_RESOLVE_RETRY);
+                            q.cancel_timer(api, TOKEN_RESOLVE_RETRY);
                             let est = self.establish.take().expect("present");
                             for req in est.reqs {
                                 self.send_via(mesh, req, api);
@@ -370,7 +317,7 @@ impl D2dTechnology for WifiTcpTech {
                 }
                 _ => false,
             },
-            NodeEvent::Timer { token } if *token == self.token_base + TOKEN_RESOLVE_RETRY => {
+            NodeEvent::Timer { .. } if q.timer_offset(event) == Some(TOKEN_RESOLVE_RETRY) => {
                 let (dest, give_up) = match self.establish.as_mut() {
                     Some(est) if est.phase == Phase::Resolving => {
                         est.attempts += 1;
@@ -381,7 +328,7 @@ impl D2dTechnology for WifiTcpTech {
                 if give_up {
                     self.establish_failed("address resolution timed out", api);
                 } else {
-                    self.send_resolve(dest, api);
+                    self.send_resolve(q, dest, api);
                 }
                 true
             }
@@ -401,11 +348,7 @@ impl D2dTechnology for WifiTcpTech {
                     return false;
                 };
                 if let Ok(packed) = PackedStruct::decode_shared(payload) {
-                    self.queues.as_ref().expect("enabled").receive.push(ReceivedItem {
-                        tech: TechType::WifiTcp,
-                        source: LowAddr::Mesh(mesh),
-                        packed,
-                    });
+                    q.deliver(LowAddr::Mesh(mesh), packed);
                 }
                 true
             }
@@ -413,12 +356,8 @@ impl D2dTechnology for WifiTcpTech {
                 let Some(&mesh) = self.conn_peer.get(conn) else {
                     return false;
                 };
-                if let Some(peer) = self.peers.get_mut(&mesh) {
-                    if let Some(req) = peer.inflight.pop_front() {
-                        if let SendOp::SendData { dest_omni, .. } = req.op {
-                            self.respond(req.token, Ok(ResponseOk::DataSent { dest_omni }));
-                        }
-                    }
+                if let Some(req) = self.peers.get_mut(&mesh).and_then(|p| p.inflight.pop_front()) {
+                    q.succeed(&req);
                 }
                 true
             }
@@ -438,9 +377,10 @@ impl D2dTechnology for WifiTcpTech {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::techs::testing::disabled_tokens;
+    use crate::queues::{ResponseOk, TechResponse};
+    use crate::techs::testing::{disabled_tokens, port, with_api};
     use bytes::Bytes;
-    use omni_sim::{DeviceId, SimTime, TcpError};
+    use omni_sim::TcpError;
 
     fn mk() -> (WifiTcpTech, TechQueues) {
         let tech = WifiTcpTech::new(
@@ -448,20 +388,7 @@ mod tests {
             MeshAddress::from_u64(0xA1),
             LinkTimings::default(),
         );
-        let queues = TechQueues {
-            receive: crate::queues::SharedQueue::new(),
-            response: crate::queues::SharedQueue::new(),
-            send: crate::queues::SharedQueue::new(),
-        };
-        (tech, queues)
-    }
-
-    fn with_api<R>(
-        cmds: &mut Vec<(DeviceId, Command)>,
-        f: impl FnOnce(&mut NodeApi<'_>) -> R,
-    ) -> R {
-        let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, cmds);
-        f(&mut api)
+        (tech, port(TechType::WifiTcp, 2 << 32))
     }
 
     fn data_req(token: u64, establish: bool) -> SendRequest {
@@ -486,7 +413,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(data_req(1, false));
         with_api(&mut cmds, |api| tech.poll(api));
@@ -521,7 +448,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(data_req(1, false));
         queues.send.push(data_req(2, false));
@@ -550,7 +477,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(data_req(1, true));
         with_api(&mut cmds, |api| tech.poll(api));
@@ -602,7 +529,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(data_req(1, true));
         with_api(&mut cmds, |api| tech.poll(api));
@@ -632,7 +559,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         with_api(&mut cmds, |api| {
             tech.on_node_event(
@@ -654,7 +581,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         with_api(&mut cmds, |api| {
             tech.on_node_event(
@@ -680,7 +607,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
             for (conn, mesh) in [(5, 0xB5), (6, 0xB9), (7, 0xB2)] {
                 let from = MeshAddress::from_u64(mesh);
                 tech.on_node_event(&NodeEvent::TcpIncoming { conn: ConnId(conn), from }, api);
@@ -729,7 +656,7 @@ mod tests {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
-            tech.enable(queues.clone(), 2 << 32, api);
+            tech.enable(queues.clone(), api);
         });
         queues.send.push(data_req(1, false));
         with_api(&mut cmds, |api| tech.poll(api));
