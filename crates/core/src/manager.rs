@@ -23,6 +23,8 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
 use omni_obs::{Counter, Digest, EventKind, Gauge, Obs};
@@ -127,13 +129,17 @@ struct MgrObs {
     ttl_expired: Counter,
     /// `mgr.custody_depth`: frames currently held in custody.
     custody_depth: Gauge,
+    /// Sim time in microseconds, shared with the instrumented queues, which
+    /// stamp their `QueueDropped` events with it.
+    now_us: Arc<AtomicU64>,
 }
 
 impl MgrObs {
-    fn new(obs: &Obs, node: u32, relay_label: &'static str) -> Self {
+    fn new(obs: &Obs, node: u32, relay_label: &'static str, now_us: Arc<AtomicU64>) -> Self {
         MgrObs {
             obs: obs.clone(),
             node,
+            now_us,
             peers: obs.gauge("mgr.peers"),
             contexts: obs.gauge("mgr.contexts"),
             engaged: obs.gauge("mgr.engaged_techs"),
@@ -354,37 +360,39 @@ impl OmniManager {
     /// pluggable technologies.
     pub fn new(own: OmniAddress, cfg: OmniConfig, techs: Vec<Box<dyn D2dTechnology>>) -> Self {
         let node = own.as_u64() as u32;
+        let now_us = Arc::new(AtomicU64::new(0));
         fn mk_queue<T>(
             cfg: &OmniConfig,
             capacity: Option<usize>,
             label: &'static str,
             node: u32,
+            now_us: &Arc<AtomicU64>,
         ) -> SharedQueue<T> {
             let q = match capacity {
                 Some(n) => SharedQueue::bounded(n),
                 None => SharedQueue::new(),
             };
             match &cfg.obs {
-                Some(obs) => q.instrumented(obs, label, node),
+                Some(obs) => q.instrumented(obs, label, node, now_us.clone()),
                 None => q,
             }
         }
-        let receive = mk_queue(&cfg, cfg.queue_capacity, "receive", node);
+        let receive = mk_queue(&cfg, cfg.queue_capacity, "receive", node, &now_us);
         // Never bounded: it carries the failures `surface_eviction` reports
         // for evicted sends, and evicting one of those would lose it.
-        let response = mk_queue(&cfg, None, "response", node);
+        let response = mk_queue(&cfg, None, "response", node, &now_us);
         let cfg_cipher = cfg.context_key.map(|key| ContextCipher::new(key, own.as_u64()));
         let beacon_interval = cfg.adaptive_beacon.map(|p| p.min).unwrap_or(cfg.beacon_interval);
         let techs = techs
             .into_iter()
             .map(|tech| {
                 let ty = tech.tech_type();
-                let send = mk_queue(&cfg, cfg.queue_capacity, send_queue_label(ty), node);
+                let send = mk_queue(&cfg, cfg.queue_capacity, send_queue_label(ty), node, &now_us);
                 TechSlot { ty, tech, send, addr: None }
             })
             .collect();
         let mgr_obs =
-            cfg.obs.as_ref().map(|obs| MgrObs::new(obs, node, cfg.relay.strategy.label()));
+            cfg.obs.as_ref().map(|obs| MgrObs::new(obs, node, cfg.relay.strategy.label(), now_us));
         let prophet = match cfg.relay.strategy {
             RelayStrategy::Prophet(pcfg) => Some(ProphetState {
                 cfg: pcfg,
@@ -472,6 +480,7 @@ impl OmniManager {
             return;
         }
         self.started = true;
+        self.note_time(api);
         for (i, slot) in self.techs.iter_mut().enumerate() {
             let queues = TechQueues::new(
                 slot.ty,
@@ -583,6 +592,7 @@ impl OmniManager {
     /// Handles a substrate event: manager timers, application timers, or a
     /// technology event; then pumps the queues.
     pub fn handle_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) {
+        self.note_time(api);
         match event {
             NodeEvent::Timer { token } if *token == MGR_TIMER_ENGAGE => {
                 self.evaluate_engagement(api);
@@ -614,10 +624,19 @@ impl OmniManager {
     // Pump: queues, callbacks, deferred work
     // ------------------------------------------------------------------
 
+    /// Stores the time of the `NodeApi` the manager was handed, for the
+    /// instrumented queues' `QueueDropped` stamps.
+    fn note_time(&self, api: &NodeApi<'_>) {
+        if let Some(m) = &self.mgr_obs {
+            m.now_us.store(api.now.as_micros(), Ordering::Relaxed);
+        }
+    }
+
     /// Processes queues until quiescent. A technology is polled only while
     /// its send queue holds requests (see [`D2dTechnology::poll`]), so a
     /// pass with nothing to send costs one atomic load per technology.
     pub fn pump(&mut self, api: &mut NodeApi<'_>) {
+        self.note_time(api);
         for _ in 0..256 {
             let mut progressed = false;
             for slot in &mut self.techs {

@@ -18,10 +18,10 @@
 //! *oldest* element to admit a new one and counts the drops. Attaching an
 //! [`Obs`] handle ([`SharedQueue::instrumented`]) additionally exports a
 //! depth gauge, an enqueue→dequeue wait digest, a drop counter, and a
-//! [`EventKind::QueueDropped`] event per drop.
+//! [`EventKind::QueueDropped`] event per drop, stamped with sim time.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,7 +58,7 @@ impl std::fmt::Display for LowAddr {
 
 /// Observability attachment for a queue: metric handles plus what is needed
 /// to stamp [`EventKind::QueueDropped`] events (the label, the owning node,
-/// and a wall-clock epoch).
+/// and the owner's sim clock in microseconds).
 #[derive(Debug)]
 struct QueueInstr {
     depth: Gauge,
@@ -67,7 +67,7 @@ struct QueueInstr {
     obs: Obs,
     label: &'static str,
     node: u32,
-    epoch: Instant,
+    now_us: Arc<AtomicU64>,
 }
 
 #[derive(Debug)]
@@ -134,10 +134,17 @@ impl<T> SharedQueue<T> {
     }
 
     /// Attaches observability: exports `queue.<label>.depth`,
-    /// `queue.<label>.dropped`, and `queue.<label>.wait_us`, and records a
-    /// [`EventKind::QueueDropped`] per evicted item (stamped with wall-clock
-    /// microseconds since this call). `node` identifies the owning device.
-    pub fn instrumented(mut self, obs: &Obs, label: &'static str, node: u32) -> Self {
+    /// `queue.<label>.dropped`, and `queue.<label>.wait_us` (wall-clock),
+    /// and records a [`EventKind::QueueDropped`] per evicted item, stamped
+    /// with the sim time the owner last stored in `now_us`. `node`
+    /// identifies the owning device.
+    pub fn instrumented(
+        mut self,
+        obs: &Obs,
+        label: &'static str,
+        node: u32,
+        now_us: Arc<AtomicU64>,
+    ) -> Self {
         self.instr = Some(Arc::new(QueueInstr {
             depth: obs.gauge(&format!("queue.{label}.depth")),
             dropped: obs.counter(&format!("queue.{label}.dropped")),
@@ -145,7 +152,7 @@ impl<T> SharedQueue<T> {
             obs: obs.clone(),
             label,
             node,
-            epoch: Instant::now(),
+            now_us,
         }));
         self
     }
@@ -163,11 +170,8 @@ impl<T> SharedQueue<T> {
                 inner.dropped += 1;
                 if let Some(i) = &self.instr {
                     i.dropped.inc();
-                    i.obs.event(
-                        i.epoch.elapsed().as_micros() as u64,
-                        i.node,
-                        EventKind::QueueDropped { queue: i.label },
-                    );
+                    let t_us = i.now_us.load(Ordering::Relaxed);
+                    i.obs.event(t_us, i.node, EventKind::QueueDropped { queue: i.label });
                 }
             }
         }
@@ -531,15 +535,17 @@ mod tests {
     #[test]
     fn instrumented_queue_exports_depth_drops_and_waits() {
         let obs = Obs::new();
-        let q = SharedQueue::bounded(2).instrumented(&obs, "receive", 7);
+        let now_us = Arc::new(AtomicU64::new(0));
+        let q = SharedQueue::bounded(2).instrumented(&obs, "receive", 7, now_us.clone());
         q.push("a");
         q.push("b");
         assert_eq!(obs.gauge("queue.receive.depth").get(), 2);
+        now_us.store(1_250_000, Ordering::Relaxed);
         q.push("c"); // evicts "a"
         assert_eq!(obs.counter("queue.receive.dropped").get(), 1);
         let events = obs.events();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].node, 7);
+        assert_eq!((events[0].t_us, events[0].node), (1_250_000, 7));
         assert_eq!(events[0].kind, EventKind::QueueDropped { queue: "receive" });
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(obs.gauge("queue.receive.depth").get(), 1);
@@ -563,7 +569,7 @@ mod tests {
         for q in [
             SharedQueue::new(),
             SharedQueue::bounded(3),
-            SharedQueue::bounded(3).instrumented(&obs, "t", 1),
+            SharedQueue::bounded(3).instrumented(&obs, "t", 1, Arc::default()),
         ] {
             let (a, b) = (q.clone(), q.clone());
             let cap = q.capacity().unwrap_or(usize::MAX);

@@ -21,10 +21,9 @@
 //! The test folds into one FNV-1a digest every status callback (sim µs,
 //! device, code and the `Debug` form of its `ResponseInfo`, which unlike
 //! `Display` keeps the trace), every context and data receipt, the JSON of
-//! every obs event, the flight recorder's JSONL, the bits of each
-//! device's energy total and the final value of every counter. `QueueDropped` events are stamped with wall-clock
-//! microseconds by the queues, so their `t_us` is zeroed before hashing;
-//! everything else is simulated and deterministic.
+//! every obs event, the flight recorder's JSONL, the bits of each device's
+//! energy total and the final value of every counter. All of it is
+//! simulated and deterministic.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -34,7 +33,7 @@ use omni_core::{
     AdaptiveBeacon, ContextParams, GroupKey, OmniBuilder, OmniConfig, OmniCtl, OmniStack,
     RelayPolicy, RetryPolicy, StatusCallback, ADDRESS_BEACON_CONTEXT_ID,
 };
-use omni_obs::{event_json, EventKind, Obs};
+use omni_obs::{event_json, Obs};
 use omni_sim::{
     ChurnWindow, DeviceCaps, FaultConfig, FaultScope, FlightRecorder, LinkPartition, Position,
     Runner, SimConfig, SimDuration, SimTime,
@@ -54,7 +53,12 @@ use omni_wire::{OmniAddress, ResponseInfo};
 /// Re-pinned again when the transcript began ending each fleet with its
 /// counters (the technologies' `tech.<label>.failures` among them). The
 /// lines before the counters are unchanged.
-const PINNED_DIGEST: u64 = 0xe277_8c8c_7dcc_cd1b;
+///
+/// Re-pinned a third time when the queues began stamping `QueueDropped`
+/// events with sim time instead of wall-clock microseconds. The transcript
+/// used to zero those stamps; it now hashes them, and the flight recorder's
+/// JSONL now keeps the events, so its later sequence numbers shift.
+const PINNED_DIGEST: u64 = 0x35cc_2902_8060_be34;
 
 /// Event-ring size: no fleet here comes close to wrapping it (asserted).
 const EVENT_CAPACITY: usize = 1 << 18;
@@ -215,10 +219,7 @@ fn run(fleet: Fleet) -> String {
         out.push_str(line);
         out.push('\n');
     }
-    for mut e in obs.events() {
-        if matches!(e.kind, EventKind::QueueDropped { .. }) {
-            e.t_us = 0;
-        }
+    for e in obs.events() {
         out.push_str(&event_json(&e));
         out.push('\n');
     }

@@ -111,12 +111,10 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Snapshots `obs`, dropping wall-clock-stamped events (`QueueDropped`)
-    /// and stable-sorting the rest by sim time so merged multi-node rings
-    /// read in causal order.
+    /// Snapshots `obs`, stable-sorting its events by sim time so merged
+    /// multi-node rings read in causal order.
     pub fn from_obs(obs: &Obs) -> Self {
         let mut events = obs.events();
-        events.retain(|e| !matches!(e.kind, EventKind::QueueDropped { .. }));
         events.sort_by_key(|e| e.t_us);
         FlightRecorder { events }
     }
@@ -202,14 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_events_are_excluded_and_order_is_causal() {
+    fn events_are_ordered_by_sim_time() {
         let rec = recorder(&[
             ev(20, 1, EventKind::DataSent { tech: "ble-beacon", bytes: 4, trace: 9 }),
             ev(5, 0, EventKind::QueueDropped { queue: "receive" }),
             ev(10, 0, EventKind::DataEnqueued { tech: "ble-beacon", bytes: 4, trace: 9 }),
         ]);
         let kinds: Vec<&str> = rec.events().iter().map(|e| e.kind.name()).collect();
-        assert_eq!(kinds, ["DataEnqueued", "DataSent"], "sorted by time, QueueDropped gone");
+        assert_eq!(kinds, ["QueueDropped", "DataEnqueued", "DataSent"], "sorted by time");
     }
 
     #[test]
