@@ -57,13 +57,11 @@ impl TimedSends {
 
     /// Cancels every timer and returns the sends they held.
     pub(crate) fn cancel(&mut self, port: &TechQueues, api: &mut NodeApi<'_>) -> Vec<SendRequest> {
-        let held = std::mem::take(&mut self.held);
-        held.into_iter()
-            .map(|(offset, req)| {
-                port.cancel_timer(api, offset);
-                req
-            })
-            .collect()
+        let cancel = |(offset, req)| {
+            port.cancel_timer(api, offset);
+            req
+        };
+        self.held.drain().map(cancel).collect()
     }
 }
 
