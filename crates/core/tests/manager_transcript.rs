@@ -58,7 +58,17 @@ use omni_wire::{OmniAddress, ResponseInfo};
 /// events with sim time instead of wall-clock microseconds. The transcript
 /// used to zero those stamps; it now hashes them, and the flight recorder's
 /// JSONL now keeps the events, so its later sequence numbers shift.
-const PINNED_DIGEST: u64 = 0x35cc_2902_8060_be34;
+///
+/// Re-pinned a fourth time when sized sends stopped riding the relay layer.
+/// Each chain fleet's five 200,000 B `bulk` sends between BLE-only devices
+/// used to enter custody and succeed as 4 B descriptors relayed over BLE.
+/// They now fail as with relaying off: with `SendFailure` at once, except in
+/// the PRoPHET fleet, whose reliable retries end four of them in
+/// `SendExhausted` (the fifth device's peer is never discovered, which
+/// fails at once everywhere). Only those statuses and receipts moved, with
+/// the chain fleets' events, counters and energy; the first two fleets are
+/// unchanged.
+const PINNED_DIGEST: u64 = 0xf514_8cb2_b96f_6a6f;
 
 /// Event-ring size: no fleet here comes close to wrapping it (asserted).
 const EVENT_CAPACITY: usize = 1 << 18;

@@ -21,7 +21,7 @@ use omni_core::{OmniBuilder, OmniConfig, OmniStack, RelayPolicy, SeenSet};
 use omni_obs::{Event, EventKind, Obs};
 use omni_sim::{DeviceCaps, FaultConfig, Position, Runner, SimDuration, SimTime};
 use omni_sim::{FlightRecorder, SimConfig};
-use omni_wire::StatusCode;
+use omni_wire::{ResponseInfo, StatusCode};
 use proptest::prelude::*;
 
 /// Node pitch along the chain; BLE range is 30 m, so 25 m keeps exactly the
@@ -174,6 +174,60 @@ fn single_hop_path_scores_zero_on_the_same_chain() {
         assert_eq!(st.len(), 1, "still exactly one terminal status");
         assert_eq!(st[0], StatusCode::SendDataFailure);
     }
+}
+
+/// A sized send's logical size is not on the wire, so no custodian could
+/// forward it at that size: it rides no relay header and behaves as with
+/// relaying off. BLE cannot carry 200,000 B, so the send fails at once and
+/// nothing is delivered.
+#[test]
+fn a_sized_send_stays_single_hop_with_relaying_on() {
+    let mut sim = Runner::new(SimConfig::default());
+    let cfg = OmniConfig { relay: RelayPolicy::epidemic(), ..Default::default() };
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let dest = OmniBuilder::omni_address(&sim, b);
+    let statuses = Rc::new(RefCell::new(Vec::new()));
+    let got = Rc::new(RefCell::new(Vec::new()));
+
+    let mgr = OmniBuilder::new().with_ble().with_config(cfg.clone()).build(&sim, a);
+    let st = statuses.clone();
+    sim.set_stack(
+        a,
+        Box::new(OmniStack::new(mgr, move |omni| {
+            omni.request_timers(Box::new(move |_, o| {
+                let st = st.clone();
+                o.send_data_sized(
+                    vec![dest],
+                    Bytes::from_static(b"bulk"),
+                    200_000,
+                    Box::new(move |code, info, o| {
+                        st.borrow_mut().push((o.now, code, info.clone()));
+                    }),
+                );
+            }));
+            omni.set_timer(1, SimDuration::from_secs(5));
+        })),
+    );
+    let mgr = OmniBuilder::new().with_ble().with_config(cfg).build(&sim, b);
+    let g = got.clone();
+    sim.set_stack(
+        b,
+        Box::new(OmniStack::new(mgr, move |omni| {
+            omni.request_data(Box::new(move |_, payload, _| g.borrow_mut().push(payload.clone())));
+        })),
+    );
+    sim.run_until(SimTime::from_secs(10));
+
+    let statuses = statuses.borrow();
+    let [(at, StatusCode::SendDataFailure, ResponseInfo::SendFailure { description, .. })] =
+        &statuses[..]
+    else {
+        panic!("expected one SendFailure, got {statuses:?}");
+    };
+    assert_eq!(*at, SimTime::from_secs(5));
+    assert_eq!(description, "no applicable technology for destination");
+    assert!(got.borrow().is_empty(), "delivered {:?}", got.borrow());
 }
 
 // ---------------------------------------------------------------------
