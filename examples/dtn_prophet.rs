@@ -44,4 +44,5 @@ fn main() {
     }
     let avg = sim.energy().average_ma(b, SimTime::ZERO, SimTime::from_secs(30));
     println!("carrier B average draw: {avg:.1} mA (standby floor 92.1 mA)");
+    assert!(rep_c.borrow().delivered.iter().any(|&(id, _)| id == 1), "C never received bundle 1");
 }

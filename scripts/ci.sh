@@ -29,6 +29,18 @@ wire_smoke() {
     cargo bench -q -p omni-bench --bench codec
 }
 
+# run_examples: runs every example under examples/, each to completion, and
+# fails if any of them failed.
+run_examples() {
+  local status=0 example
+  for example in examples/*.rs; do
+    example=$(basename "$example" .rs)
+    echo "-- $example"
+    cargo run -q --release --example "$example" || status=1
+  done
+  return "$status"
+}
+
 stage "cargo fmt --check" \
   cargo fmt --all -- --check
 
@@ -40,6 +52,9 @@ stage "cargo doc (warnings are errors)" \
 
 stage "cargo test" \
   cargo test --workspace -q --no-fail-fast
+
+stage "examples (each runs to completion; dtn_prophet asserts delivery)" \
+  run_examples
 
 stage "wire smoke (zero-copy allocation gate + codec microbenches)" \
   wire_smoke
