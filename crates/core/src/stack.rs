@@ -62,25 +62,12 @@ impl Stack for OmniStack {
 /// let dev = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
 /// let manager = OmniBuilder::new().with_ble().with_wifi().build(&sim, dev);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OmniBuilder {
     cfg: OmniConfig,
     ble: bool,
     wifi: bool,
     nfc: bool,
-    ble_scan_duty: f64,
-}
-
-impl Default for OmniBuilder {
-    fn default() -> Self {
-        OmniBuilder {
-            cfg: OmniConfig::default(),
-            ble: false,
-            wifi: false,
-            nfc: false,
-            ble_scan_duty: 1.0,
-        }
-    }
 }
 
 impl OmniBuilder {
@@ -132,12 +119,6 @@ impl OmniBuilder {
         self
     }
 
-    /// Overrides the BLE neighbor-discovery scanning duty cycle.
-    pub fn ble_scan_duty(mut self, duty: f64) -> Self {
-        self.ble_scan_duty = duty;
-        self
-    }
-
     /// The `omni_address` the built manager will use for `dev` (a hash of
     /// the device's interface MACs, paper §3.3).
     pub fn omni_address(runner: &Runner, dev: DeviceId) -> OmniAddress {
@@ -152,17 +133,12 @@ impl OmniBuilder {
     pub fn build(&self, runner: &Runner, dev: DeviceId) -> OmniManager {
         assert!(self.ble || self.wifi || self.nfc, "select at least one technology");
         let own = Self::omni_address(runner, dev);
-        let timings: LinkTimings = LinkTimings::from_sim(runner.config());
+        let timings = LinkTimings::from_sim(runner.config());
         let mut techs: Vec<Box<dyn crate::tech::D2dTechnology>> = Vec::new();
         if self.ble {
             techs.push(Box::new(
-                BleBeaconTech::new(
-                    own,
-                    runner.ble_addr(dev),
-                    timings.ble_max_payload,
-                    self.ble_scan_duty,
-                )
-                .with_link_acks(self.cfg.retry.enabled()),
+                BleBeaconTech::new(own, runner.ble_addr(dev), timings.ble_max_payload)
+                    .with_link_acks(self.cfg.retry.enabled()),
             ));
         }
         if self.wifi {
@@ -171,13 +147,11 @@ impl OmniBuilder {
                 runner.mesh_addr(dev),
                 timings.clone(),
             )));
-            techs.push(Box::new(WifiTcpTech::new(own, runner.mesh_addr(dev), timings.clone())));
+            techs.push(Box::new(WifiTcpTech::new(own, runner.mesh_addr(dev))));
         }
         if self.nfc {
             techs.push(Box::new(NfcTech::new(own, runner.nfc_addr(dev), timings.clone())));
         }
-        let mut cfg = self.cfg.clone();
-        cfg.timings = timings;
-        OmniManager::new(own, cfg, techs)
+        OmniManager::new(own, self.cfg.clone(), timings, techs)
     }
 }

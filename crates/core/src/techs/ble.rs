@@ -36,7 +36,6 @@ pub struct BleBeaconTech {
     own_omni: OmniAddress,
     own_addr: BleAddress,
     max_payload: usize,
-    scan_duty: f64,
     /// Reliable mode: directed data frames request a link-layer ack and
     /// `DataSent` reports genuine delivery instead of transmit-complete.
     link_acks: bool,
@@ -58,19 +57,12 @@ pub struct BleBeaconTech {
 
 impl BleBeaconTech {
     /// Creates the technology for a device with the given identity and
-    /// advertisement payload limit. `scan_duty` is the neighbor-discovery
-    /// scanning duty cycle (Omni uses 1.0: continuous, integrated discovery).
-    pub fn new(
-        own_omni: OmniAddress,
-        own_addr: BleAddress,
-        max_payload: usize,
-        scan_duty: f64,
-    ) -> Self {
+    /// advertisement payload limit.
+    pub fn new(own_omni: OmniAddress, own_addr: BleAddress, max_payload: usize) -> Self {
         BleBeaconTech {
             own_omni,
             own_addr,
             max_payload,
-            scan_duty,
             link_acks: false,
             queues: None,
             slots: HashMap::new(),
@@ -193,9 +185,8 @@ impl BleBeaconTech {
 impl D2dTechnology for BleBeaconTech {
     fn enable(&mut self, queues: TechQueues, api: &mut NodeApi<'_>) -> (TechType, LowAddr) {
         self.queues = Some(queues);
-        // Integrated neighbor discovery: scan continuously (or at the
-        // configured duty cycle).
-        api.push(Command::BleSetScan { duty: Some(self.scan_duty) });
+        // Integrated neighbor discovery: scan continuously.
+        api.push(Command::BleSetScan { duty: Some(1.0) });
         (TechType::BleBeacon, LowAddr::Ble(self.own_addr))
     }
 
@@ -255,8 +246,7 @@ mod tests {
     }
 
     fn mk() -> (BleBeaconTech, TechQueues) {
-        let tech =
-            BleBeaconTech::new(OmniAddress::from_u64(1), BleAddress([2, 0, 0, 0, 0, 1]), 64, 1.0);
+        let tech = BleBeaconTech::new(OmniAddress::from_u64(1), BleAddress([2, 0, 0, 0, 0, 1]), 64);
         (tech, port(TechType::BleBeacon, 0))
     }
 

@@ -27,6 +27,9 @@ use crate::techs::{pooled, TimedSends};
 
 const TOKEN_RESCAN: u64 = 0;
 const TOKEN_TICK: u64 = 1;
+/// How often the technology rescans for transient networks while it is
+/// carrying context.
+const RESCAN_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
 /// The multicast-over-WiFi-Mesh technology.
 #[derive(Debug)]
@@ -91,7 +94,7 @@ impl WifiMulticastTech {
         }
         if !self.contexts.is_empty() && !self.rescan_armed {
             self.rescan_armed = true;
-            q.set_timer(api, TOKEN_RESCAN, self.timings.mcast_rescan);
+            q.set_timer(api, TOKEN_RESCAN, RESCAN_INTERVAL);
         }
     }
 

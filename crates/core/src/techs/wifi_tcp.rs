@@ -16,16 +16,19 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::BytesMut;
-use omni_sim::{Command, ConnId, NodeApi, NodeEvent};
+use omni_sim::{Command, ConnId, NodeApi, NodeEvent, SimDuration};
 use omni_wire::{MeshAddress, OmniAddress, PackedStruct, TechType};
 
-use crate::config::LinkTimings;
 use crate::control::ControlFrame;
 use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
 use crate::tech::D2dTechnology;
 use crate::techs::pooled;
 
 const TOKEN_RESOLVE_RETRY: u64 = 1;
+/// Interval between address-resolution retries.
+const RESOLVE_RETRY: SimDuration = SimDuration::from_millis(500);
+/// Resolve attempts before an establish-path send fails.
+const RESOLVE_ATTEMPTS: u32 = 6;
 
 #[derive(Debug, Default)]
 struct PeerConn {
@@ -57,7 +60,6 @@ struct Establish {
 pub struct WifiTcpTech {
     own_omni: OmniAddress,
     own_mesh: MeshAddress,
-    timings: LinkTimings,
     /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
     peers: HashMap<MeshAddress, PeerConn>,
@@ -76,11 +78,10 @@ pub struct WifiTcpTech {
 
 impl WifiTcpTech {
     /// Creates the technology for a device with the given identity.
-    pub fn new(own_omni: OmniAddress, own_mesh: MeshAddress, timings: LinkTimings) -> Self {
+    pub fn new(own_omni: OmniAddress, own_mesh: MeshAddress) -> Self {
         WifiTcpTech {
             own_omni,
             own_mesh,
-            timings,
             queues: None,
             peers: HashMap::new(),
             conn_peer: HashMap::new(),
@@ -152,7 +153,7 @@ impl WifiTcpTech {
     fn send_resolve(&self, q: &TechQueues, dest_omni: OmniAddress, api: &mut NodeApi<'_>) {
         let frame = ControlFrame::Resolve { target: dest_omni, requester: self.own_omni };
         api.push(Command::WifiMcastSend { payload: frame.encode(), wire_len: 17, bulk: false });
-        q.set_timer(api, TOKEN_RESOLVE_RETRY, self.timings.resolve_retry);
+        q.set_timer(api, TOKEN_RESOLVE_RETRY, RESOLVE_RETRY);
     }
 
     fn handle_request(&mut self, req: SendRequest, api: &mut NodeApi<'_>) {
@@ -321,7 +322,7 @@ impl D2dTechnology for WifiTcpTech {
                 let (dest, give_up) = match self.establish.as_mut() {
                     Some(est) if est.phase == Phase::Resolving => {
                         est.attempts += 1;
-                        (est.dest_omni, est.attempts > self.timings.resolve_attempts)
+                        (est.dest_omni, est.attempts > RESOLVE_ATTEMPTS)
                     }
                     _ => return true,
                 };
@@ -383,11 +384,7 @@ mod tests {
     use omni_sim::TcpError;
 
     fn mk() -> (WifiTcpTech, TechQueues) {
-        let tech = WifiTcpTech::new(
-            OmniAddress::from_u64(1),
-            MeshAddress::from_u64(0xA1),
-            LinkTimings::default(),
-        );
+        let tech = WifiTcpTech::new(OmniAddress::from_u64(1), MeshAddress::from_u64(0xA1));
         (tech, port(TechType::WifiTcp, 2 << 32))
     }
 
@@ -542,7 +539,7 @@ mod tests {
         });
         // Exhaust the retries.
         let retry_token = (2u64 << 32) + TOKEN_RESOLVE_RETRY;
-        for _ in 0..=LinkTimings::default().resolve_attempts {
+        for _ in 0..=RESOLVE_ATTEMPTS {
             with_api(&mut cmds, |api| {
                 tech.on_node_event(&NodeEvent::Timer { token: retry_token }, api);
             });
