@@ -282,7 +282,7 @@ fn partition_fails_over_and_churn_cancels_retries() {
         data_techs: Some(vec![TechType::WifiTcp, TechType::BleBeacon]),
         // Enough passes that send #2 would still be retrying at expiry time
         // if nothing cancelled it.
-        retry: RetryPolicy { max_attempts: 20, ..RetryPolicy::reliable() },
+        retry: RetryPolicy { max_attempts: 20 },
         ..Default::default()
     };
 
