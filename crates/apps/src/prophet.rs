@@ -19,6 +19,7 @@ use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use omni_baselines::sp::{SpAddr, SpCtl, SpHandler, SpOp};
+use omni_core::relay::AGING_INTERVAL;
 use omni_core::{ContextParams, OmniCtl, ProphetRouter};
 use omni_sim::{SimDuration, SimTime};
 use omni_wire::{MeshAddress, OmniAddress};
@@ -27,8 +28,8 @@ const TAG_SUMMARY: u8 = b'S';
 const TAG_BUNDLE: u8 = b'F';
 
 // The router core lives in `omni_core::relay`, shared with the manager's
-// PRoPHET relay strategy; callers build nodes from these re-exports.
-pub use omni_core::{ProphetConfig, ProphetTable};
+// PRoPHET relay strategy.
+pub use omni_core::ProphetTable;
 
 /// A store-carry-forward bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,12 +147,11 @@ fn prophet_try_forward(st: &Rc<RefCell<OmniProphetState>>, peer: OmniAddress, om
 /// history (e.g. "B has met C before").
 pub fn omni_prophet(
     own: OmniAddress,
-    cfg: ProphetConfig,
     initial_bundles: Vec<Bundle>,
     seeds: Vec<(OmniAddress, f64)>,
 ) -> (impl FnOnce(&mut OmniCtl), SharedProphetReport) {
     let report: SharedProphetReport = Rc::new(RefCell::new(ProphetReport::default()));
-    let mut router = ProphetRouter::new(own, cfg);
+    let mut router = ProphetRouter::new(own);
     for (dest, p) in seeds {
         router.table.seed(dest, p);
     }
@@ -212,16 +212,12 @@ pub fn omni_prophet(
             let st_age = st.clone();
             omni.request_timers(Box::new(move |token, o| {
                 if token == 1 {
-                    let interval = {
-                        let router = &mut st_age.borrow_mut().router;
-                        router.table.age(1, &router.cfg);
-                        router.cfg.aging_interval
-                    };
+                    st_age.borrow_mut().router.table.age(1);
                     prophet_refresh_context(&st_age, o);
-                    o.set_timer(1, interval);
+                    o.set_timer(1, AGING_INTERVAL);
                 }
             }));
-            omni.set_timer(1, cfg.aging_interval);
+            omni.set_timer(1, AGING_INTERVAL);
         }
     };
     (init, report)
@@ -252,12 +248,11 @@ impl SpProphet {
     /// Creates the SP PRoPHET handler.
     pub fn new(
         own: OmniAddress,
-        cfg: ProphetConfig,
         initial_bundles: Vec<Bundle>,
         seeds: Vec<(OmniAddress, f64)>,
     ) -> (Self, SharedProphetReport) {
         let report: SharedProphetReport = Rc::new(RefCell::new(ProphetReport::default()));
-        let mut router = ProphetRouter::new(own, cfg);
+        let mut router = ProphetRouter::new(own);
         for (dest, p) in seeds {
             router.table.seed(dest, p);
         }
@@ -320,7 +315,7 @@ impl SpProphet {
 impl SpHandler for SpProphet {
     fn on_start(&mut self, ctl: &mut SpCtl) {
         self.refresh_beacon(ctl);
-        ctl.set_timer(1, self.router.cfg.aging_interval);
+        ctl.set_timer(1, AGING_INTERVAL);
     }
 
     fn on_beacon(&mut self, from: SpAddr, payload: &Bytes, ctl: &mut SpCtl) {
@@ -370,9 +365,9 @@ impl SpHandler for SpProphet {
 
     fn on_timer(&mut self, token: u64, ctl: &mut SpCtl) {
         if token == 1 {
-            self.router.table.age(1, &self.router.cfg);
+            self.router.table.age(1);
             self.refresh_beacon(ctl);
-            ctl.set_timer(1, self.router.cfg.aging_interval);
+            ctl.set_timer(1, AGING_INTERVAL);
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Full-scenario integration tests for the evaluation applications.
 
 use omni_apps::disseminate::{omni_disseminate, FileSpec, SpDisseminate};
-use omni_apps::prophet::{omni_prophet, Bundle, ProphetConfig, SpProphet};
+use omni_apps::prophet::{omni_prophet, Bundle, SpProphet};
 use omni_apps::tourism;
 use omni_baselines::sa::SaBuilder;
 use omni_baselines::sp::SpWifiDevice;
@@ -111,14 +111,12 @@ fn prophet_bundle_travels_a_to_b_to_c_with_omni() {
     let c = sim.add_device(DeviceCaps::PI, Position::new(5_000.0, 0.0));
     let omni_b = OmniBuilder::omni_address(&sim, b);
     let omni_c = OmniBuilder::omni_address(&sim, c);
-    let cfg = ProphetConfig::default();
     let bundle = Bundle { id: 7, dest: omni_c, size: 1_000 };
 
-    let (init_a, rep_a) =
-        omni_prophet(OmniBuilder::omni_address(&sim, a), cfg, vec![bundle], vec![]);
+    let (init_a, rep_a) = omni_prophet(OmniBuilder::omni_address(&sim, a), vec![bundle], vec![]);
     // B has prior history with C: it is the better carrier.
-    let (init_b, rep_b) = omni_prophet(omni_b, cfg, vec![], vec![(omni_c, 0.5)]);
-    let (init_c, rep_c) = omni_prophet(omni_c, cfg, vec![], vec![]);
+    let (init_b, rep_b) = omni_prophet(omni_b, vec![], vec![(omni_c, 0.5)]);
+    let (init_c, rep_c) = omni_prophet(omni_c, vec![], vec![]);
     for (d, init) in [(a, init_a), (b, init_b)] {
         let mgr = OmniBuilder::new().with_ble().with_wifi().build(&sim, d);
         sim.set_stack(d, Box::new(OmniStack::new(mgr, init)));
@@ -147,12 +145,11 @@ fn prophet_with_sa_middleware_is_slower_but_delivers() {
     let b = sim.add_device(DeviceCaps::PI, Position::new(20.0, 0.0));
     let c = sim.add_device(DeviceCaps::PI, Position::new(5_000.0, 0.0));
     let omni_c = OmniBuilder::omni_address(&sim, c);
-    let cfg = ProphetConfig::default();
     let bundle = Bundle { id: 9, dest: omni_c, size: 1_000 };
-    let (init_a, _ra) = omni_prophet(OmniBuilder::omni_address(&sim, a), cfg, vec![bundle], vec![]);
+    let (init_a, _ra) = omni_prophet(OmniBuilder::omni_address(&sim, a), vec![bundle], vec![]);
     let (init_b, _rb) =
-        omni_prophet(OmniBuilder::omni_address(&sim, b), cfg, vec![], vec![(omni_c, 0.5)]);
-    let (init_c, rep_c) = omni_prophet(omni_c, cfg, vec![], vec![]);
+        omni_prophet(OmniBuilder::omni_address(&sim, b), vec![], vec![(omni_c, 0.5)]);
+    let (init_c, rep_c) = omni_prophet(omni_c, vec![], vec![]);
     // Bundles ride unicast WiFi, as in the paper's experiment.
     let mw_cfg = omni_core::OmniConfig {
         data_techs: Some(vec![omni_wire::TechType::WifiTcp]),
@@ -216,11 +213,10 @@ fn sp_prophet_delivers_with_establishment_cost() {
     let c = sim.add_device(DeviceCaps::PI, Position::new(5_000.0, 0.0));
     // SP identities are their omni addresses for bookkeeping.
     let ids: Vec<_> = [a, b, c].iter().map(|&d| OmniBuilder::omni_address(&sim, d)).collect();
-    let cfg = ProphetConfig::default();
     let bundle = Bundle { id: 3, dest: ids[2], size: 1_000 };
-    let (ha, _ra) = SpProphet::new(ids[0], cfg, vec![bundle], vec![]);
-    let (hb, _rb) = SpProphet::new(ids[1], cfg, vec![], vec![(ids[2], 0.5)]);
-    let (hc, rep_c) = SpProphet::new(ids[2], cfg, vec![], vec![]);
+    let (ha, _ra) = SpProphet::new(ids[0], vec![bundle], vec![]);
+    let (hb, _rb) = SpProphet::new(ids[1], vec![], vec![(ids[2], 0.5)]);
+    let (hc, rep_c) = SpProphet::new(ids[2], vec![], vec![]);
     sim.set_stack(
         a,
         Box::new(SpWifiDevice::new(sim.mesh_addr(a), Box::new(ha), SimDuration::from_secs(30))),

@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use omni_apps::disseminate::{omni_disseminate, FileSpec, SpDisseminate};
-use omni_apps::prophet::{omni_prophet, Bundle, ProphetConfig, SpProphet};
+use omni_apps::prophet::{omni_prophet, Bundle, SpProphet};
 use omni_baselines::sa::SaBuilder;
 use omni_baselines::sp::{SpBleDevice, SpWifiDevice};
 use omni_core::{ContextParams, OmniBuilder, OmniConfig, OmniStack};
@@ -546,14 +546,13 @@ pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
     let b = sim.add_device(DeviceCaps::PI, Position::new(20.0, 0.0));
     let c = sim.add_device(DeviceCaps::PI, Position::new(5_000.0, 0.0));
     let ids: Vec<_> = [a, b, c].iter().map(|&d| OmniBuilder::omni_address(&sim, d)).collect();
-    let cfg = ProphetConfig::default();
     let bundle = Bundle { id: 1, dest: ids[2], size: 1_000 };
     let rep_c;
     match system {
         System::Sp => {
-            let (ha, _) = SpProphet::new(ids[0], cfg, vec![bundle], vec![]);
-            let (hb, _) = SpProphet::new(ids[1], cfg, vec![], vec![(ids[2], 0.5)]);
-            let (hc, rc) = SpProphet::new(ids[2], cfg, vec![], vec![]);
+            let (ha, _) = SpProphet::new(ids[0], vec![bundle], vec![]);
+            let (hb, _) = SpProphet::new(ids[1], vec![], vec![(ids[2], 0.5)]);
+            let (hc, rc) = SpProphet::new(ids[2], vec![], vec![]);
             rep_c = rc;
             for (d, h) in [
                 (a, Box::new(ha) as Box<dyn omni_baselines::sp::SpHandler>),
@@ -572,9 +571,9 @@ pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
                 data_techs: Some(vec![TechType::WifiTcp]),
                 ..Default::default()
             };
-            let (ia, _) = omni_prophet(ids[0], cfg, vec![bundle], vec![]);
-            let (ib, _) = omni_prophet(ids[1], cfg, vec![], vec![(ids[2], 0.5)]);
-            let (ic, rc) = omni_prophet(ids[2], cfg, vec![], vec![]);
+            let (ia, _) = omni_prophet(ids[0], vec![bundle], vec![]);
+            let (ib, _) = omni_prophet(ids[1], vec![], vec![(ids[2], 0.5)]);
+            let (ic, rc) = omni_prophet(ids[2], vec![], vec![]);
             rep_c = rc;
             let mut inits = [Some(ia), None, None];
             let mut inits_b = [None, Some(ib), None];

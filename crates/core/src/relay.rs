@@ -14,16 +14,18 @@
 //! * [`RelayStrategy`] — pluggable forwarding: epidemic flooding,
 //!   PRoPHET (ported from `omni-apps`), and binary spray-and-wait.
 //! * [`SeenSet`] — bounded first-seen dedup keyed by the 64-bit trace ID,
-//!   FIFO-evicting so memory never grows past `seen_capacity`.
+//!   FIFO-evicting so memory never grows past its capacity.
 //! * `Relay` (crate-private) — one manager's relay layer, present exactly
 //!   while the policy is on: the policy, the bounded custody store (iterated
 //!   in insertion order so replays stay deterministic; an entry this node
 //!   originated holds the send's deferred status) and, under PRoPHET, the
 //!   router. Its methods are plain state transitions; the manager emits the
 //!   events, fires the callbacks and submits the sends.
-//! * [`ProphetRouter`] — one node's PRoPHET state over a [`ProphetTable`]
-//!   and its [`ProphetConfig`], shared by the manager's PRoPHET strategy and
-//!   both application-level variants in `omni-apps`.
+//! * [`ProphetRouter`] — one node's PRoPHET state over a [`ProphetTable`],
+//!   shared by the manager's PRoPHET strategy and both application-level
+//!   variants in `omni-apps`. The PRoPHET constants are the original
+//!   paper's: `P_init` 0.75, `β` 0.25 and `γ` 0.98 per [`AGING_INTERVAL`],
+//!   with sightings more than 10 s apart counting as new encounters.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -42,6 +44,31 @@ pub const CONTEXT_RELAY_TAG: u8 = 0xE7;
 /// application delivery, so application contexts may not start with either.
 pub const PROPHET_SUMMARY_TAG: u8 = 0xE8;
 
+/// Bound on frames held in custody; taking custody past the bound evicts
+/// the oldest held frame (which counts as expired).
+const CUSTODY_CAPACITY: usize = 64;
+
+/// Minimum gap before the same custody frame is re-offered to the same peer
+/// (re-offers make chains robust to frame loss without acks; the
+/// receiver-side seen set suppresses the duplicates).
+const REOFFER_INTERVAL: SimDuration = SimDuration::from_secs(2);
+
+/// PRoPHET encounter initialization constant `P_init`.
+const P_INIT: f64 = 0.75;
+
+/// PRoPHET transitivity scaling constant `β`.
+const BETA: f64 = 0.25;
+
+/// PRoPHET aging constant `γ`, applied once per [`AGING_INTERVAL`].
+const GAMMA: f64 = 0.98;
+
+/// How often PRoPHET predictabilities age.
+pub const AGING_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Minimum gap between sightings that counts as a *new* PRoPHET encounter
+/// (re-hearing a neighbor's beacon is not a new encounter).
+const ENCOUNTER_GAP: SimDuration = SimDuration::from_secs(10);
+
 /// Forwarding strategy for relayed data frames.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RelayStrategy {
@@ -53,7 +80,7 @@ pub enum RelayStrategy {
     /// PRoPHET (Lindgren et al., 2003): forward to a peer only when it is
     /// the destination or a strictly better carrier by delivery
     /// predictability.
-    Prophet(ProphetConfig),
+    Prophet,
     /// Binary spray-and-wait (Spyropoulos et al., 2005): a bounded copy
     /// budget halves at every spray; a node down to one copy waits for the
     /// destination itself.
@@ -69,7 +96,7 @@ impl RelayStrategy {
         match self {
             RelayStrategy::Off => "off",
             RelayStrategy::Epidemic => "epidemic",
-            RelayStrategy::Prophet(_) => "prophet",
+            RelayStrategy::Prophet => "prophet",
             RelayStrategy::SprayAndWait { .. } => "spray",
         }
     }
@@ -84,6 +111,11 @@ impl RelayStrategy {
 /// sends are stamped with a TTL'd relay header, frames addressed elsewhere
 /// are taken into bounded custody and re-offered to fresh peers, and
 /// duplicates are suppressed by a bounded first-seen set.
+///
+/// The bounds are fixed: the seen set remembers 1024 trace IDs, custody
+/// holds 64 frames (taking a 65th evicts the oldest, which counts as
+/// expired), and a held frame is re-offered to the same peer at most every
+/// 2 s.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelayPolicy {
     /// The forwarding strategy ([`RelayStrategy::Off`] disables relaying).
@@ -92,18 +124,8 @@ pub struct RelayPolicy {
     /// decrements it and a frame arriving with TTL 0 is expired, never
     /// forwarded.
     pub initial_ttl: u8,
-    /// Bound on the first-seen dedup set (trace IDs); oldest entries are
-    /// evicted FIFO so memory stays constant on long runs.
-    pub seen_capacity: usize,
-    /// Bound on frames held in custody; taking custody past the bound
-    /// evicts the oldest held frame (which counts as expired).
-    pub custody_capacity: usize,
     /// How long a frame may sit in custody before it is expired.
     pub custody_timeout: SimDuration,
-    /// Minimum gap before the same custody frame is re-offered to the same
-    /// peer (re-offers make chains robust to frame loss without acks; the
-    /// receiver-side seen set suppresses the duplicates).
-    pub reoffer_interval: SimDuration,
 }
 
 impl RelayPolicy {
@@ -113,10 +135,7 @@ impl RelayPolicy {
         RelayPolicy {
             strategy: RelayStrategy::Off,
             initial_ttl: 8,
-            seen_capacity: 1024,
-            custody_capacity: 64,
             custody_timeout: SimDuration::from_secs(30),
-            reoffer_interval: SimDuration::from_secs(2),
         }
     }
 
@@ -127,10 +146,7 @@ impl RelayPolicy {
 
     /// PRoPHET forwarding with the classic constants.
     pub fn prophet() -> Self {
-        RelayPolicy {
-            strategy: RelayStrategy::Prophet(ProphetConfig::default()),
-            ..RelayPolicy::off()
-        }
+        RelayPolicy { strategy: RelayStrategy::Prophet, ..RelayPolicy::off() }
     }
 
     /// Binary spray-and-wait with a copy budget of `copies`.
@@ -326,10 +342,10 @@ impl Relay {
     pub(crate) fn new(own: OmniAddress, policy: RelayPolicy) -> Option<Box<Relay>> {
         let prophet = match policy.strategy {
             RelayStrategy::Off => return None,
-            RelayStrategy::Prophet(cfg) => Some(ProphetRouter::new(own, cfg)),
+            RelayStrategy::Prophet => Some(ProphetRouter::new(own)),
             _ => None,
         };
-        let custody = CustodyStore::new(policy.custody_capacity);
+        let custody = CustodyStore::new(CUSTODY_CAPACITY);
         Some(Box::new(Relay { policy, custody, prophet }))
     }
 
@@ -345,7 +361,7 @@ impl Relay {
 
     /// Plans the custody-hop forwards to `fresh` peers (sorted), held frames
     /// in custody order: no frame goes back to its origin or to a peer
-    /// offered it within `reoffer_interval`, and a peer other than the
+    /// offered it within `REOFFER_INTERVAL`, and a peer other than the
     /// destination must pass the strategy. Stamps each offer and returns
     /// the copy to send, carrying its next-hop header.
     pub(crate) fn offers(
@@ -362,7 +378,7 @@ impl Relay {
                 let recent = entry
                     .offered
                     .get(&peer)
-                    .is_some_and(|&last| now.saturating_since(last) < self.policy.reoffer_interval);
+                    .is_some_and(|&last| now.saturating_since(last) < REOFFER_INTERVAL);
                 if peer == entry.frame.source || recent {
                     continue; // never back to the origin, nor too often
                 }
@@ -372,7 +388,7 @@ impl Relay {
                     match self.policy.strategy {
                         RelayStrategy::Off => continue,
                         RelayStrategy::Epidemic => 0,
-                        RelayStrategy::Prophet(_) => {
+                        RelayStrategy::Prophet => {
                             let router = self.prophet.as_ref();
                             if !router.is_some_and(|r| r.should_forward(peer, header.dest)) {
                                 continue;
@@ -426,34 +442,6 @@ impl Relay {
 // these types).
 // ---------------------------------------------------------------------
 
-/// PRoPHET parameters (defaults from the original paper).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProphetConfig {
-    /// Encounter initialization constant `P_init`.
-    pub p_init: f64,
-    /// Transitivity scaling constant `β`.
-    pub beta: f64,
-    /// Aging constant `γ`, applied once per aging interval.
-    pub gamma: f64,
-    /// How often predictabilities age.
-    pub aging_interval: SimDuration,
-    /// Minimum gap between sightings that counts as a *new* encounter
-    /// (re-hearing a neighbor's beacon is not a new encounter).
-    pub encounter_gap: SimDuration,
-}
-
-impl Default for ProphetConfig {
-    fn default() -> Self {
-        ProphetConfig {
-            p_init: 0.75,
-            beta: 0.25,
-            gamma: 0.98,
-            aging_interval: SimDuration::from_secs(1),
-            encounter_gap: SimDuration::from_secs(10),
-        }
-    }
-}
-
 /// The delivery-predictability table: `P(self, X)` per known destination.
 #[derive(Debug, Clone, Default)]
 pub struct ProphetTable {
@@ -476,15 +464,15 @@ impl ProphetTable {
         self.p.get(&x).copied().unwrap_or(0.0)
     }
 
-    /// Encounter update: `P = P + (1 − P)·P_init`.
-    pub fn encounter(&mut self, peer: OmniAddress, cfg: &ProphetConfig) {
+    /// Encounter update: `P = P + (1 − P)·P_init`, with `P_init` 0.75.
+    pub fn encounter(&mut self, peer: OmniAddress) {
         let p = self.get(peer);
-        self.p.insert(peer, p + (1.0 - p) * cfg.p_init);
+        self.p.insert(peer, p + (1.0 - p) * P_INIT);
     }
 
-    /// Aging: `P = P·γᵏ` for `k` elapsed intervals.
-    pub fn age(&mut self, intervals: u32, cfg: &ProphetConfig) {
-        let factor = cfg.gamma.powi(intervals as i32);
+    /// Aging: `P = P·γᵏ` for `k` elapsed intervals, with `γ` 0.98.
+    pub fn age(&mut self, intervals: u32) {
+        let factor = GAMMA.powi(intervals as i32);
         for v in self.p.values_mut() {
             *v *= factor;
         }
@@ -492,7 +480,8 @@ impl ProphetTable {
     }
 
     /// Transitivity through `peer`:
-    /// `P(self, dest) = max(P(self, dest), P(self, peer)·P(peer, dest)·β)`.
+    /// `P(self, dest) = max(P(self, dest), P(self, peer)·P(peer, dest)·β)`,
+    /// with `β` 0.25.
     ///
     /// `own` is the table owner's address: a peer's summary routinely lists
     /// *us* as one of its destinations, and ingesting that entry would plant
@@ -503,14 +492,13 @@ impl ProphetTable {
         own: OmniAddress,
         peer: OmniAddress,
         peer_summary: &[(OmniAddress, f64)],
-        cfg: &ProphetConfig,
     ) {
         let p_peer = self.get(peer);
         for &(dest, p_pd) in peer_summary {
             if dest == peer || dest == own {
                 continue;
             }
-            let candidate = p_peer * p_pd * cfg.beta;
+            let candidate = p_peer * p_pd * BETA;
             let current = self.get(dest);
             if candidate > current {
                 self.p.insert(dest, candidate);
@@ -537,8 +525,6 @@ impl ProphetTable {
 /// encounter, the manager on every summary it hears.
 #[derive(Debug, Clone)]
 pub struct ProphetRouter {
-    /// The PRoPHET constants.
-    pub cfg: ProphetConfig,
     /// `P(own, X)` per known destination.
     pub table: ProphetTable,
     own: OmniAddress,
@@ -553,9 +539,8 @@ pub struct ProphetRouter {
 
 impl ProphetRouter {
     /// A router for the node `own`, with an empty table.
-    pub fn new(own: OmniAddress, cfg: ProphetConfig) -> Self {
+    pub fn new(own: OmniAddress) -> Self {
         ProphetRouter {
-            cfg,
             table: ProphetTable::new(),
             own,
             last_seen: HashMap::new(),
@@ -566,12 +551,14 @@ impl ProphetRouter {
 
     /// Notes a sighting of `peer`. It is a new encounter, which raises
     /// `P(own, peer)`, when the peer was never seen or last seen more than
-    /// `encounter_gap` ago; returns whether it was one.
+    /// 10 s ago; returns whether it was one.
     pub fn sighting(&mut self, peer: OmniAddress, now: SimTime) -> bool {
-        let gap = self.cfg.encounter_gap;
-        let new = self.last_seen.insert(peer, now).is_none_or(|t| now.saturating_since(t) > gap);
+        let new = self
+            .last_seen
+            .insert(peer, now)
+            .is_none_or(|t| now.saturating_since(t) > ENCOUNTER_GAP);
         if new {
-            self.table.encounter(peer, &self.cfg);
+            self.table.encounter(peer);
         }
         new
     }
@@ -579,7 +566,7 @@ impl ProphetRouter {
     /// Transitivity through `peer`'s summary (see
     /// [`ProphetTable::transitivity`]).
     pub fn transitivity(&mut self, peer: OmniAddress, summary: &[(OmniAddress, f64)]) {
-        self.table.transitivity(self.own, peer, summary, &self.cfg);
+        self.table.transitivity(self.own, peer, summary);
     }
 
     /// Keeps `peer`'s latest summary for [`Self::should_forward`].
@@ -598,12 +585,13 @@ impl ProphetRouter {
         peer == dest || peer_p > self.table.get(dest)
     }
 
-    /// Ages the table by every whole aging interval since the last aging.
+    /// Ages the table by every whole [`AGING_INTERVAL`] since the last
+    /// aging.
     pub fn age_to(&mut self, now: SimTime) {
-        let step = self.cfg.aging_interval.as_micros().max(1);
+        let step = AGING_INTERVAL.as_micros();
         let k = now.saturating_since(self.last_aged).as_micros() / step;
         if k > 0 {
-            self.table.age(k.min(u64::from(u32::MAX)) as u32, &self.cfg);
+            self.table.age(k.min(u64::from(u32::MAX)) as u32);
             self.last_aged = SimTime::from_micros(self.last_aged.as_micros() + k * step);
         }
     }
@@ -757,7 +745,7 @@ mod tests {
 
     #[test]
     fn router_forwards_to_the_destination_and_strictly_better_carriers() {
-        let mut r = ProphetRouter::new(a(1), ProphetConfig::default());
+        let mut r = ProphetRouter::new(a(1));
         let dest = a(3);
         r.table.seed(dest, 0.9);
         assert!(r.should_forward(dest, dest), "peer is the destination");
@@ -779,9 +767,9 @@ mod tests {
         let t = SimTime::from_secs(1);
         let next = RelayHeader { dest: a(DEST), ttl: 5, hops: 3, copies: 0 };
         assert_eq!(offered(&relay.offers(&fresh, t)), [(a(3), next), (a(4), next)]);
-        let early = t + (policy.reoffer_interval - SimDuration::from_micros(1));
+        let early = t + (REOFFER_INTERVAL - SimDuration::from_micros(1));
         assert!(relay.offers(&fresh, early).is_empty(), "re-offered too soon");
-        let again = relay.offers(&fresh, t + policy.reoffer_interval);
+        let again = relay.offers(&fresh, t + REOFFER_INTERVAL);
         assert_eq!(offered(&again), [(a(3), next), (a(4), next)]);
     }
 
@@ -823,14 +811,13 @@ mod tests {
 
     #[test]
     fn encounter_update_converges_toward_one() {
-        let cfg = ProphetConfig::default();
         let mut t = ProphetTable::new();
-        t.encounter(a(1), &cfg);
+        t.encounter(a(1));
         assert!((t.get(a(1)) - 0.75).abs() < 1e-12);
-        t.encounter(a(1), &cfg);
+        t.encounter(a(1));
         assert!((t.get(a(1)) - 0.9375).abs() < 1e-12);
         for _ in 0..50 {
-            t.encounter(a(1), &cfg);
+            t.encounter(a(1));
         }
         assert!(t.get(a(1)) < 1.0 + 1e-12);
         assert!(t.get(a(1)) > 0.999);
@@ -838,34 +825,31 @@ mod tests {
 
     #[test]
     fn aging_decays_predictabilities() {
-        let cfg = ProphetConfig::default();
         let mut t = ProphetTable::new();
         t.seed(a(1), 0.8);
-        t.age(10, &cfg);
+        t.age(10);
         assert!((t.get(a(1)) - 0.8 * 0.98f64.powi(10)).abs() < 1e-12);
     }
 
     #[test]
     fn aging_evicts_negligible_entries() {
-        let cfg = ProphetConfig::default();
         let mut t = ProphetTable::new();
         t.seed(a(1), 0.5);
-        t.age(2000, &cfg);
+        t.age(2000);
         assert_eq!(t.get(a(1)), 0.0);
         assert!(t.summary(10).is_empty());
     }
 
     #[test]
     fn transitivity_takes_the_max() {
-        let cfg = ProphetConfig::default();
         let mut t = ProphetTable::new();
         t.seed(a(2), 0.8); // P(self, B)
-        t.transitivity(a(1), a(2), &[(a(3), 0.9)], &cfg);
+        t.transitivity(a(1), a(2), &[(a(3), 0.9)]);
         // P(self, C) = 0.8 * 0.9 * 0.25 = 0.18.
         assert!((t.get(a(3)) - 0.18).abs() < 1e-12);
         // A direct, higher value is not lowered.
         t.seed(a(3), 0.5);
-        t.transitivity(a(1), a(2), &[(a(3), 0.9)], &cfg);
+        t.transitivity(a(1), a(2), &[(a(3), 0.9)]);
         assert!((t.get(a(3)) - 0.5).abs() < 1e-12);
     }
 
@@ -874,10 +858,9 @@ mod tests {
         // A peer's summary routinely lists *us* (it met us) and itself; both
         // entries must be ignored or they crowd real destinations out of the
         // size-capped summary we advertise.
-        let cfg = ProphetConfig::default();
         let mut t = ProphetTable::new();
         t.seed(a(2), 0.8);
-        t.transitivity(a(1), a(2), &[(a(1), 0.9), (a(2), 0.9), (a(3), 0.9)], &cfg);
+        t.transitivity(a(1), a(2), &[(a(1), 0.9), (a(2), 0.9), (a(3), 0.9)]);
         assert_eq!(t.get(a(1)), 0.0, "no self-entry");
         assert!((t.get(a(2)) - 0.8).abs() < 1e-12, "peer entry untouched");
         assert!(t.get(a(3)) > 0.0);

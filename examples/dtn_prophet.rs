@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example dtn_prophet`.
 
-use omni::apps::prophet::{omni_prophet, Bundle, ProphetConfig};
+use omni::apps::prophet::{omni_prophet, Bundle};
 use omni::core::{OmniBuilder, OmniStack};
 use omni::sim::{DeviceCaps, Position, Runner, SimConfig, SimTime};
 
@@ -15,14 +15,13 @@ fn main() {
     let names = ["A", "B", "C"];
     let ids: Vec<_> = [a, b, c].iter().map(|&d| OmniBuilder::omni_address(&sim, d)).collect();
 
-    let cfg = ProphetConfig::default();
     let bundle = Bundle { id: 1, dest: ids[2], size: 1_000 };
     println!("A buffers a 1 KB bundle for C (out of radio range).");
     println!("B has encountered C before, so PRoPHET rates it the better carrier.");
 
-    let (init_a, rep_a) = omni_prophet(ids[0], cfg, vec![bundle], vec![]);
-    let (init_b, rep_b) = omni_prophet(ids[1], cfg, vec![], vec![(ids[2], 0.5)]);
-    let (init_c, rep_c) = omni_prophet(ids[2], cfg, vec![], vec![]);
+    let (init_a, rep_a) = omni_prophet(ids[0], vec![bundle], vec![]);
+    let (init_b, rep_b) = omni_prophet(ids[1], vec![], vec![(ids[2], 0.5)]);
+    let (init_c, rep_c) = omni_prophet(ids[2], vec![], vec![]);
 
     let mgr = OmniBuilder::new().with_ble().with_wifi().build(&sim, a);
     sim.set_stack(a, Box::new(OmniStack::new(mgr, init_a)));
