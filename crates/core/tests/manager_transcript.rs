@@ -68,7 +68,18 @@ use omni_wire::{OmniAddress, ResponseInfo};
 /// fails at once everywhere). Only those statuses and receipts moved, with
 /// the chain fleets' events, counters and energy; the first two fleets are
 /// unchanged.
-const PINNED_DIGEST: u64 = 0xf514_8cb2_b96f_6a6f;
+///
+/// Re-pinned a fifth time when a send that no data technology of its device
+/// can carry began failing at once, with `SendFailure` "no applicable
+/// technology for destination". In the reliable fleet the BLE-only
+/// devices' `bulk`, `forty` and `tcp-only` sends used to burn every retry
+/// pass and end in `SendExhausted` 5 s later. In the chain fleets the
+/// `forty` and `tcp-only` sends used to wait in custody until it expired,
+/// and the PRoPHET fleet's `bulk` sends retried; the `bulk` send to the
+/// never-discovered peer now fails for the same reason, checked first.
+/// 96 status lines moved, with those fleets' events, counters and energy.
+/// The fire-and-forget fleet is byte-identical.
+const PINNED_DIGEST: u64 = 0x5740_222f_2ca5_a919;
 
 /// Event-ring size: no fleet here comes close to wrapping it (asserted).
 const EVENT_CAPACITY: usize = 1 << 18;
