@@ -10,8 +10,6 @@
 //!   log-linear [`QuantileDigest`]s with bounded relative error
 //!   ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace exemplars, registered
 //!   by name next to the counters and gauges ([`Obs::digest`]).
-//! * **Spans** — [`Stopwatch`] and [`time_scope!`] for wall-clock intervals,
-//!   recorded into a digest.
 //! * **Events** — a typed [`EventKind`] stream ([`BeaconSent`], …,
 //!   [`QueueDropped`]) in a bounded [`EventRing`] that overwrites the oldest
 //!   entry when full and counts the overflow.
@@ -53,7 +51,6 @@ mod event;
 mod export;
 mod metrics;
 mod profile;
-mod span;
 mod timeseries;
 
 pub use digest::{
@@ -68,9 +65,8 @@ pub use metrics::{
     MAX_LABEL_SETS,
 };
 pub use profile::{
-    Phase, PhaseReport, PhaseScope, PhaseSlice, PhaseStat, ScopedPhase, TickProfiler, PHASE_COUNT,
+    Phase, PhaseReport, PhaseScope, PhaseSlice, PhaseStat, TickProfiler, PHASE_COUNT,
 };
-pub use span::{ScopeTimer, Stopwatch};
 pub use timeseries::{Sample, SeriesRing};
 
 use std::sync::Arc;
