@@ -46,4 +46,9 @@ fn main() {
             None => println!("device {i}: incomplete"),
         }
     }
+    for (i, (_, report)) in reports.iter().enumerate() {
+        let r = report.borrow();
+        assert!(r.completed_at.is_some(), "device {i} never completed the file");
+        assert!(r.pieces_via_d2d > 0, "device {i} got no piece device-to-device");
+    }
 }

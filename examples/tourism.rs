@@ -56,4 +56,19 @@ fn main() {
     }
     let avg = sim.energy().average_ma(tourist1, SimTime::ZERO, SimTime::from_secs(45));
     println!("tourist 1 average draw: {avg:.1} mA (standby floor 92.1 mA)");
+
+    let landmarks = [landmark1, landmark2].map(|l| OmniBuilder::omni_address(&sim, l));
+    for (i, report) in reports.iter().enumerate() {
+        let r = report.borrow();
+        for landmark in landmarks {
+            let from_it = |seen: &[(_, SimTime)]| seen.iter().any(|&(addr, _)| addr == landmark);
+            assert!(from_it(&r.landmarks), "tourist {} never discovered {landmark}", i + 1);
+            assert!(
+                from_it(&r.visualizations),
+                "tourist {} never received {landmark}'s visualization",
+                i + 1
+            );
+        }
+        assert!(r.audio_chunks > 0, "tourist {} got no audio from the guide", i + 1);
+    }
 }

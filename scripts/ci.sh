@@ -53,7 +53,7 @@ stage "cargo doc (warnings are errors)" \
 stage "cargo test" \
   cargo test --workspace -q --no-fail-fast
 
-stage "examples (each runs to completion; dtn_prophet asserts delivery)" \
+stage "examples (each runs to completion and asserts its outcome)" \
   run_examples
 
 stage "wire smoke (zero-copy allocation gate + codec microbenches)" \
