@@ -18,6 +18,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
+use std::num::NonZeroU64;
 
 use omni_sim::{CellHasher, SimDuration, SimTime};
 use omni_wire::{AddressBeaconPayload, BleAddress, MeshAddress, NfcAddress, OmniAddress, TechType};
@@ -28,42 +29,112 @@ use crate::queues::LowAddr;
 /// Every freshness query of [`PeerMap`] and [`PeerRecord`] uses it.
 pub const PEER_TTL: SimDuration = SimDuration::from_secs(3);
 
-/// Everything known about one peer.
+/// A sighting time in one word: microseconds + 1, so "never seen" takes the
+/// zero niche and `Option` adds no tag.
+type Seen = Option<NonZeroU64>;
+
+fn seen_at(now: SimTime) -> Seen {
+    Some(NonZeroU64::MIN.saturating_add(now.as_micros()))
+}
+
+fn seen_time(seen: Seen) -> Option<SimTime> {
+    seen.map(|s| SimTime::from_micros(s.get() - 1))
+}
+
+/// An address stored bare beside the time it was last heard; the address
+/// means nothing until that time is set.
+#[derive(Debug, Default, Clone, Copy)]
+struct Sighted<A> {
+    addr: A,
+    at: Seen,
+}
+
+impl<A: Copy> Sighted<A> {
+    fn get(&self) -> Option<(A, SimTime)> {
+        seen_time(self.at).map(|at| (self.addr, at))
+    }
+
+    fn set(&mut self, addr: A, now: SimTime) {
+        *self = Sighted { addr, at: seen_at(now) };
+    }
+}
+
+/// Everything known about one peer. Every heard frame writes one of these,
+/// so it is kept to 96 bytes: each sighting time is one word, and the
+/// per-technology sightings keep no address of their own (the addresses
+/// live in the four address fields).
 #[derive(Debug, Default, Clone)]
 pub struct PeerRecord {
-    /// Last transmission seen per technology, with the low-level source,
-    /// indexed by [`TechType::index`].
-    pub seen: [Option<(LowAddr, SimTime)>; 4],
+    /// Last transmission seen per technology, indexed by
+    /// [`TechType::index`].
+    seen: [Seen; 4],
     /// Directly connectable mesh address (low-level-ND or session
     /// provenance).
-    pub mesh_direct: Option<(MeshAddress, SimTime)>,
+    mesh_direct: Sighted<MeshAddress>,
     /// Group-scoped mesh address (multicast provenance).
-    pub mesh_mcast: Option<(MeshAddress, SimTime)>,
+    mesh_mcast: Sighted<MeshAddress>,
     /// The peer's BLE address, from its address beacon or as a beacon source.
-    pub ble: Option<(BleAddress, SimTime)>,
+    ble: Sighted<BleAddress>,
     /// The peer's NFC id.
-    pub nfc: Option<(NfcAddress, SimTime)>,
+    nfc: Sighted<NfcAddress>,
 }
 
 impl PeerRecord {
+    /// When this peer was last heard on `tech`.
+    pub fn seen_on(&self, tech: TechType) -> Option<SimTime> {
+        seen_time(self.seen[tech.index()])
+    }
+
     /// Whether this peer was heard on `tech` within [`PEER_TTL`] of `now`.
     pub fn fresh_on(&self, tech: TechType, now: SimTime) -> bool {
-        fresh(&self.seen[tech.index()], now)
+        self.seen_on(tech).is_some_and(|at| is_fresh(at, now))
     }
 
     /// The most recent sighting on any technology.
     pub fn last_seen(&self) -> Option<SimTime> {
-        self.seen.iter().flatten().map(|&(_, at)| at).max()
+        seen_time(self.seen.iter().copied().max().flatten())
+    }
+
+    /// The directly connectable mesh address and when it was last heard.
+    pub fn mesh_direct(&self) -> Option<(MeshAddress, SimTime)> {
+        self.mesh_direct.get()
+    }
+
+    /// The group-scoped mesh address and when it was last heard.
+    pub fn mesh_mcast(&self) -> Option<(MeshAddress, SimTime)> {
+        self.mesh_mcast.get()
+    }
+
+    /// The BLE address and when it was last heard.
+    pub fn ble(&self) -> Option<(BleAddress, SimTime)> {
+        self.ble.get()
+    }
+
+    /// The NFC id and when it was last heard.
+    pub fn nfc(&self) -> Option<(NfcAddress, SimTime)> {
+        self.nfc.get()
+    }
+
+    pub(crate) fn set_mesh_direct(&mut self, addr: MeshAddress, now: SimTime) {
+        self.mesh_direct.set(addr, now);
+    }
+
+    pub(crate) fn set_mesh_mcast(&mut self, addr: MeshAddress, now: SimTime) {
+        self.mesh_mcast.set(addr, now);
+    }
+
+    pub(crate) fn set_ble(&mut self, addr: BleAddress, now: SimTime) {
+        self.ble.set(addr, now);
+    }
+
+    pub(crate) fn set_nfc(&mut self, addr: NfcAddress, now: SimTime) {
+        self.nfc.set(addr, now);
     }
 }
 
 /// Whether a sighting at `at` is still fresh at `now`.
 pub(crate) fn is_fresh(at: SimTime, now: SimTime) -> bool {
     now.saturating_since(at) <= PEER_TTL
-}
-
-fn fresh(entry: &Option<(impl Copy, SimTime)>, now: SimTime) -> bool {
-    entry.is_some_and(|(_, at)| is_fresh(at, now))
 }
 
 /// The manager's peer table. Probed several times per heard frame, so it
@@ -98,14 +169,14 @@ impl PeerMap {
             Entry::Occupied(e) => (e.into_mut(), false),
             Entry::Vacant(e) => (e.insert(PeerRecord::default()), true),
         };
-        rec.seen[tech.index()] = Some((source, now));
+        rec.seen[tech.index()] = seen_at(now);
         match (tech, source) {
-            (TechType::BleBeacon, LowAddr::Ble(a)) => rec.ble = Some((a, now)),
-            (TechType::Nfc, LowAddr::Nfc(a)) => rec.nfc = Some((a, now)),
+            (TechType::BleBeacon, LowAddr::Ble(a)) => rec.set_ble(a, now),
+            (TechType::Nfc, LowAddr::Nfc(a)) => rec.set_nfc(a, now),
             // A message over a live TCP session proves direct reachability.
-            (TechType::WifiTcp, LowAddr::Mesh(m)) => rec.mesh_direct = Some((m, now)),
+            (TechType::WifiTcp, LowAddr::Mesh(m)) => rec.set_mesh_direct(m, now),
             // Multicast sources are group-scoped.
-            (TechType::WifiMulticast, LowAddr::Mesh(m)) => rec.mesh_mcast = Some((m, now)),
+            (TechType::WifiMulticast, LowAddr::Mesh(m)) => rec.set_mesh_mcast(m, now),
             _ => {}
         }
         new
@@ -121,14 +192,14 @@ impl PeerMap {
     ) {
         let rec = self.peers.entry(omni).or_default();
         if let Some(ble) = beacon.ble {
-            rec.ble = Some((ble, now));
+            rec.set_ble(ble, now);
         }
         if let Some(mesh) = beacon.mesh {
             // Provenance rule: only low-level neighbor discovery carries
             // connectable mesh addresses.
             match via {
-                TechType::BleBeacon | TechType::Nfc => rec.mesh_direct = Some((mesh, now)),
-                _ => rec.mesh_mcast = Some((mesh, now)),
+                TechType::BleBeacon | TechType::Nfc => rec.set_mesh_direct(mesh, now),
+                _ => rec.set_mesh_mcast(mesh, now),
             }
         }
     }
@@ -164,12 +235,8 @@ impl PeerMap {
 
     /// Fresh, directly connectable mesh address of a peer.
     pub fn mesh_direct(&self, omni: OmniAddress, now: SimTime) -> Option<MeshAddress> {
-        let rec = self.peers.get(&omni)?;
-        if fresh(&rec.mesh_direct, now) {
-            rec.mesh_direct.map(|(m, _)| m)
-        } else {
-            None
-        }
+        let (mesh, at) = self.peers.get(&omni)?.mesh_direct()?;
+        is_fresh(at, now).then_some(mesh)
     }
 
     /// Number of known (ever-seen) peers.
@@ -220,7 +287,14 @@ mod tests {
             let p = OmniAddress::from_u64(3);
             m.observe(p, ty, sources(ty), t(1_000));
             let rec = m.get(p).unwrap();
-            assert_eq!(rec.seen[ty.index()], Some((sources(ty), t(1_000))));
+            assert_eq!(rec.seen_on(ty), Some(t(1_000)));
+            let addressed = match ty {
+                TechType::BleBeacon => rec.ble().map(|(a, at)| (LowAddr::Ble(a), at)),
+                TechType::Nfc => rec.nfc().map(|(a, at)| (LowAddr::Nfc(a), at)),
+                TechType::WifiTcp => rec.mesh_direct().map(|(a, at)| (LowAddr::Mesh(a), at)),
+                TechType::WifiMulticast => rec.mesh_mcast().map(|(a, at)| (LowAddr::Mesh(a), at)),
+            };
+            assert_eq!(addressed, Some((sources(ty), t(1_000))));
             assert_eq!(rec.last_seen(), Some(t(1_000)));
             for other in TechType::ALL {
                 assert_eq!(rec.fresh_on(other, t(1_000)), other == ty, "{ty} vs {other}");
@@ -242,6 +316,11 @@ mod tests {
     }
 
     #[test]
+    fn peer_records_are_at_most_96_bytes() {
+        assert!(std::mem::size_of::<PeerRecord>() <= 96);
+    }
+
+    #[test]
     fn beacon_over_ble_yields_connectable_mesh() {
         let mut m = PeerMap::new();
         let p = OmniAddress::from_u64(1);
@@ -260,7 +339,7 @@ mod tests {
         let beacon = AddressBeaconPayload { mesh: Some(MeshAddress::from_u64(0xB2)), ble: None };
         m.observe_beacon(p, &beacon, TechType::WifiMulticast, t(0));
         assert_eq!(m.mesh_direct(p, t(100)), None);
-        assert!(m.get(p).unwrap().mesh_mcast.is_some());
+        assert!(m.get(p).unwrap().mesh_mcast().is_some());
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub fn candidates(
 
     // Unicast TCP, direct: connect (or reuse a session) + fluid transfer.
     if on(TechType::WifiTcp) {
-        if let Some((mesh, at)) = record.mesh_direct {
+        if let Some((mesh, at)) = record.mesh_direct() {
             if fresh(at) {
                 let dest = LowAddr::Mesh(mesh);
                 let connect = if has_session(TechType::WifiTcp, &dest) {
@@ -96,8 +96,8 @@ pub fn candidates(
         // Unicast TCP with network establishment: scan + join + resolve +
         // connect + transfer. Available whenever the peer is known to be on
         // the mesh at all (multicast provenance).
-        if record.mesh_direct.map(|(_, at)| !fresh(at)).unwrap_or(true) {
-            if let Some((mesh, at)) = record.mesh_mcast {
+        if record.mesh_direct().map(|(_, at)| !fresh(at)).unwrap_or(true) {
+            if let Some((mesh, at)) = record.mesh_mcast() {
                 if fresh(at) {
                     let transfer = SimDuration::from_secs_f64(size as f64 / timings.unicast_bps);
                     let expected = timings.wifi_scan
@@ -119,7 +119,7 @@ pub fn candidates(
     // BLE one-shot: fixed rendezvous latency, tight payload bound. The
     // directed frame adds its framing header on top of the packed struct.
     if on(TechType::BleBeacon) {
-        if let Some((ble, at)) = record.ble {
+        if let Some((ble, at)) = record.ble() {
             if fresh(at) && fits(TechType::BleBeacon, packed_len, timings, ble_frame_overhead) {
                 out.push(Candidate {
                     tech: TechType::BleBeacon,
@@ -134,7 +134,7 @@ pub fn candidates(
     // NFC: touch latency, requires physical contact (we optimistically offer
     // it; failure falls through to the next candidate).
     if on(TechType::Nfc) {
-        if let Some((nfc, at)) = record.nfc {
+        if let Some((nfc, at)) = record.nfc() {
             if fresh(at) && fits(TechType::Nfc, packed_len, timings, ble_frame_overhead) {
                 out.push(Candidate {
                     tech: TechType::Nfc,
@@ -149,7 +149,7 @@ pub fn candidates(
     // Multicast UDP: basic-rate transfer; only sensible when already in the
     // group with the peer.
     if on(TechType::WifiMulticast) {
-        if let Some((mesh, at)) = record.mesh_mcast {
+        if let Some((mesh, at)) = record.mesh_mcast() {
             if fresh(at) {
                 let expected = timings.mcast_fixed
                     + SimDuration::from_secs_f64(size as f64 / timings.mcast_rate_bps);
@@ -184,13 +184,13 @@ mod tests {
     fn record_with(mesh_direct: bool, mesh_mcast: bool, ble: bool) -> PeerRecord {
         let mut r = PeerRecord::default();
         if mesh_direct {
-            r.mesh_direct = Some((MeshAddress::from_u64(0xB2), now()));
+            r.set_mesh_direct(MeshAddress::from_u64(0xB2), now());
         }
         if mesh_mcast {
-            r.mesh_mcast = Some((MeshAddress::from_u64(0xB2), now()));
+            r.set_mesh_mcast(MeshAddress::from_u64(0xB2), now());
         }
         if ble {
-            r.ble = Some((BleAddress([2; 6]), now()));
+            r.set_ble(BleAddress([2; 6]), now());
         }
         r
     }
@@ -297,7 +297,7 @@ mod tests {
             candidates(&r, 30, traced(30), &all(), &LinkTimings::default(), late, 9, |_, _| false);
         assert!(c.is_empty());
         // Refresh just the BLE sighting: BLE comes back.
-        r.ble = Some((BleAddress([2; 6]), late));
+        r.set_ble(BleAddress([2; 6]), late);
         let c2 =
             candidates(&r, 30, traced(30), &all(), &LinkTimings::default(), late, 9, |_, _| false);
         assert_eq!(c2.len(), 1);
@@ -325,7 +325,7 @@ mod tests {
     fn payload_bounds_count_the_whole_packed_struct_and_its_framing() {
         let timings = LinkTimings { nfc_max_payload: 64, ..LinkTimings::default() };
         let mut r = record_with(false, false, true);
-        r.nfc = Some((omni_wire::NfcAddress([7; 4]), now()));
+        r.set_nfc(omni_wire::NfcAddress([7; 4]), now());
         let offered = |packed_len: usize| -> Vec<TechType> {
             candidates(&r, 1, packed_len, &all(), &timings, now(), 17, |_, _| false)
                 .into_iter()
