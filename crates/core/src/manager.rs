@@ -570,7 +570,7 @@ impl OmniManager {
 
     /// Handles a substrate event: manager timers, application timers, or a
     /// technology event; then pumps the queues.
-    pub fn handle_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) {
+    pub fn handle_event(&mut self, event: &mut NodeEvent, api: &mut NodeApi<'_>) {
         self.note_time(api);
         match event {
             NodeEvent::Timer { token } if *token == MGR_TIMER_ENGAGE => {
@@ -1894,7 +1894,7 @@ mod tests {
             }
         }
 
-        fn on_node_event(&mut self, _event: &NodeEvent, _api: &mut NodeApi<'_>) -> bool {
+        fn on_node_event(&mut self, _event: &mut NodeEvent, _api: &mut NodeApi<'_>) -> bool {
             false
         }
     }
@@ -2053,7 +2053,7 @@ mod tests {
         if let Some((token, delay)) = backoff {
             let now = SimTime::ZERO + delay;
             let mut api = NodeApi::detached(DeviceId(0), now, &mut cmds);
-            mgr.handle_event(&NodeEvent::Timer { token }, &mut api);
+            mgr.handle_event(&mut NodeEvent::Timer { token }, &mut api);
         }
         let statuses = statuses.borrow().clone();
         (data_events(&obs), statuses)
@@ -2175,7 +2175,7 @@ mod tests {
             now += delay;
             marks = (obs.events().len(), cmds.len());
             mgr.handle_event(
-                &NodeEvent::Timer { token },
+                &mut NodeEvent::Timer { token },
                 &mut NodeApi::detached(DeviceId(0), now, &mut cmds),
             );
             if backoff {

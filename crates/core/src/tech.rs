@@ -40,7 +40,12 @@ pub trait D2dTechnology {
 
     /// Offers a substrate event. Returns `true` when the event was consumed
     /// (it will not be offered to other technologies).
-    fn on_node_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) -> bool;
+    ///
+    /// The event is lent mutably so a technology can move a frame's payload
+    /// out instead of cloning it. It may do so only for an event it
+    /// consumes: an event it returns `false` for goes on to the next
+    /// technology as it came.
+    fn on_node_event(&mut self, event: &mut NodeEvent, api: &mut NodeApi<'_>) -> bool;
 
     /// Whether this technology currently holds an open session (e.g. a TCP
     /// connection) to the peer at `addr`. Used by the manager's selection to

@@ -270,7 +270,7 @@ impl D2dTechnology for WifiTcpTech {
         }
     }
 
-    fn on_node_event(&mut self, event: &NodeEvent, api: &mut NodeApi<'_>) -> bool {
+    fn on_node_event(&mut self, event: &mut NodeEvent, api: &mut NodeApi<'_>) -> bool {
         let Some(q) = &self.queues else { return false };
         match event {
             NodeEvent::WifiScanDone { found } => {
@@ -421,14 +421,14 @@ mod tests {
         cmds.clear();
         with_api(&mut cmds, |api| {
             assert!(tech.on_node_event(
-                &NodeEvent::TcpConnectResult { token: 1, result: Ok(ConnId(0)) },
+                &mut NodeEvent::TcpConnectResult { token: 1, result: Ok(ConnId(0)) },
                 api
             ));
         });
         assert!(cmds.iter().any(|(_, c)| matches!(c, Command::TcpSend { .. })));
         // Completion produces DataSent.
         with_api(&mut cmds, |api| {
-            assert!(tech.on_node_event(&NodeEvent::TcpSendComplete { conn: ConnId(0) }, api));
+            assert!(tech.on_node_event(&mut NodeEvent::TcpSendComplete { conn: ConnId(0) }, api));
         });
         match queues.response.pop() {
             Some(TechResponse::Outcome {
@@ -452,7 +452,7 @@ mod tests {
         with_api(&mut cmds, |api| tech.poll(api));
         with_api(&mut cmds, |api| {
             tech.on_node_event(
-                &NodeEvent::TcpConnectResult { token: 1, result: Err(TcpError::Unreachable) },
+                &mut NodeEvent::TcpConnectResult { token: 1, result: Err(TcpError::Unreachable) },
                 api,
             );
         });
@@ -483,14 +483,14 @@ mod tests {
         cmds.clear();
         with_api(&mut cmds, |api| {
             tech.on_node_event(
-                &NodeEvent::WifiScanDone { found: vec![MeshAddress::from_u64(0xB2)] },
+                &mut NodeEvent::WifiScanDone { found: vec![MeshAddress::from_u64(0xB2)] },
                 api,
             );
         });
         assert!(cmds.iter().any(|(_, c)| matches!(c, Command::WifiJoin)));
         cmds.clear();
         with_api(&mut cmds, |api| {
-            tech.on_node_event(&NodeEvent::WifiJoined { ok: true }, api);
+            tech.on_node_event(&mut NodeEvent::WifiJoined { ok: true }, api);
         });
         // A resolve multicast goes out.
         let resolve_sent = cmds.iter().any(|(_, c)| match c {
@@ -509,7 +509,7 @@ mod tests {
         };
         with_api(&mut cmds, |api| {
             assert!(tech.on_node_event(
-                &NodeEvent::Multicast {
+                &mut NodeEvent::Multicast {
                     from: MeshAddress::from_u64(0xB2),
                     payload: reply.encode()
                 },
@@ -532,16 +532,16 @@ mod tests {
         with_api(&mut cmds, |api| tech.poll(api));
         with_api(&mut cmds, |api| {
             tech.on_node_event(
-                &NodeEvent::WifiScanDone { found: vec![MeshAddress::from_u64(0xB2)] },
+                &mut NodeEvent::WifiScanDone { found: vec![MeshAddress::from_u64(0xB2)] },
                 api,
             );
-            tech.on_node_event(&NodeEvent::WifiJoined { ok: true }, api);
+            tech.on_node_event(&mut NodeEvent::WifiJoined { ok: true }, api);
         });
         // Exhaust the retries.
         let retry_token = (2u64 << 32) + TOKEN_RESOLVE_RETRY;
         for _ in 0..=RESOLVE_ATTEMPTS {
             with_api(&mut cmds, |api| {
-                tech.on_node_event(&NodeEvent::Timer { token: retry_token }, api);
+                tech.on_node_event(&mut NodeEvent::Timer { token: retry_token }, api);
             });
         }
         let responses = queues.response.drain();
@@ -560,7 +560,7 @@ mod tests {
         });
         with_api(&mut cmds, |api| {
             tech.on_node_event(
-                &NodeEvent::TcpIncoming { conn: ConnId(5), from: MeshAddress::from_u64(0xB2) },
+                &mut NodeEvent::TcpIncoming { conn: ConnId(5), from: MeshAddress::from_u64(0xB2) },
                 api,
             );
         });
@@ -582,14 +582,14 @@ mod tests {
         });
         with_api(&mut cmds, |api| {
             tech.on_node_event(
-                &NodeEvent::TcpIncoming { conn: ConnId(5), from: MeshAddress::from_u64(0xB2) },
+                &mut NodeEvent::TcpIncoming { conn: ConnId(5), from: MeshAddress::from_u64(0xB2) },
                 api,
             );
         });
         let packed = PackedStruct::data(OmniAddress::from_u64(9), Bytes::from_static(b"payload"));
         with_api(&mut cmds, |api| {
             assert!(tech.on_node_event(
-                &NodeEvent::TcpMessage { conn: ConnId(5), payload: packed.encode() },
+                &mut NodeEvent::TcpMessage { conn: ConnId(5), payload: packed.encode() },
                 api
             ));
         });
@@ -607,7 +607,7 @@ mod tests {
             tech.enable(queues.clone(), api);
             for (conn, mesh) in [(5, 0xB5), (6, 0xB9), (7, 0xB2)] {
                 let from = MeshAddress::from_u64(mesh);
-                tech.on_node_event(&NodeEvent::TcpIncoming { conn: ConnId(conn), from }, api);
+                tech.on_node_event(&mut NodeEvent::TcpIncoming { conn: ConnId(conn), from }, api);
             }
         });
         // On the wire to three connected peers, waiting for a connect to a
@@ -641,7 +641,7 @@ mod tests {
             .collect();
         assert_eq!(closed, [ConnId(7), ConnId(5), ConnId(6)]);
         with_api(&mut cmds, |api| {
-            assert!(!tech.on_node_event(&NodeEvent::TcpSendComplete { conn: ConnId(5) }, api));
+            assert!(!tech.on_node_event(&mut NodeEvent::TcpSendComplete { conn: ConnId(5) }, api));
         });
         queues.send.push(data_req(10, false));
         with_api(&mut cmds, |api| tech.poll(api));
@@ -659,13 +659,13 @@ mod tests {
         with_api(&mut cmds, |api| tech.poll(api));
         with_api(&mut cmds, |api| {
             tech.on_node_event(
-                &NodeEvent::TcpConnectResult { token: 1, result: Ok(ConnId(0)) },
+                &mut NodeEvent::TcpConnectResult { token: 1, result: Ok(ConnId(0)) },
                 api,
             );
         });
         // Now the request is inflight; the connection dies.
         with_api(&mut cmds, |api| {
-            tech.on_node_event(&NodeEvent::TcpClosed { conn: ConnId(0), error: true }, api);
+            tech.on_node_event(&mut NodeEvent::TcpClosed { conn: ConnId(0), error: true }, api);
         });
         let responses = queues.response.drain();
         assert!(responses.iter().any(|r| matches!(

@@ -21,7 +21,7 @@
 //! frame addressed elsewhere, so acked senders interoperate with plain
 //! receivers (they simply never see an ack and fall back on retry).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::{FrameView, OmniAddress, PackedStruct, TraceId};
 
@@ -143,23 +143,42 @@ fn ack_trace_of(frame: &[u8]) -> Option<TraceId> {
     TraceId::from_u64(u64::from_be_bytes(raw))
 }
 
-/// Zero-copy variant of [`parse_for`]: classification and validation go
-/// through [`FrameView`], and any delivered payload is a [`Bytes::slice`] of
-/// `frame` — the reference-counted radio buffer is shared into the receive
-/// queue, never copied (DESIGN.md §5i). Behavior is pinned byte-for-byte to
-/// [`parse_for`] by the differential suite.
-pub fn parse_for_shared(own: OmniAddress, frame: &Bytes) -> Incoming {
-    match FrameView::parse(frame.as_ref()) {
-        Ok(FrameView::Broadcast(v)) => Incoming::Plain(v.to_shared(frame, 0)),
+/// Zero-copy variant of [`parse_for`] that consumes the frame:
+/// classification and validation go through [`FrameView`], and a delivered
+/// payload is `frame` itself, narrowed in place to the packed struct's
+/// payload. The reference-counted radio buffer moves into the receive queue
+/// with no copy and no second handle (DESIGN.md §5i). Behavior is pinned
+/// byte-for-byte to [`parse_for`] by the differential suite.
+pub fn parse_for_owned(own: OmniAddress, mut frame: Bytes) -> Incoming {
+    let (corr, base, view) = match FrameView::parse(frame.as_ref()) {
+        Ok(FrameView::Broadcast(v)) => (None, 0, v),
         Ok(FrameView::Directed { dest, packed }) if dest == own => {
-            Incoming::Plain(packed.to_shared(frame, DIRECTED_OVERHEAD))
+            (None, DIRECTED_OVERHEAD, packed)
         }
         Ok(FrameView::Acked { dest, corr, packed }) if dest == own => {
-            Incoming::Acked { corr, packed: packed.to_shared(frame, ACKED_OVERHEAD) }
+            (Some(corr), ACKED_OVERHEAD, packed)
         }
-        Ok(FrameView::Ack { dest, corr, trace }) if dest == own => Incoming::Ack { corr, trace },
-        _ => Incoming::NotForUs,
+        Ok(FrameView::Ack { dest, corr, trace }) if dest == own => {
+            return Incoming::Ack { corr, trace }
+        }
+        _ => return Incoming::NotForUs,
+    };
+    // The view borrows `frame`: read its fields before narrowing the frame.
+    let mut packed = view.without_payload();
+    let (start, end) = (base + view.payload_offset(), base + view.as_bytes().len());
+    frame.truncate(end);
+    frame.advance(start);
+    packed.payload = frame;
+    match corr {
+        Some(corr) => Incoming::Acked { corr, packed },
+        None => Incoming::Plain(packed),
     }
+}
+
+/// [`parse_for_owned`] for a caller that keeps the frame: any delivered
+/// payload shares `frame`'s buffer, never copies it.
+pub fn parse_for_shared(own: OmniAddress, frame: &Bytes) -> Incoming {
+    parse_for_owned(own, frame.clone())
 }
 
 /// Zero-copy variant of [`decode_for`], with payloads sliced out of the

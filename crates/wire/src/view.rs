@@ -17,6 +17,8 @@
 //! [`crate::frame::parse_for_shared`] materialize an owned `PackedStruct`
 //! whose payload *slices* the incoming buffer instead of copying it — the
 //! `Arc<[u8]>` travels from the radio all the way into the receive queue.
+//! [`crate::frame::parse_for_owned`] takes the buffer by value and narrows
+//! it to the payload in place, so not even a second handle is made.
 
 use bytes::Bytes;
 
@@ -137,9 +139,18 @@ impl<'a> PackedView<'a> {
     /// result, never a panic beyond `Bytes::slice` bounds enforcement.
     pub fn to_shared(&self, backing: &Bytes, base: usize) -> PackedStruct {
         PackedStruct {
+            payload: backing.slice(base + self.payload_at..base + self.bytes.len()),
+            ..self.without_payload()
+        }
+    }
+
+    /// Every field but the payload, which is left empty for a caller that
+    /// fills it from the backing buffer once this view is gone.
+    pub(crate) fn without_payload(&self) -> PackedStruct {
+        PackedStruct {
             kind: self.kind,
             source: self.source(),
-            payload: backing.slice(base + self.payload_at..base + self.bytes.len()),
+            payload: Bytes::new(),
             trace: self.trace(),
             relay: self.relay().map(|r| r.to_owned()),
         }

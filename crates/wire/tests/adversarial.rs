@@ -49,6 +49,7 @@ fn exercise(input: &[u8]) {
     }
     for own in who {
         assert_eq!(frame::parse_for_shared(own, &shared), frame::parse_for(own, input));
+        assert_eq!(frame::parse_for_owned(own, shared.clone()), frame::parse_for(own, input));
         assert_eq!(frame::decode_for_shared(own, &shared), frame::decode_for(own, input));
     }
     // Peek helpers are total too.

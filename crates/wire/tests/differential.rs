@@ -3,8 +3,8 @@
 //! in every directed frame shape — must encode and decode identically
 //! through the old owned codec ([`PackedStruct::decode`] / `encode`) and the
 //! new zero-copy path ([`PackedView`] / [`FrameView`] / `decode_shared` /
-//! `parse_for_shared` / pooled `*_into` encoders). Zero-copy is asserted by
-//! pointer identity, not trusted.
+//! `parse_for_shared` / `parse_for_owned` / pooled `*_into` encoders).
+//! Zero-copy is asserted by pointer identity, not trusted.
 
 use bytes::{Bytes, BytesMut};
 use omni_wire::{
@@ -121,8 +121,9 @@ proptest! {
     }
 
     /// The three directed frame shapes encode identically through the legacy
-    /// and pooled paths, and `parse_for` / `parse_for_shared` classify them
-    /// identically for the addressee, a bystander, and the relayed case.
+    /// and pooled paths, and `parse_for` / `parse_for_shared` /
+    /// `parse_for_owned` classify them identically for the addressee, a
+    /// bystander, and the relayed case.
     #[test]
     fn framed_paths_agree_for_every_shape(
         p in arb_packed(),
@@ -157,6 +158,11 @@ proptest! {
                     frame::parse_for_shared(who, wire),
                     frame::parse_for(who, wire),
                     "parse_for and parse_for_shared diverged"
+                );
+                prop_assert_eq!(
+                    frame::parse_for_owned(who, wire.clone()),
+                    frame::parse_for(who, wire),
+                    "parse_for and parse_for_owned diverged"
                 );
                 prop_assert_eq!(
                     frame::decode_for_shared(who, wire),
