@@ -9,8 +9,8 @@ use bytes::Bytes;
 use omni_core::{ContextParams, OmniBuilder, OmniConfig, OmniStack, RelayPolicy, RetryPolicy};
 use omni_obs::{EventKind, Obs};
 use omni_sim::{
-    BleParams, DeviceCaps, DeviceId, FaultConfig, FaultScope, LinkPartition, Position, Runner,
-    SimConfig, SimDuration, SimTime,
+    BleParams, ChurnWindow, DeviceCaps, DeviceId, FaultConfig, FaultScope, LinkPartition, Position,
+    Runner, SimConfig, SimDuration, SimTime,
 };
 use omni_wire::{OmniAddress, StatusCode, TechType};
 
@@ -281,6 +281,44 @@ fn a_send_no_technology_of_the_device_can_carry_fails_at_once() {
         );
         assert_eq!(events, ["DataFailed"], "{name}: no enqueue, retry or custody");
     }
+}
+
+/// A one-shot burst the radio drops still completes, so each send gets
+/// its own one terminal status. Device a is churned down from 5.0 to 5.5 s,
+/// so the first of three fire-and-forget BLE sends (at 5.1, 6.0 and 7.0 s)
+/// goes out on a muted radio. Each send reports one rendezvous latency
+/// after it was made, and none waits for a later send's burst.
+#[test]
+fn a_ble_burst_the_radio_drops_still_concludes_its_send() {
+    let churn =
+        ChurnWindow { dev: 0, down_at: SimTime::from_secs(5), up_at: SimTime::from_millis(5_500) };
+    let faults = FaultConfig { churn: vec![churn], ..Default::default() };
+    let mut sim = Runner::new(SimConfig { faults, ..Default::default() });
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let omni_b = OmniBuilder::omni_address(&sim, b);
+    let builder = OmniBuilder::new().with_ble();
+    let reports: Rc<RefCell<Vec<(u64, u64, StatusCode)>>> = Rc::default();
+    let r = reports.clone();
+    let stack_a = OmniStack::new(builder.build(&sim, a), move |omni| {
+        omni.request_timers(Box::new(move |send, o| {
+            let r = r.clone();
+            o.send_data(
+                vec![omni_b],
+                Bytes::from_static(b"hi"),
+                Box::new(move |code, _, o| r.borrow_mut().push((send, o.now.as_millis(), code))),
+            );
+        }));
+        for (send, at_ms) in [(1, 5_100), (2, 6_000), (3, 7_000)] {
+            omni.set_timer(send, SimDuration::from_millis(at_ms));
+        }
+    });
+    let (stack_b, _) = listener_stack(&sim, b, builder, b"");
+    sim.set_stack(a, Box::new(stack_a));
+    sim.set_stack(b, Box::new(stack_b));
+    sim.run_until(SimTime::from_secs(10));
+    let ok = StatusCode::SendDataSuccess;
+    assert_eq!(*reports.borrow(), [(1, 5_141, ok), (2, 6_041, ok), (3, 7_041, ok)]);
 }
 
 /// Sending to an unknown destination fails asynchronously with
