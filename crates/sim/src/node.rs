@@ -71,6 +71,8 @@ pub enum NodeEvent {
         payload: Bytes,
     },
     /// A one-shot BLE burst issued by this device finished transmitting.
+    /// Every burst gets one, in the order they were issued, including a
+    /// burst the radio dropped (oversized, powered off or churned down).
     BleOneShotSent,
     /// A WiFi network scan completed.
     WifiScanDone {

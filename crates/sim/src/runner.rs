@@ -1133,12 +1133,15 @@ impl Runner {
     }
 
     fn ble_send_oneshot(&mut self, dev: DeviceId, payload: Bytes) {
+        let latency = self.cfg.ble.oneshot_latency;
         // Oversized bursts are dropped; a powered-off or churned-down radio
-        // sends nothing.
+        // sends nothing. A dropped burst still completes, like a sent one:
+        // the stack matches each completion to its oldest burst in flight.
         if payload.len() > self.cfg.ble.max_payload
             || !self.devices[dev.0].ble_on
             || self.faults.is_down(dev)
         {
+            self.schedule(latency, Engine::BleOneShotSent { dev });
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, self.cfg.ble.oneshot_pulse);
@@ -1147,7 +1150,6 @@ impl Runner {
             o.ble.tx(payload.len());
             o.cell_tx_counter(cell).inc();
         }
-        let latency = self.cfg.ble.oneshot_latency;
         let mut recipients = std::mem::take(&mut self.nbr_buf);
         self.world.scanners_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut recipients);
         recipients.retain(|&n| {
