@@ -5,7 +5,9 @@
 //!
 //! 1. `PackedView::parse` and `FrameView` classification allocate nothing.
 //! 2. `PackedStruct::decode_shared` / `frame::parse_for_shared` allocate
-//!    nothing — payloads alias the backing `Bytes` via refcount bumps.
+//!    nothing — payloads alias the backing `Bytes` via refcount bumps — and
+//!    neither does `frame::parse_for_owned`, which narrows the frame it is
+//!    handed to the payload in place.
 //! 3. Pooled encode (`encode_into` a reused scratch, then one
 //!    `Bytes::copy_from_slice`) never allocates more than the legacy owned
 //!    `encode()` path it replaced.
@@ -78,6 +80,12 @@ fn main() {
         let inc = frame::parse_for_shared(dest, black_box(&framed_backing));
         black_box(matches!(inc, Incoming::Plain(_)));
     });
+    // The BLE receive path owns each heard frame; the clone stands in for
+    // the handle the radio event hands over.
+    let (owned_frame_allocs, owned_frame_ns) = measure(|| {
+        let inc = frame::parse_for_owned(dest, black_box(framed_backing.clone()));
+        black_box(matches!(inc, Incoming::Plain(_)));
+    });
     let (owned_allocs, owned_ns) = measure(|| {
         let d = PackedStruct::decode(black_box(&wire)).expect("valid frame");
         black_box(d.payload.len());
@@ -96,6 +104,7 @@ fn main() {
     for (name, allocs, ns) in [
         ("view_parse", view_allocs, view_ns),
         ("decode_shared", shared_allocs, shared_ns),
+        ("parse_for_owned", owned_frame_allocs, owned_frame_ns),
         ("owned_decode", owned_allocs, owned_ns),
         ("pooled_encode", pooled_allocs, pooled_ns),
         ("legacy_encode", legacy_allocs, legacy_ns),
@@ -112,6 +121,9 @@ fn main() {
          owned decode {owned_allocs:.3} allocs/op ({owned_ns:.0} ns)"
     );
     println!(
+        "wire smoke: parse_for_owned {owned_frame_allocs:.3} allocs/op ({owned_frame_ns:.0} ns)"
+    );
+    println!(
         "wire smoke: pooled encode {pooled_allocs:.3} allocs/op ({pooled_ns:.0} ns), \
          legacy encode {legacy_allocs:.3} allocs/op ({legacy_ns:.0} ns)"
     );
@@ -123,6 +135,10 @@ fn main() {
     assert!(
         shared_allocs == 0.0,
         "decode_shared must be allocation-free, measured {shared_allocs:.3} allocs/op"
+    );
+    assert!(
+        owned_frame_allocs == 0.0,
+        "parse_for_owned must be allocation-free, measured {owned_frame_allocs:.3} allocs/op"
     );
     assert!(
         owned_allocs > 0.0,
