@@ -1,6 +1,6 @@
 //! Omni middleware configuration.
 
-use omni_sim::{SimConfig, SimDuration};
+use omni_sim::SimDuration;
 
 /// Manager-level configuration.
 #[derive(Debug, Clone)]
@@ -162,63 +162,6 @@ impl Default for OmniConfig {
     }
 }
 
-/// Expected-cost model of each link type, used for data technology selection
-/// and for the technologies' own protocol timers.
-///
-/// Defaults mirror [`SimConfig`]'s defaults; [`LinkTimings::from_sim`]
-/// derives them from a specific simulation configuration.
-#[derive(Debug, Clone)]
-pub struct LinkTimings {
-    /// TCP connection establishment to a known mesh address.
-    pub tcp_connect: SimDuration,
-    /// Unicast goodput, bytes/second.
-    pub unicast_bps: f64,
-    /// WiFi network scan duration.
-    pub wifi_scan: SimDuration,
-    /// WiFi join/associate duration.
-    pub wifi_join: SimDuration,
-    /// Expected multicast address-resolution round trip.
-    pub resolve_rtt: SimDuration,
-    /// BLE one-shot rendezvous latency.
-    pub ble_oneshot: SimDuration,
-    /// Maximum BLE advertisement payload, bytes.
-    pub ble_max_payload: usize,
-    /// Fixed multicast airtime per datagram.
-    pub mcast_fixed: SimDuration,
-    /// Multicast bulk goodput, bytes/second.
-    pub mcast_rate_bps: f64,
-    /// NFC touch exchange latency.
-    pub nfc_touch: SimDuration,
-    /// Maximum NFC payload, bytes.
-    pub nfc_max_payload: usize,
-}
-
-impl Default for LinkTimings {
-    fn default() -> Self {
-        LinkTimings::from_sim(&SimConfig::default())
-    }
-}
-
-impl LinkTimings {
-    /// Derives the cost model from a simulation configuration so selection
-    /// estimates match the substrate exactly.
-    pub fn from_sim(sim: &SimConfig) -> Self {
-        LinkTimings {
-            tcp_connect: sim.wifi.tcp_connect_time,
-            unicast_bps: sim.wifi.capacity_bps,
-            wifi_scan: sim.wifi.scan_time,
-            wifi_join: sim.wifi.join_time,
-            resolve_rtt: sim.wifi.mcast_fixed_airtime * 2 + SimDuration::from_millis(10),
-            ble_oneshot: sim.ble.oneshot_latency,
-            ble_max_payload: sim.ble.max_payload,
-            mcast_fixed: sim.wifi.mcast_fixed_airtime,
-            mcast_rate_bps: sim.wifi.mcast_rate_bps,
-            nfc_touch: sim.nfc.touch_latency,
-            nfc_max_payload: sim.nfc.max_payload,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,15 +181,5 @@ mod tests {
         assert_eq!(r.backoff_delay(3), SimDuration::from_millis(400));
         assert_eq!(r.backoff_delay(4), SimDuration::from_millis(800));
         assert_eq!(r.backoff_delay(20), BACKOFF_MAX, "exponential growth is capped");
-    }
-
-    #[test]
-    fn timings_mirror_sim_defaults() {
-        let t = LinkTimings::default();
-        let s = SimConfig::default();
-        assert_eq!(t.tcp_connect, s.wifi.tcp_connect_time);
-        assert_eq!(t.wifi_scan, s.wifi.scan_time);
-        assert_eq!(t.ble_max_payload, s.ble.max_payload);
-        assert!((t.unicast_bps - s.wifi.capacity_bps).abs() < 1e-9);
     }
 }

@@ -69,7 +69,7 @@ pub use api::{
     ApiCall, ContextCallback, ContextParams, DataCallback, InfraCallback, OmniCtl, StatusCallback,
     TimerCallback,
 };
-pub use config::{AdaptiveBeacon, LinkTimings, OmniConfig, RetryPolicy};
+pub use config::{AdaptiveBeacon, OmniConfig, RetryPolicy};
 pub use control::ControlFrame;
 pub use manager::{OmniManager, ADDRESS_BEACON_CONTEXT_ID};
 pub use peers::{PeerMap, PeerRecord, PEER_TTL};

@@ -38,7 +38,7 @@ use crate::api::{
     ApiCall, ContextCallback, ContextParams, DataCallback, InfraCallback, StatusCallback,
     TimerCallback,
 };
-use crate::config::{LinkTimings, OmniConfig};
+use crate::config::OmniConfig;
 use crate::peers::PeerMap;
 use crate::queues::{
     LowAddr, ReceivedItem, ResponseOk, SendOp, SendRequest, SharedQueue, TechFailure, TechQueues,
@@ -279,10 +279,6 @@ struct ContextEntry {
 pub struct OmniManager {
     own: OmniAddress,
     cfg: OmniConfig,
-    /// The expected-cost model data selection uses ("Omni considers the
-    /// expected throughput of the radio, the size of the data, and the time
-    /// needed to form a connection", paper §3.3).
-    timings: LinkTimings,
     receive: SharedQueue<ReceivedItem>,
     response: SharedQueue<TechResponse>,
     techs: Vec<TechSlot>,
@@ -343,13 +339,8 @@ impl std::fmt::Debug for OmniManager {
 
 impl OmniManager {
     /// Creates a manager for the device with the given unified address,
-    /// configuration, link cost model and pluggable technologies.
-    pub fn new(
-        own: OmniAddress,
-        cfg: OmniConfig,
-        timings: LinkTimings,
-        techs: Vec<Box<dyn D2dTechnology>>,
-    ) -> Self {
+    /// configuration and pluggable technologies.
+    pub fn new(own: OmniAddress, cfg: OmniConfig, techs: Vec<Box<dyn D2dTechnology>>) -> Self {
         let node = own.as_u64() as u32;
         let now_us = Arc::new(AtomicU64::new(0));
         fn mk_queue<T>(
@@ -388,7 +379,6 @@ impl OmniManager {
         OmniManager {
             own,
             cfg,
-            timings,
             receive,
             response,
             techs,
@@ -1313,7 +1303,6 @@ impl OmniManager {
             size,
             packed_len,
             &self.data_techs().collect::<Vec<_>>(),
-            &self.timings,
             now,
             self.ble_frame_overhead(),
             |ty, addr| {
@@ -1350,7 +1339,7 @@ impl OmniManager {
         // actually carries.
         let packed_len = packed.encoded_len() - packed.payload.len() + total_len as usize;
         let overhead = self.ble_frame_overhead();
-        let fits = |t| selection::fits(t, packed_len, &self.timings, overhead);
+        let fits = |t| selection::fits(t, packed_len, overhead);
         let carriable = self.data_techs().any(fits);
         let cands = self.data_candidates(dest, selection_len, packed_len, api.now);
         // Reliable mode burns a pass with no candidate and backs off: the
@@ -1935,12 +1924,7 @@ mod tests {
                 }) as Box<dyn D2dTechnology>
             })
             .collect();
-        let mut mgr = OmniManager::new(
-            OmniAddress::from_u64(1),
-            OmniConfig::default(),
-            LinkTimings::default(),
-            techs,
-        );
+        let mut mgr = OmniManager::new(OmniAddress::from_u64(1), OmniConfig::default(), techs);
         let mut cmds = Vec::new();
         let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, &mut cmds);
         // The app answers every context it hears with a data send.
@@ -2026,8 +2010,7 @@ mod tests {
         .collect();
         let obs = Obs::new();
         let cfg = OmniConfig { retry, obs: Some(obs.clone()), ..OmniConfig::default() };
-        let mut mgr =
-            OmniManager::new(OmniAddress::from_u64(1), cfg, LinkTimings::default(), techs);
+        let mut mgr = OmniManager::new(OmniAddress::from_u64(1), cfg, techs);
         let statuses = Rc::new(RefCell::new(Vec::new()));
         let mut cmds = Vec::new();
         let mut api = NodeApi::detached(DeviceId(0), SimTime::ZERO, &mut cmds);
@@ -2111,12 +2094,11 @@ mod tests {
     /// did not offer BLE.
     fn ble_passes(len: usize, retry: RetryPolicy, relay: RelayPolicy) -> Vec<BlePass> {
         let own = OmniAddress::from_u64(1);
-        let max = LinkTimings::default().ble_max_payload;
-        let ble = BleBeaconTech::new(own, BleAddress([2, 0, 0, 0, 0, 1]), max)
-            .with_link_acks(retry.enabled());
+        let ble =
+            BleBeaconTech::new(own, BleAddress([2, 0, 0, 0, 0, 1])).with_link_acks(retry.enabled());
         let obs = Obs::new();
         let cfg = OmniConfig { retry, relay, obs: Some(obs.clone()), ..OmniConfig::default() };
-        let mut mgr = OmniManager::new(own, cfg, LinkTimings::default(), vec![Box::new(ble)]);
+        let mut mgr = OmniManager::new(own, cfg, vec![Box::new(ble)]);
         let mut cmds = Vec::new();
         let mut now = SimTime::ZERO;
         mgr.start(&mut NodeApi::detached(DeviceId(0), now, &mut cmds));
@@ -2188,7 +2170,7 @@ mod tests {
 
     #[test]
     fn ble_is_offered_exactly_when_the_frame_fits() {
-        let max = LinkTimings::default().ble_max_payload;
+        let max = omni_sim::BLE_MAX_PAYLOAD;
         for retry in [RetryPolicy::off(), RetryPolicy::reliable()] {
             for relay in [RelayPolicy::off(), RelayPolicy::epidemic()] {
                 let runs: Vec<Vec<BlePass>> =

@@ -5,13 +5,21 @@
 //! time to deliver the data. Omni considers the expected throughput of the
 //! radio, the size of the data, and the time needed to form a connection."
 
-use omni_sim::{SimDuration, SimTime};
+use omni_sim::{
+    SimDuration, SimTime, BLE_MAX_PAYLOAD, BLE_ONESHOT_LATENCY, MCAST_FIXED_AIRTIME,
+    MCAST_RATE_BPS, NFC_MAX_PAYLOAD, NFC_TOUCH_LATENCY, TCP_CONNECT_TIME, WIFI_CAPACITY_BPS,
+    WIFI_JOIN_TIME, WIFI_SCAN_TIME,
+};
 use omni_wire::frame::DIRECTED_OVERHEAD;
 use omni_wire::TechType;
 
-use crate::config::LinkTimings;
 use crate::peers::{self, PeerRecord};
 use crate::queues::LowAddr;
+
+/// Expected multicast address-resolution round trip: a request and its
+/// reply, one multicast airtime each, plus 10 ms.
+const RESOLVE_RTT: SimDuration =
+    SimDuration::from_micros(2 * MCAST_FIXED_AIRTIME.as_micros() + 10_000);
 
 /// One way to deliver a piece of data to a peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,24 +35,21 @@ pub struct Candidate {
 }
 
 /// Whether `tech` can carry a frame around a packed struct of `packed_len`
-/// bytes. BLE and NFC bound their frames: BLE's framing is
+/// bytes. BLE and NFC bound their frames by the radio's limits
+/// ([`BLE_MAX_PAYLOAD`], [`NFC_MAX_PAYLOAD`]): BLE's framing is
 /// `ble_frame_overhead`, NFC's [`DIRECTED_OVERHEAD`]. The WiFi technologies
 /// carry any size.
-pub(crate) fn fits(
-    tech: TechType,
-    packed_len: usize,
-    timings: &LinkTimings,
-    ble_frame_overhead: usize,
-) -> bool {
+pub(crate) fn fits(tech: TechType, packed_len: usize, ble_frame_overhead: usize) -> bool {
     match tech {
-        TechType::BleBeacon => packed_len + ble_frame_overhead <= timings.ble_max_payload,
-        TechType::Nfc => packed_len + DIRECTED_OVERHEAD <= timings.nfc_max_payload,
+        TechType::BleBeacon => packed_len + ble_frame_overhead <= BLE_MAX_PAYLOAD,
+        TechType::Nfc => packed_len + DIRECTED_OVERHEAD <= NFC_MAX_PAYLOAD,
         TechType::WifiMulticast | TechType::WifiTcp => true,
     }
 }
 
 /// Enumerates delivery candidates for `size` bytes to the peer described by
-/// `record`, cheapest expected delivery time first.
+/// `record`, cheapest expected delivery time first. The expected times come
+/// from the simulator's link constants, the same ones its radios run on.
 ///
 /// `size` drives the expected delivery times. `packed_len` is the encoded
 /// length of the packed struct the frame carries (header, trace, relay
@@ -59,13 +64,11 @@ pub(crate) fn fits(
 /// path);
 /// `has_session` reports whether a technology already holds an open session
 /// to the given address (sessions skip connection formation).
-#[allow(clippy::too_many_arguments)]
 pub fn candidates(
     record: &PeerRecord,
     size: u64,
     packed_len: usize,
     enabled: &[TechType],
-    timings: &LinkTimings,
     now: SimTime,
     ble_frame_overhead: usize,
     mut has_session: impl FnMut(TechType, &LowAddr) -> bool,
@@ -82,9 +85,9 @@ pub fn candidates(
                 let connect = if has_session(TechType::WifiTcp, &dest) {
                     SimDuration::ZERO
                 } else {
-                    timings.tcp_connect
+                    TCP_CONNECT_TIME
                 };
-                let transfer = SimDuration::from_secs_f64(size as f64 / timings.unicast_bps);
+                let transfer = SimDuration::from_secs_f64(size as f64 / WIFI_CAPACITY_BPS);
                 out.push(Candidate {
                     tech: TechType::WifiTcp,
                     dest,
@@ -99,12 +102,9 @@ pub fn candidates(
         if record.mesh_direct().map(|(_, at)| !fresh(at)).unwrap_or(true) {
             if let Some((mesh, at)) = record.mesh_mcast() {
                 if fresh(at) {
-                    let transfer = SimDuration::from_secs_f64(size as f64 / timings.unicast_bps);
-                    let expected = timings.wifi_scan
-                        + timings.wifi_join
-                        + timings.resolve_rtt
-                        + timings.tcp_connect
-                        + transfer;
+                    let transfer = SimDuration::from_secs_f64(size as f64 / WIFI_CAPACITY_BPS);
+                    let expected =
+                        WIFI_SCAN_TIME + WIFI_JOIN_TIME + RESOLVE_RTT + TCP_CONNECT_TIME + transfer;
                     out.push(Candidate {
                         tech: TechType::WifiTcp,
                         dest: LowAddr::Mesh(mesh),
@@ -120,12 +120,12 @@ pub fn candidates(
     // directed frame adds its framing header on top of the packed struct.
     if on(TechType::BleBeacon) {
         if let Some((ble, at)) = record.ble() {
-            if fresh(at) && fits(TechType::BleBeacon, packed_len, timings, ble_frame_overhead) {
+            if fresh(at) && fits(TechType::BleBeacon, packed_len, ble_frame_overhead) {
                 out.push(Candidate {
                     tech: TechType::BleBeacon,
                     dest: LowAddr::Ble(ble),
                     establish: false,
-                    expected: timings.ble_oneshot,
+                    expected: BLE_ONESHOT_LATENCY,
                 });
             }
         }
@@ -135,12 +135,12 @@ pub fn candidates(
     // it; failure falls through to the next candidate).
     if on(TechType::Nfc) {
         if let Some((nfc, at)) = record.nfc() {
-            if fresh(at) && fits(TechType::Nfc, packed_len, timings, ble_frame_overhead) {
+            if fresh(at) && fits(TechType::Nfc, packed_len, ble_frame_overhead) {
                 out.push(Candidate {
                     tech: TechType::Nfc,
                     dest: LowAddr::Nfc(nfc),
                     establish: false,
-                    expected: timings.nfc_touch,
+                    expected: NFC_TOUCH_LATENCY,
                 });
             }
         }
@@ -151,8 +151,8 @@ pub fn candidates(
     if on(TechType::WifiMulticast) {
         if let Some((mesh, at)) = record.mesh_mcast() {
             if fresh(at) {
-                let expected = timings.mcast_fixed
-                    + SimDuration::from_secs_f64(size as f64 / timings.mcast_rate_bps);
+                let expected =
+                    MCAST_FIXED_AIRTIME + SimDuration::from_secs_f64(size as f64 / MCAST_RATE_BPS);
                 out.push(Candidate {
                     tech: TechType::WifiMulticast,
                     dest: LowAddr::Mesh(mesh),
@@ -208,7 +208,6 @@ mod tests {
             30,
             traced(30),
             &all(),
-            &LinkTimings::default(),
             now(),
             9,
             |_, _| false,
@@ -226,7 +225,6 @@ mod tests {
             30,
             traced(30),
             &[TechType::BleBeacon],
-            &LinkTimings::default(),
             now(),
             9,
             |_, _| false,
@@ -243,7 +241,6 @@ mod tests {
             25_000_000,
             traced(25_000_000),
             &all(),
-            &LinkTimings::default(),
             now(),
             9,
             |_, _| false,
@@ -261,7 +258,6 @@ mod tests {
             30,
             traced(30),
             &[TechType::WifiTcp, TechType::WifiMulticast],
-            &LinkTimings::default(),
             now(),
             9,
             |_, _| false,
@@ -280,7 +276,6 @@ mod tests {
             30,
             traced(30),
             &[TechType::WifiTcp],
-            &LinkTimings::default(),
             now(),
             9,
             |t, _| t == TechType::WifiTcp,
@@ -293,13 +288,11 @@ mod tests {
         let mut r = record_with(true, true, true);
         // Everything last seen at t=10 s; ask at t=60 s.
         let late = SimTime::from_secs(60);
-        let c =
-            candidates(&r, 30, traced(30), &all(), &LinkTimings::default(), late, 9, |_, _| false);
+        let c = candidates(&r, 30, traced(30), &all(), late, 9, |_, _| false);
         assert!(c.is_empty());
         // Refresh just the BLE sighting: BLE comes back.
         r.set_ble(BleAddress([2; 6]), late);
-        let c2 =
-            candidates(&r, 30, traced(30), &all(), &LinkTimings::default(), late, 9, |_, _| false);
+        let c2 = candidates(&r, 30, traced(30), &all(), late, 9, |_, _| false);
         assert_eq!(c2.len(), 1);
         assert_eq!(c2[0].tech, TechType::BleBeacon);
     }
@@ -312,7 +305,6 @@ mod tests {
             25_000_000,
             traced(25_000_000),
             &[TechType::WifiTcp, TechType::WifiMulticast],
-            &LinkTimings::default(),
             now(),
             9,
             |_, _| false,
@@ -323,20 +315,19 @@ mod tests {
 
     #[test]
     fn payload_bounds_count_the_whole_packed_struct_and_its_framing() {
-        let timings = LinkTimings { nfc_max_payload: 64, ..LinkTimings::default() };
         let mut r = record_with(false, false, true);
         r.set_nfc(omni_wire::NfcAddress([7; 4]), now());
         let offered = |packed_len: usize| -> Vec<TechType> {
-            candidates(&r, 1, packed_len, &all(), &timings, now(), 17, |_, _| false)
+            candidates(&r, 1, packed_len, &all(), now(), 17, |_, _| false)
                 .into_iter()
                 .map(|c| c.tech)
                 .collect()
         };
-        // BLE with acked framing (17 B) and NFC with directed framing
-        // (9 B), each against a 64 B limit.
+        // BLE with acked framing (17 B) against its 64 B limit, and NFC
+        // with directed framing (9 B) against its 4096 B limit.
         assert_eq!(offered(47), [TechType::Nfc, TechType::BleBeacon]);
         assert_eq!(offered(48), [TechType::Nfc]);
-        assert_eq!(offered(55), [TechType::Nfc]);
-        assert!(offered(56).is_empty());
+        assert_eq!(offered(4087), [TechType::Nfc]);
+        assert!(offered(4088).is_empty());
     }
 }

@@ -5,7 +5,7 @@ use omni_sim::{DeviceCaps, DeviceId, NodeApi, NodeEvent, Runner, Stack};
 use omni_wire::OmniAddress;
 
 use crate::api::OmniCtl;
-use crate::config::{LinkTimings, OmniConfig};
+use crate::config::OmniConfig;
 use crate::manager::OmniManager;
 use crate::techs::{BleBeaconTech, NfcTech, WifiMulticastTech, WifiTcpTech};
 
@@ -133,27 +133,20 @@ impl OmniBuilder {
     pub fn build(&self, runner: &Runner, dev: DeviceId) -> OmniManager {
         assert!(self.ble || self.wifi || self.nfc, "select at least one technology");
         let own = Self::omni_address(runner, dev);
-        let timings = LinkTimings::from_sim(runner.config());
         let mut techs: Vec<Box<dyn crate::tech::D2dTechnology>> = Vec::new();
         if self.ble {
             techs.push(Box::new(
-                BleBeaconTech::new(own, runner.ble_addr(dev), timings.ble_max_payload)
+                BleBeaconTech::new(own, runner.ble_addr(dev))
                     .with_link_acks(self.cfg.retry.enabled()),
             ));
         }
         if self.wifi {
-            techs.push(Box::new(WifiMulticastTech::new(
-                own,
-                runner.mesh_addr(dev),
-                timings.mcast_fixed,
-                timings.mcast_rate_bps,
-            )));
+            techs.push(Box::new(WifiMulticastTech::new(own, runner.mesh_addr(dev))));
             techs.push(Box::new(WifiTcpTech::new(own, runner.mesh_addr(dev))));
         }
         if self.nfc {
-            let (max_payload, touch) = (timings.nfc_max_payload, timings.nfc_touch);
-            techs.push(Box::new(NfcTech::new(own, runner.nfc_addr(dev), max_payload, touch)));
+            techs.push(Box::new(NfcTech::new(own, runner.nfc_addr(dev))));
         }
-        OmniManager::new(own, self.cfg.clone(), timings, techs)
+        OmniManager::new(own, self.cfg.clone(), techs)
     }
 }

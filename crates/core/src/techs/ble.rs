@@ -10,7 +10,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
-use omni_sim::{Command, NodeApi, NodeEvent};
+use omni_sim::{Command, NodeApi, NodeEvent, BLE_MAX_PAYLOAD};
 use omni_wire::{frame, BleAddress, OmniAddress, TechType};
 
 use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
@@ -35,7 +35,6 @@ enum OneShot {
 pub struct BleBeaconTech {
     own_omni: OmniAddress,
     own_addr: BleAddress,
-    max_payload: usize,
     /// Reliable mode: directed data frames request a link-layer ack and
     /// `DataSent` reports genuine delivery instead of transmit-complete.
     link_acks: bool,
@@ -56,13 +55,13 @@ pub struct BleBeaconTech {
 }
 
 impl BleBeaconTech {
-    /// Creates the technology for a device with the given identity and
-    /// advertisement payload limit.
-    pub fn new(own_omni: OmniAddress, own_addr: BleAddress, max_payload: usize) -> Self {
+    /// Creates the technology for a device with the given identity.
+    /// Frames larger than [`BLE_MAX_PAYLOAD`] fail before they reach the
+    /// radio.
+    pub fn new(own_omni: OmniAddress, own_addr: BleAddress) -> Self {
         BleBeaconTech {
             own_omni,
             own_addr,
-            max_payload,
             link_acks: false,
             queues: None,
             slots: HashMap::new(),
@@ -83,7 +82,7 @@ impl BleBeaconTech {
 
     fn handle_request(&mut self, req: SendRequest, api: &mut NodeApi<'_>) {
         let Some(q) = &self.queues else { return };
-        let too_big = |len: usize| format!("payload {len} exceeds BLE limit {}", self.max_payload);
+        let too_big = |len: usize| format!("payload {len} exceeds BLE limit {BLE_MAX_PAYLOAD}");
         match req.op {
             SendOp::AddContext { context_id, interval }
             | SendOp::UpdateContext { context_id, interval } => {
@@ -92,7 +91,7 @@ impl BleBeaconTech {
                     return;
                 };
                 let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
-                if encoded.len() > self.max_payload {
+                if encoded.len() > BLE_MAX_PAYLOAD {
                     q.fail(too_big(encoded.len()), req);
                     return;
                 }
@@ -106,7 +105,7 @@ impl BleBeaconTech {
             SendOp::RelayContext => {
                 if let Some(packed) = req.packed {
                     let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
-                    if encoded.len() <= self.max_payload {
+                    if encoded.len() <= BLE_MAX_PAYLOAD {
                         api.push(Command::BleSendOneShot { payload: encoded });
                         self.inflight.push_back(OneShot::Forget);
                     }
@@ -136,7 +135,7 @@ impl BleBeaconTech {
                         frame::encode_directed_into(dest_omni, packed, buf);
                     }
                 });
-                if framed.len() > self.max_payload {
+                if framed.len() > BLE_MAX_PAYLOAD {
                     q.fail(too_big(framed.len()), req);
                     return;
                 }
@@ -249,7 +248,7 @@ mod tests {
     }
 
     fn mk() -> (BleBeaconTech, TechQueues) {
-        let tech = BleBeaconTech::new(OmniAddress::from_u64(1), BleAddress([2, 0, 0, 0, 0, 1]), 64);
+        let tech = BleBeaconTech::new(OmniAddress::from_u64(1), BleAddress([2, 0, 0, 0, 0, 1]));
         (tech, port(TechType::BleBeacon, 0))
     }
 

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use bytes::BytesMut;
-use omni_sim::{Command, NodeApi, NodeEvent, SimDuration};
+use omni_sim::{Command, NodeApi, NodeEvent, SimDuration, NFC_MAX_PAYLOAD, NFC_TOUCH_LATENCY};
 use omni_wire::{frame, NfcAddress, OmniAddress, TechType};
 
 use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
@@ -31,10 +31,6 @@ struct NfcContext {
 pub struct NfcTech {
     own_omni: OmniAddress,
     own_addr: NfcAddress,
-    /// The largest frame a touch carries.
-    max_payload: usize,
-    /// How long a touch takes to deliver a data send.
-    touch: SimDuration,
     /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
     contexts: HashMap<u64, NfcContext>,
@@ -47,19 +43,13 @@ pub struct NfcTech {
 }
 
 impl NfcTech {
-    /// Creates the technology for a device with the given identity, frame
-    /// limit and touch latency.
-    pub fn new(
-        own_omni: OmniAddress,
-        own_addr: NfcAddress,
-        max_payload: usize,
-        touch: SimDuration,
-    ) -> Self {
+    /// Creates the technology for a device with the given identity. A touch
+    /// carries frames up to [`NFC_MAX_PAYLOAD`] and delivers a data send
+    /// after [`NFC_TOUCH_LATENCY`].
+    pub fn new(own_omni: OmniAddress, own_addr: NfcAddress) -> Self {
         NfcTech {
             own_omni,
             own_addr,
-            max_payload,
-            touch,
             queues: None,
             contexts: HashMap::new(),
             slot_to_context: HashMap::new(),
@@ -79,7 +69,7 @@ impl NfcTech {
                     return;
                 };
                 let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
-                if encoded.len() > self.max_payload {
+                if encoded.len() > NFC_MAX_PAYLOAD {
                     q.fail("payload exceeds NFC limit", req);
                     return;
                 }
@@ -98,7 +88,7 @@ impl NfcTech {
             SendOp::RelayContext => {
                 if let Some(packed) = req.packed {
                     let encoded = pooled(&mut self.scratch, |buf| packed.encode_into(buf));
-                    if encoded.len() <= self.max_payload {
+                    if encoded.len() <= NFC_MAX_PAYLOAD {
                         api.push(Command::NfcSend { payload: encoded });
                     }
                 }
@@ -123,12 +113,12 @@ impl NfcTech {
                 let framed = pooled(&mut self.scratch, |buf| {
                     frame::encode_directed_into(dest_omni, packed, buf);
                 });
-                if framed.len() > self.max_payload {
+                if framed.len() > NFC_MAX_PAYLOAD {
                     q.fail("payload exceeds NFC limit", req);
                     return;
                 }
                 api.push(Command::NfcSend { payload: framed });
-                self.sends.arm(q, api, req, self.touch);
+                self.sends.arm(q, api, req, NFC_TOUCH_LATENCY);
             }
         }
     }
@@ -183,17 +173,13 @@ impl D2dTechnology for NfcTech {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LinkTimings;
     use crate::queues::{ResponseOk, TechResponse};
     use crate::techs::testing::{disabled_tokens, port, with_api};
     use bytes::Bytes;
     use omni_wire::PackedStruct;
 
     fn mk() -> (NfcTech, TechQueues) {
-        let timings = LinkTimings::default();
-        let (max_payload, touch) = (timings.nfc_max_payload, timings.nfc_touch);
-        let tech =
-            NfcTech::new(OmniAddress::from_u64(1), NfcAddress::from_u32(7), max_payload, touch);
+        let tech = NfcTech::new(OmniAddress::from_u64(1), NfcAddress::from_u32(7));
         (tech, port(TechType::Nfc, 3 << 32))
     }
 

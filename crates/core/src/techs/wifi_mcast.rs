@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use bytes::{Bytes, BytesMut};
-use omni_sim::{Command, NodeApi, NodeEvent, SimDuration};
+use omni_sim::{Command, NodeApi, NodeEvent, SimDuration, MCAST_FIXED_AIRTIME, MCAST_RATE_BPS};
 use omni_wire::{MeshAddress, OmniAddress, PackedStruct, TechType};
 
 use crate::control::ControlFrame;
@@ -35,10 +35,6 @@ const RESCAN_INTERVAL: SimDuration = SimDuration::from_secs(60);
 pub struct WifiMulticastTech {
     own_omni: OmniAddress,
     own_mesh: MeshAddress,
-    /// Fixed airtime of one data send.
-    mcast_fixed: SimDuration,
-    /// Basic rate at which a data send's bytes go out, in bytes per second.
-    mcast_rate_bps: f64,
     /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
     joined: bool,
@@ -53,20 +49,13 @@ pub struct WifiMulticastTech {
 }
 
 impl WifiMulticastTech {
-    /// Creates the technology for a device with the given identity and
-    /// data-send airtime model: `mcast_fixed` plus the bytes at
-    /// `mcast_rate_bps`.
-    pub fn new(
-        own_omni: OmniAddress,
-        own_mesh: MeshAddress,
-        mcast_fixed: SimDuration,
-        mcast_rate_bps: f64,
-    ) -> Self {
+    /// Creates the technology for a device with the given identity. A data
+    /// send completes after the radio's airtime for it:
+    /// [`MCAST_FIXED_AIRTIME`] plus the bytes at [`MCAST_RATE_BPS`].
+    pub fn new(own_omni: OmniAddress, own_mesh: MeshAddress) -> Self {
         WifiMulticastTech {
             own_omni,
             own_mesh,
-            mcast_fixed,
-            mcast_rate_bps,
             queues: None,
             joined: false,
             contexts: HashMap::new(),
@@ -144,8 +133,8 @@ impl WifiMulticastTech {
                 };
                 // Estimated channel occupancy: fixed airtime + bytes at the
                 // basic rate.
-                let airtime = self.mcast_fixed
-                    + SimDuration::from_secs_f64(wire_len as f64 / self.mcast_rate_bps);
+                let airtime = MCAST_FIXED_AIRTIME
+                    + SimDuration::from_secs_f64(wire_len as f64 / MCAST_RATE_BPS);
                 let frame = ControlFrame::Packed(packed.clone());
                 let payload = pooled(&mut self.scratch, |buf| frame.encode_into(buf));
                 api.push(Command::WifiMcastSend { payload, wire_len, bulk: wire_len > 4096 });
@@ -275,20 +264,13 @@ impl D2dTechnology for WifiMulticastTech {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LinkTimings;
     use crate::queues::TechResponse;
     use crate::techs::testing::{disabled_tokens, port, with_api};
     use bytes::Bytes;
     use omni_sim::DeviceId;
 
     fn mk() -> (WifiMulticastTech, TechQueues) {
-        let timings = LinkTimings::default();
-        let tech = WifiMulticastTech::new(
-            OmniAddress::from_u64(1),
-            MeshAddress::from_u64(0xA1),
-            timings.mcast_fixed,
-            timings.mcast_rate_bps,
-        );
+        let tech = WifiMulticastTech::new(OmniAddress::from_u64(1), MeshAddress::from_u64(0xA1));
         (tech, port(TechType::WifiMulticast, 1 << 32))
     }
 

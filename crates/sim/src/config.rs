@@ -1,15 +1,66 @@
 //! Simulation parameters.
 //!
 //! Current draws come verbatim from Table 3 of the paper; timing and
-//! throughput parameters are calibrated so that the controlled comparison
+//! throughput constants are calibrated so that the controlled comparison
 //! (Table 4) lands near the paper's measurements. See `DESIGN.md` §2 for the
 //! calibration rationale.
+//!
+//! The link model (ranges, latencies, rates and payload limits) is a set of
+//! constants: the runner's latencies and drop checks and the middleware's
+//! data selection read the same values, so the two cannot disagree.
 
 use omni_wire::TechType;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::FaultConfig;
 use crate::time::SimDuration;
+
+/// WiFi-Mesh radio range in meters.
+pub const WIFI_RANGE_M: f64 = 100.0;
+/// Duration of a network scan ("expensive sequence of interactive
+/// operations", §2.1; calibrated to Table 4).
+pub const WIFI_SCAN_TIME: SimDuration = SimDuration::from_millis(1300);
+/// Duration of joining/associating with a discovered group.
+pub const WIFI_JOIN_TIME: SimDuration = SimDuration::from_millis(1200);
+/// TCP connection establishment to an already-known mesh address
+/// (802.11s mesh peering + handshake).
+pub const TCP_CONNECT_TIME: SimDuration = SimDuration::from_millis(6);
+/// Unicast goodput in bytes/second, shared fluidly among active flows.
+pub const WIFI_CAPACITY_BPS: f64 = 8_100_000.0;
+/// Multicast bulk goodput in bytes/second (basic-rate limited; §3.2:
+/// multicast "is often slow").
+pub const MCAST_RATE_BPS: f64 = 166_000.0;
+/// Fixed channel occupancy per multicast packet (airtime the packet steals
+/// from concurrent unicast flows — the Table 5 "impediment").
+pub const MCAST_FIXED_AIRTIME: SimDuration = SimDuration::from_millis(30);
+/// Fixed protocol overhead added to every TCP message, in bytes.
+pub const TCP_OVERHEAD_BYTES: u64 = 60;
+
+/// BLE radio range in meters.
+pub const BLE_RANGE_M: f64 = 30.0;
+/// Duration of one advertising pulse (three-channel advertising event,
+/// including host overhead). Charged at
+/// [`EnergyParams::ble_adv_ma`].
+pub const BLE_ADV_PULSE: SimDuration = SimDuration::from_millis(10);
+/// Latency from a one-shot advertisement burst to reception by a
+/// continuously scanning neighbor. Two of these make the paper's 82 ms BLE
+/// request/response interaction (Table 4, BLE/BLE row).
+pub const BLE_ONESHOT_LATENCY: SimDuration = SimDuration::from_millis(41);
+/// Duration of the one-shot advertising burst (kept on-air until the
+/// scanner's window catches it). Charged at [`EnergyParams::ble_adv_ma`].
+pub const BLE_ONESHOT_PULSE: SimDuration = SimDuration::from_millis(41);
+/// Maximum advertisement payload in bytes. Sized for Bluetooth 4.x extended
+/// advertising; carries the 23-byte address beacon and small context/data
+/// items, but never bulk data (paper: "BLE packets cannot carry the larger
+/// data file").
+pub const BLE_MAX_PAYLOAD: usize = 64;
+
+/// NFC touch range in meters.
+pub const NFC_RANGE_M: f64 = 0.15;
+/// NFC exchange latency once in touch range.
+pub const NFC_TOUCH_LATENCY: SimDuration = SimDuration::from_millis(5);
+/// Maximum NDEF payload in bytes.
+pub const NFC_MAX_PAYLOAD: usize = 4096;
 
 /// Top-level simulation configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -18,12 +69,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Current-draw model (Table 3).
     pub energy: EnergyParams,
-    /// WiFi-Mesh radio model.
-    pub wifi: WifiParams,
-    /// BLE radio model.
-    pub ble: BleParams,
-    /// NFC model.
-    pub nfc: NfcParams,
     /// Fault injection (loss, jitter, partitions, churn). Default: all off.
     pub faults: FaultConfig,
 }
@@ -33,9 +78,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0x0_0141,
             energy: EnergyParams::default(),
-            wifi: WifiParams::default(),
-            ble: BleParams::default(),
-            nfc: NfcParams::default(),
             faults: FaultConfig::default(),
         }
     }
@@ -50,15 +92,15 @@ impl SimConfig {
     /// WiFi technologies share the mesh radio and therefore its range.)
     pub fn range_m(&self, tech: TechType) -> f64 {
         match tech {
-            TechType::Nfc => self.nfc.range_m,
-            TechType::BleBeacon => self.ble.range_m,
-            TechType::WifiMulticast | TechType::WifiTcp => self.wifi.range_m,
+            TechType::Nfc => NFC_RANGE_M,
+            TechType::BleBeacon => BLE_RANGE_M,
+            TechType::WifiMulticast | TechType::WifiTcp => WIFI_RANGE_M,
         }
     }
 
-    /// The largest configured radio range, used as the spatial grid's cell
-    /// size (see `World`): with cells this big, any per-technology neighbor
-    /// query fits in a 3×3 cell neighborhood.
+    /// The largest radio range, used as the spatial grid's cell size (see
+    /// `World`): with cells this big, any per-technology neighbor query fits
+    /// in a 3×3 cell neighborhood.
     pub fn max_range_m(&self) -> f64 {
         TechType::ALL.iter().map(|&t| self.range_m(t)).fold(0.0, f64::max)
     }
@@ -116,97 +158,6 @@ impl Default for EnergyParams {
     }
 }
 
-/// WiFi-Mesh model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WifiParams {
-    /// Radio range in meters.
-    pub range_m: f64,
-    /// Duration of a network scan ("expensive sequence of interactive
-    /// operations", §2.1; calibrated to Table 4).
-    pub scan_time: SimDuration,
-    /// Duration of joining/associating with a discovered group.
-    pub join_time: SimDuration,
-    /// TCP connection establishment to an already-known mesh address
-    /// (802.11s mesh peering + handshake).
-    pub tcp_connect_time: SimDuration,
-    /// Unicast goodput in bytes/second, shared fluidly among active flows.
-    pub capacity_bps: f64,
-    /// Multicast bulk goodput in bytes/second (basic-rate limited; §3.2:
-    /// multicast "is often slow").
-    pub mcast_rate_bps: f64,
-    /// Fixed channel occupancy per multicast packet (airtime the packet
-    /// steals from concurrent unicast flows — the Table 5 "impediment").
-    pub mcast_fixed_airtime: SimDuration,
-    /// Fixed protocol overhead added to every TCP message, in bytes.
-    pub tcp_overhead_bytes: u64,
-}
-
-impl Default for WifiParams {
-    fn default() -> Self {
-        WifiParams {
-            range_m: 100.0,
-            scan_time: SimDuration::from_millis(1300),
-            join_time: SimDuration::from_millis(1200),
-            tcp_connect_time: SimDuration::from_millis(6),
-            capacity_bps: 8_100_000.0,
-            mcast_rate_bps: 166_000.0,
-            mcast_fixed_airtime: SimDuration::from_millis(30),
-            tcp_overhead_bytes: 60,
-        }
-    }
-}
-
-/// BLE model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BleParams {
-    /// Radio range in meters.
-    pub range_m: f64,
-    /// Duration of one advertising pulse (three-channel advertising event,
-    /// including host overhead). Charged at `ble_adv_ma`.
-    pub adv_pulse: SimDuration,
-    /// Latency from a one-shot advertisement burst to reception by a
-    /// continuously scanning neighbor. Two of these make the paper's 82 ms
-    /// BLE request/response interaction (Table 4, BLE/BLE row).
-    pub oneshot_latency: SimDuration,
-    /// Duration of the one-shot advertising burst (kept on-air until the
-    /// scanner's window catches it). Charged at `ble_adv_ma`.
-    pub oneshot_pulse: SimDuration,
-    /// Maximum advertisement payload in bytes. Sized for Bluetooth 4.x
-    /// extended advertising; carries the 23-byte address beacon and small
-    /// context/data items, but never bulk data (paper: "BLE packets cannot
-    /// carry the larger data file").
-    pub max_payload: usize,
-}
-
-impl Default for BleParams {
-    fn default() -> Self {
-        BleParams {
-            range_m: 30.0,
-            adv_pulse: SimDuration::from_millis(10),
-            oneshot_latency: SimDuration::from_millis(41),
-            oneshot_pulse: SimDuration::from_millis(41),
-            max_payload: 64,
-        }
-    }
-}
-
-/// NFC model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NfcParams {
-    /// Touch range in meters.
-    pub range_m: f64,
-    /// Exchange latency once in touch range.
-    pub touch_latency: SimDuration,
-    /// Maximum NDEF payload in bytes.
-    pub max_payload: usize,
-}
-
-impl Default for NfcParams {
-    fn default() -> Self {
-        NfcParams { range_m: 0.15, touch_latency: SimDuration::from_millis(5), max_payload: 4096 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,21 +176,20 @@ mod tests {
 
     #[test]
     fn ble_round_trip_matches_table4_ble_latency() {
-        let b = BleParams::default();
         // Two one-shot rendezvous = the 82 ms BLE/BLE service interaction.
-        assert_eq!(2 * b.oneshot_latency.as_millis(), 82);
+        assert_eq!(2 * BLE_ONESHOT_LATENCY.as_millis(), 82);
     }
 
     #[test]
     fn config_is_cloneable_and_serializable() {
         let c = SimConfig::default();
         let c2 = c.clone();
-        assert_eq!(c2.wifi.scan_time, c.wifi.scan_time);
+        assert_eq!(c2.seed, c.seed);
     }
 
     /// Pins the per-technology range constants and the fact that
-    /// `range_m` is the same value callers would read from the raw params —
-    /// there is exactly one place a technology's range can come from.
+    /// `range_m` is the constant itself — there is exactly one place a
+    /// technology's range can come from.
     #[test]
     fn per_technology_ranges_are_centralized_and_pinned() {
         let c = SimConfig::default();
@@ -247,11 +197,11 @@ mod tests {
         assert_eq!(c.range_m(TechType::WifiTcp), 100.0);
         assert_eq!(c.range_m(TechType::WifiMulticast), 100.0);
         assert_eq!(c.range_m(TechType::Nfc), 0.15);
-        // The accessor is the params, not a copy that could drift.
-        assert_eq!(c.range_m(TechType::BleBeacon), c.ble.range_m);
-        assert_eq!(c.range_m(TechType::WifiTcp), c.wifi.range_m);
-        assert_eq!(c.range_m(TechType::WifiMulticast), c.wifi.range_m);
-        assert_eq!(c.range_m(TechType::Nfc), c.nfc.range_m);
+        // The accessor is the constant, not a copy that could drift.
+        assert_eq!(c.range_m(TechType::BleBeacon), BLE_RANGE_M);
+        assert_eq!(c.range_m(TechType::WifiTcp), WIFI_RANGE_M);
+        assert_eq!(c.range_m(TechType::WifiMulticast), WIFI_RANGE_M);
+        assert_eq!(c.range_m(TechType::Nfc), NFC_RANGE_M);
         // Both WiFi technologies share the mesh radio's range.
         assert_eq!(c.range_m(TechType::WifiTcp), c.range_m(TechType::WifiMulticast));
         // Grid cell size = the maximum range (WiFi, by default).

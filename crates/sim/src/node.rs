@@ -183,7 +183,7 @@ pub enum Command {
         /// Caller-chosen slot id; re-using a slot replaces its payload and
         /// interval.
         slot: u32,
-        /// Advertisement payload (at most `BleParams::max_payload` bytes).
+        /// Advertisement payload (at most [`crate::BLE_MAX_PAYLOAD`] bytes).
         payload: Bytes,
         /// Advertising interval.
         interval: SimDuration,
@@ -194,17 +194,17 @@ pub enum Command {
         slot: u32,
     },
     /// Transmits a one-shot advertising burst, delivered to every in-range
-    /// scanning neighbor after `BleParams::oneshot_latency`.
+    /// scanning neighbor after [`crate::BLE_ONESHOT_LATENCY`].
     BleSendOneShot {
-        /// Burst payload (at most `BleParams::max_payload` bytes).
+        /// Burst payload (at most [`crate::BLE_MAX_PAYLOAD`] bytes).
         payload: Bytes,
     },
     /// Powers the WiFi radio on or off. Powering off drops the joined state
     /// and fails all connections and flows.
     WifiPower(bool),
-    /// Starts a network scan (`WifiParams::scan_time`, scan current).
+    /// Starts a network scan ([`crate::WIFI_SCAN_TIME`], scan current).
     WifiScan,
-    /// Joins the mesh group (`WifiParams::join_time`, connect current).
+    /// Joins the mesh group ([`crate::WIFI_JOIN_TIME`], connect current).
     WifiJoin,
     /// Leaves the mesh group immediately.
     WifiLeave,
@@ -246,7 +246,7 @@ pub enum Command {
     },
     /// Exchanges a payload with every device in NFC touch range.
     NfcSend {
-        /// Payload (at most `NfcParams::max_payload` bytes).
+        /// Payload (at most [`crate::NFC_MAX_PAYLOAD`] bytes).
         payload: Bytes,
     },
     /// Starts (queues) an infrastructure download of `total_bytes`, delivered

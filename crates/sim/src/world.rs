@@ -135,8 +135,8 @@ impl Bucket {
 
 type CellMap = HashMap<(i64, i64), Bucket, BuildHasherDefault<CellHasher>>;
 
-/// Default grid cell size (meters); matches the default maximum radio range
-/// ([`crate::WifiParams::range_m`]).
+/// Default grid cell size (meters); matches the maximum radio range
+/// ([`crate::WIFI_RANGE_M`]).
 pub const DEFAULT_CELL_M: f64 = 100.0;
 
 /// A position in meters on a 2-D plane.
