@@ -28,7 +28,7 @@ use omni_bench::ObsRun;
 use omni_obs::{flamegraph_collapsed, parse_collapsed, Obs, PhaseReport};
 use omni_sim::{
     ChurnWindow, DeviceCaps, FaultConfig, FlightRecorder, LinkPartition, Position, Runner,
-    SamplerConfig, SimConfig, SimDuration, SimTime,
+    SimConfig, SimDuration, SimTime,
 };
 
 /// Fleet seed; both the off and on runs use it, so any divergence is the
@@ -65,7 +65,7 @@ fn run_fleet(profile: bool) -> (FleetArtifacts, Option<PhaseReport>) {
     }
     let obs = Obs::new();
     sim.set_obs(obs.clone());
-    sim.enable_sampler(SamplerConfig::default());
+    sim.enable_sampler();
     let heard = Rc::new(Cell::new(0));
     for i in 0..200 {
         let pos = Position::new((i % 20) as f64 * 8.0, (i / 20) as f64 * 8.0);

@@ -27,17 +27,13 @@ use std::time::Instant;
 use omni_bench::baseline::Baseline;
 use omni_bench::fleet::PairGrid;
 use omni_bench::ObsRun;
-use omni_sim::{
-    ChurnWindow, FaultConfig, LinkPartition, Runner, SamplerConfig, SimConfig, SimDuration, SimTime,
-};
+use omni_sim::{ChurnWindow, FaultConfig, LinkPartition, Runner, SimConfig, SimTime, SAMPLE_EVERY};
 
 /// Pair sites on a constant-density grid, two devices per site (the scale
 /// bench's layout).
 const GRID: PairGrid = PairGrid { site_pitch_m: 100.0, pair_gap_m: 10.0 };
 /// Every `SCAN_STRIDE`-th device scans (plus the partitioned pair).
 const SCAN_STRIDE: usize = 50;
-/// Sampling interval.
-const SAMPLE_US: u64 = 1_000_000;
 /// Injected fault windows, unaligned to the sampling grid.
 const PARTITION_US: (u64, u64) = (12_300_000, 19_700_000);
 const CHURN_US: (u64, u64) = (25_000_000, 34_500_000);
@@ -78,10 +74,11 @@ fn assert_recovers(name: &str, span: (u64, u64), injected: (u64, u64)) {
         start_err as f64 / 1e6,
         end_err as f64 / 1e6,
     );
+    let tolerance = SAMPLE_EVERY.as_micros();
     assert!(
-        start_err <= SAMPLE_US && end_err <= SAMPLE_US,
+        start_err <= tolerance && end_err <= tolerance,
         "{name}: boundary error exceeds one sampling interval \
-         (start {start_err}us, end {end_err}us > {SAMPLE_US}us)"
+         (start {start_err}us, end {end_err}us > {tolerance}us)"
     );
 }
 
@@ -94,10 +91,7 @@ fn main() {
 
     let mut sim = Runner::new(SimConfig { seed: 11, faults: faults(), ..Default::default() });
     sim.set_obs((*obs).clone());
-    sim.enable_sampler(SamplerConfig {
-        every: SimDuration::from_micros(SAMPLE_US),
-        ..Default::default()
-    });
+    sim.enable_sampler();
 
     // The partitioned pair both scan, so every beacon between them is a
     // per-window partition-drop signal while the window is open.

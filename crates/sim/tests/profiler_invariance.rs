@@ -13,7 +13,7 @@ use bytes::Bytes;
 use omni_obs::{event_json, Obs};
 use omni_sim::{
     ChurnWindow, Command, DeviceCaps, FaultConfig, FlightRecorder, LinkPartition, NodeApi,
-    NodeEvent, Position, Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
+    NodeEvent, Position, Runner, SimConfig, SimDuration, SimTime, Stack,
 };
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ fn run(sc: &Scenario, profile: bool) -> Artifacts {
     }
     let obs = Obs::new();
     sim.set_obs(obs.clone());
-    sim.enable_sampler(SamplerConfig::default());
+    sim.enable_sampler();
     for i in 0..sc.nodes {
         let pos =
             Position::new((i % sc.cols) as f64 * sc.pitch_m, (i / sc.cols) as f64 * sc.pitch_m);

@@ -11,7 +11,7 @@ use bytes::Bytes;
 use omni_obs::{event_json, Obs};
 use omni_sim::{
     ChurnWindow, Command, DeviceCaps, FaultConfig, LinkPartition, NodeApi, NodeEvent, Position,
-    Runner, SamplerConfig, SimConfig, SimDuration, SimTime, Stack,
+    Runner, SimConfig, SimDuration, SimTime, Stack,
 };
 
 /// Beacons every 500 ms and scans continuously; counts what it hears.
@@ -57,7 +57,7 @@ fn run_fleet(seed: u64, sample: bool) -> (Obs, String) {
     let obs = Obs::new();
     sim.set_obs(obs.clone());
     if sample {
-        sim.enable_sampler(SamplerConfig::default());
+        sim.enable_sampler();
     }
     for i in 0..12 {
         let dev = sim.add_device(DeviceCaps::PI, Position::new(5.0 * i as f64, 0.0));
