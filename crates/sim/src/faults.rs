@@ -12,10 +12,11 @@
 //!
 //! Injection points live in `runner.rs`:
 //!
-//! * **Frame loss** — each BLE beacon/one-shot, multicast datagram, and NFC
-//!   exchange is dropped per-recipient with the configured probability; TCP
-//!   loss is modeled as connection-establishment failure (the fluid-flow
-//!   model has no per-frame granularity).
+//! * **Frame loss** — each BLE beacon/one-shot and multicast datagram is
+//!   dropped per-recipient with the configured probability; TCP loss is
+//!   modeled as connection-establishment failure (the fluid-flow model has
+//!   no per-frame granularity). NFC exchanges are not lost: a touch either
+//!   happens or, under a partition or churn, does not.
 //! * **Latency jitter** — BLE one-shot deliveries gain a uniformly drawn
 //!   extra delay in `[0, ble_jitter]`.
 //! * **Link partitions** — a [`LinkPartition`] makes a node pair mutually
@@ -113,8 +114,6 @@ pub struct FaultConfig {
     pub ble_loss: f64,
     /// Per-datagram, per-recipient loss probability for WiFi multicast.
     pub mcast_loss: f64,
-    /// Per-exchange loss probability for NFC.
-    pub nfc_loss: f64,
     /// Probability that a TCP connection attempt fails even though the peer
     /// is reachable (the fluid-flow unicast model has no per-frame loss).
     pub tcp_connect_loss: f64,
@@ -132,7 +131,6 @@ impl FaultConfig {
     pub fn any(&self) -> bool {
         self.ble_loss > 0.0
             || self.mcast_loss > 0.0
-            || self.nfc_loss > 0.0
             || self.tcp_connect_loss > 0.0
             || !self.ble_jitter.is_zero()
             || !self.partitions.is_empty()
