@@ -22,22 +22,16 @@ pub struct SpBleDevice {
     own: BleAddress,
     handler: Box<dyn SpHandler>,
     scan_duty: f64,
-    power_off_wifi: bool,
     /// Pending one-shot sends awaiting `BleOneShotSent`.
     inflight: VecDeque<()>,
 }
 
 impl SpBleDevice {
     /// Creates the device. `scan_duty` is the discovery scan duty cycle
-    /// (SP apps duty-cycle hard to save energy); `power_off_wifi` turns the
-    /// unused WiFi radio off at boot.
-    pub fn new(
-        own: BleAddress,
-        handler: Box<dyn SpHandler>,
-        scan_duty: f64,
-        power_off_wifi: bool,
-    ) -> Self {
-        SpBleDevice { own, handler, scan_duty, power_off_wifi, inflight: VecDeque::new() }
+    /// (SP apps duty-cycle hard to save energy). The unused WiFi radio is
+    /// powered off at boot.
+    pub fn new(own: BleAddress, handler: Box<dyn SpHandler>, scan_duty: f64) -> Self {
+        SpBleDevice { own, handler, scan_duty, inflight: VecDeque::new() }
     }
 
     fn apply(&mut self, ops: Vec<SpOp>, api: &mut NodeApi<'_>) {
@@ -92,9 +86,7 @@ impl Stack for SpBleDevice {
     fn on_event(&mut self, event: NodeEvent, api: &mut NodeApi<'_>) {
         match event {
             NodeEvent::Start => {
-                if self.power_off_wifi {
-                    api.push(Command::WifiPower(false));
-                }
+                api.push(Command::WifiPower(false));
                 api.push(Command::BleSetScan { duty: Some(self.scan_duty) });
                 self.dispatch(api, |h, ctl| h.on_start(ctl));
             }
