@@ -641,7 +641,7 @@ fn graceful_close_notifies_peer_without_error() {
     let peer = sim.mesh_addr(b);
     let conn_holder: Rc<RefCell<Option<ConnId>>> = Rc::new(RefCell::new(None));
     let holder = conn_holder.clone();
-    let (pa, _) = Probe::new();
+    let (pa, alog) = Probe::new();
     let pa = pa.with_start(vec![Command::TcpConnect { token: 0, peer }]).with_reaction(
         move |ev, api| {
             if let NodeEvent::TcpConnectResult { result: Ok(conn), .. } = ev {
@@ -656,6 +656,8 @@ fn graceful_close_notifies_peer_without_error() {
     sim.run_until(SimTime::from_secs(1));
     assert!(conn_holder.borrow().is_some());
     assert!(blog.borrow().iter().any(|(_, l)| l == "closed:false"));
+    // The closer already knows: it hears no close of its own.
+    assert!(!alog.borrow().iter().any(|(_, l)| l.starts_with("closed:")));
 }
 
 #[test]
