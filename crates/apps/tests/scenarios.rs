@@ -3,7 +3,7 @@
 use omni_apps::disseminate::{omni_disseminate, FileSpec, SpDisseminate};
 use omni_apps::prophet::{omni_prophet, Bundle, SpProphet};
 use omni_apps::tourism;
-use omni_baselines::sa::SaBuilder;
+use omni_baselines::sa;
 use omni_baselines::sp::SpWifiDevice;
 use omni_core::{OmniBuilder, OmniStack};
 use omni_sim::{DeviceCaps, Position, Runner, SimConfig, SimDuration, SimTime};
@@ -156,11 +156,10 @@ fn prophet_with_sa_middleware_is_slower_but_delivers() {
         ..Default::default()
     };
     for (d, init) in [(a, init_a), (b, init_b)] {
-        let mgr =
-            SaBuilder::new().with_ble().with_wifi().with_config(mw_cfg.clone()).build(&sim, d);
+        let mgr = sa::build(&sim, d, mw_cfg.clone());
         sim.set_stack(d, Box::new(OmniStack::new(mgr, init)));
     }
-    let mgr_c = SaBuilder::new().with_ble().with_wifi().with_config(mw_cfg).build(&sim, c);
+    let mgr_c = sa::build(&sim, c, mw_cfg);
     sim.set_stack(c, Box::new(OmniStack::new(mgr_c, init_c)));
     sim.schedule_teleport(b, SimTime::from_secs(5), Position::new(4_990.0, 0.0));
     sim.run_until(SimTime::from_secs(60));

@@ -25,71 +25,23 @@
 use omni_core::{OmniBuilder, OmniConfig, OmniManager};
 use omni_sim::{DeviceId, Runner};
 
-/// Builds a State-of-the-Art middleware instance for a simulated device.
+/// Builds the State-of-the-Art middleware for a simulated device: BLE and
+/// WiFi, with the two SA paradigm switches forced on top of `cfg`.
 ///
 /// # Example
 ///
 /// ```no_run
-/// use omni_baselines::sa::SaBuilder;
+/// use omni_baselines::sa;
+/// use omni_core::OmniConfig;
 /// use omni_sim::{DeviceCaps, Position, Runner, SimConfig};
 ///
 /// let mut sim = Runner::new(SimConfig::default());
 /// let dev = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
-/// let manager = SaBuilder::new().with_ble().with_wifi().build(&sim, dev);
+/// let manager = sa::build(&sim, dev, OmniConfig::default());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct SaBuilder {
-    inner: OmniBuilder,
-    cfg: Option<OmniConfig>,
-}
-
-impl SaBuilder {
-    /// Starts a builder with no technologies selected.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables BLE.
-    pub fn with_ble(mut self) -> Self {
-        self.inner = self.inner.with_ble();
-        self
-    }
-
-    /// Enables WiFi (multicast + TCP).
-    pub fn with_wifi(mut self) -> Self {
-        self.inner = self.inner.with_wifi();
-        self
-    }
-
-    /// Enables NFC.
-    pub fn with_nfc(mut self) -> Self {
-        self.inner = self.inner.with_nfc();
-        self
-    }
-
-    /// Overrides the base configuration (the SA paradigm switches are still
-    /// forced on top).
-    pub fn with_config(mut self, cfg: OmniConfig) -> Self {
-        self.cfg = Some(cfg);
-        self
-    }
-
-    /// Attaches an observability handle (see
-    /// [`OmniBuilder::with_obs`](omni_core::OmniBuilder::with_obs)).
-    pub fn with_obs(mut self, obs: &omni_obs::Obs) -> Self {
-        let mut cfg = self.cfg.take().unwrap_or_default();
-        cfg.obs = Some(obs.clone());
-        self.cfg = Some(cfg);
-        self
-    }
-
-    /// Assembles the SA middleware for a device.
-    pub fn build(&self, runner: &Runner, dev: DeviceId) -> OmniManager {
-        let mut cfg = self.cfg.clone().unwrap_or_default();
-        cfg.advertise_on_all_techs = true;
-        cfg.integrate_low_level_nd = false;
-        self.inner.clone().with_config(cfg).build(runner, dev)
-    }
+pub fn build(runner: &Runner, dev: DeviceId, cfg: OmniConfig) -> OmniManager {
+    let cfg = OmniConfig { advertise_on_all_techs: true, integrate_low_level_nd: false, ..cfg };
+    OmniBuilder::new().with_ble().with_wifi().with_config(cfg).build(runner, dev)
 }
 
 #[cfg(test)]
@@ -110,8 +62,7 @@ mod tests {
             s
         };
         // Even with a contrary base config, the SA paradigms are applied.
-        let b = SaBuilder::new().with_ble().with_wifi().with_config(custom);
-        let _mgr = b.build(&sim, omni_sim::DeviceId(0));
+        let _mgr = build(&sim, omni_sim::DeviceId(0), custom);
         // Construction succeeding is the contract; behavioral differences
         // are covered by the baseline_behaviour integration tests.
     }
