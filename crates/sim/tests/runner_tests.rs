@@ -930,3 +930,101 @@ fn walking_to_an_infinite_position_panics() {
     let (mut sim, a, _) = two_device_sim();
     sim.schedule_walk(a, SimTime::from_secs(1), Position::new(f64::NEG_INFINITY, 0.0), 1.4);
 }
+
+/// Every medium counts the frames its faults drop under the cause that
+/// dropped them: four phones in touch range send BLE pulses and bursts,
+/// multicast, NFC touches and TCP connects through a partition, a churn
+/// window and BLE, multicast and TCP-connect loss.
+#[test]
+fn every_medium_attributes_its_drops() {
+    use omni_obs::{EventKind, Obs};
+    use omni_sim::LinkPartition;
+    use omni_wire::{frame, OmniAddress, PackedStruct, TechType, TraceId};
+
+    let faults = FaultConfig {
+        ble_loss: 0.3,
+        mcast_loss: 0.3,
+        tcp_connect_loss: 0.5,
+        partitions: vec![LinkPartition::new(0, 1, SimTime::from_secs(2), SimTime::from_secs(5))],
+        churn: vec![ChurnWindow {
+            dev: 2,
+            down_at: SimTime::from_secs(3),
+            up_at: SimTime::from_secs(6),
+        }],
+        ..Default::default()
+    };
+    let mut sim = Runner::new(SimConfig { seed: 9, faults, ..Default::default() });
+    let obs = Obs::with_event_capacity(1 << 16);
+    sim.set_obs(obs.clone());
+    let spots = [(0.0, 0.0), (0.05, 0.0), (0.1, 0.0), (0.0, 0.05)];
+    let devs: Vec<DeviceId> = spots
+        .iter()
+        .map(|&(x, y)| sim.add_device(DeviceCaps::PHONE, Position::new(x, y)))
+        .collect();
+    let meshes: Vec<_> = devs.iter().map(|&d| sim.mesh_addr(d)).collect();
+    for (i, &dev) in devs.iter().enumerate() {
+        let next = (i + 1) % devs.len();
+        let peer = meshes[next];
+        let mut seq = 0u64;
+        let (probe, _) = Probe::new();
+        let probe = probe
+            .with_start(vec![
+                SCAN,
+                advertise(0, b"pulse", 100),
+                Command::WifiJoin,
+                Command::SetTimer {
+                    token: 1,
+                    delay: SimDuration::from_millis(250 + 20 * i as u64),
+                },
+            ])
+            .with_reaction(move |ev, api| match ev {
+                NodeEvent::WifiJoined { ok: true } => api.push(Command::WifiMcastListen(true)),
+                NodeEvent::Timer { token: 1 } => {
+                    seq += 1;
+                    let source = OmniAddress::from_u64(i as u64 + 1);
+                    let packed = PackedStruct::data(source, Bytes::from_static(b"data"))
+                        .with_trace(TraceId::derive(source, seq));
+                    let directed =
+                        frame::encode_directed(OmniAddress::from_u64(next as u64 + 1), &packed);
+                    api.push(Command::BleSendOneShot { payload: directed.clone() });
+                    api.push(Command::WifiMcastSend {
+                        payload: directed.clone(),
+                        wire_len: directed.len() as u64,
+                        bulk: false,
+                    });
+                    api.push(Command::NfcSend { payload: directed });
+                    api.push(Command::TcpConnect { token: seq, peer });
+                    api.push(Command::SetTimer { token: 1, delay: SimDuration::from_millis(250) });
+                }
+                _ => {}
+            });
+        sim.set_stack(dev, Box::new(probe));
+    }
+    sim.run_until(SimTime::from_secs(8));
+
+    let drops = |cause: &str| obs.counter_with("sim.faults.drops", &[("cause", cause)]).get();
+    let lost = obs.counter("sim.faults.frames_dropped").get();
+    assert!(lost > 0, "no frame was lost");
+    assert_eq!(lost, drops("frame-loss"));
+    assert_eq!(lost, sim.fault_frames_dropped());
+    assert!(drops("partition") > 0, "no partition drop");
+    assert!(drops("node-down") > 0, "no node-down drop");
+
+    assert_eq!(obs.events_dropped(), 0, "the event ring wrapped");
+    let labels = TechType::ALL.map(TechType::label);
+    let mut techs = Vec::new();
+    for e in obs.events() {
+        if let EventKind::FrameDropped { tech, cause, .. } = e.kind {
+            assert!(labels.contains(&tech), "FrameDropped names technology {tech:?}");
+            assert!(
+                ["frame-loss", "partition", "node-down"].contains(&cause),
+                "FrameDropped names cause {cause:?}"
+            );
+            if !techs.contains(&tech) {
+                techs.push(tech);
+            }
+        }
+    }
+    techs.sort_unstable();
+    assert_eq!(techs, ["ble-beacon", "nfc", "wifi-multicast"], "media that recorded a drop");
+}
