@@ -95,18 +95,11 @@ fn reserved_tag_refusal(context: &Bytes) -> Option<String> {
 }
 
 /// Cached manager-level instruments (no registry lookups on hot paths).
-///
-/// The gauges are per-node values registered under one name each. On an
-/// `Obs` a fleet shares, every manager sets the same gauge, so its value is
-/// the last writer's; only its `lo` and `hi` watermarks, the smallest and
-/// largest value any node reported, mean something there.
+/// [`MgrObs::record`] pushes an event and bumps the counter its kind names,
+/// so every counted fact is one call.
 struct MgrObs {
     obs: Obs,
     node: u32,
-    peers: Gauge,
-    contexts: Gauge,
-    engaged: Gauge,
-    beacon_interval_us: Gauge,
     beacons_rx: Counter,
     data_enqueued: Counter,
     data_sent: Counter,
@@ -139,7 +132,11 @@ struct MgrObs {
     /// `mgr.ttl_expired{strategy=..}`: frames expired (TTL zero, custody
     /// timeout, or custody eviction).
     ttl_expired: Counter,
-    /// `mgr.custody_depth`: frames currently held in custody.
+    /// `mgr.custody_depth`: frames currently held in custody. A per-node
+    /// value under one name: on an `Obs` a fleet shares, every manager sets
+    /// the same gauge, so its value is the last writer's; only its `lo` and
+    /// `hi` watermarks, the smallest and largest depth any node reported,
+    /// mean something there.
     custody_depth: Gauge,
     /// Sim time in microseconds, shared with the instrumented queues, which
     /// stamp their `QueueDropped` events with it.
@@ -152,10 +149,6 @@ impl MgrObs {
             obs: obs.clone(),
             node,
             now_us,
-            peers: obs.gauge("mgr.peers"),
-            contexts: obs.gauge("mgr.contexts"),
-            engaged: obs.gauge("mgr.engaged_techs"),
-            beacon_interval_us: obs.gauge("mgr.beacon_interval_us"),
             beacons_rx: obs.counter("mgr.beacons_rx"),
             data_enqueued: obs.counter("mgr.data_enqueued"),
             data_sent: obs.counter("mgr.data_sent"),
@@ -181,7 +174,27 @@ impl MgrObs {
         }
     }
 
-    fn event(&self, now: SimTime, kind: EventKind) {
+    /// Records `kind` and bumps the counter that counts it; the other
+    /// kinds are events only.
+    fn record(&self, now: SimTime, kind: EventKind) {
+        let counter = match kind {
+            EventKind::BeaconReceived { .. } => Some(&self.beacons_rx),
+            EventKind::DataEnqueued { .. } => Some(&self.data_enqueued),
+            EventKind::DataSent { .. } => Some(&self.data_sent),
+            EventKind::DataDelivered { .. } => Some(&self.data_delivered),
+            EventKind::DataFailed { .. } => Some(&self.data_failed),
+            EventKind::DataFailedOver { .. } => Some(&self.data_fallbacks),
+            EventKind::DataRetried { .. } => Some(&self.data_retries),
+            EventKind::ContextUpdated { .. } => Some(&self.context_ops),
+            EventKind::DataRelayed { .. } => Some(&self.data_relayed),
+            EventKind::DataCustody { .. } => Some(&self.data_custody),
+            EventKind::DataDeduped { .. } => Some(&self.data_deduped),
+            EventKind::TtlExpired { .. } => Some(&self.ttl_expired),
+            _ => None,
+        };
+        if let Some(counter) = counter {
+            counter.inc();
+        }
         self.obs.event(now.as_micros(), self.node, kind);
     }
 }
@@ -508,13 +521,8 @@ impl OmniManager {
                 self.submit_context(tech, ctx, Some(packed.clone()));
             }
         }
-        if let Some(m) = &self.mgr_obs {
-            for &tech in &self.engaged {
-                m.event(api.now, EventKind::TechEngaged { tech: tech.label() });
-            }
-            m.engaged.set(self.engaged.len() as i64);
-            m.contexts.set(self.contexts.len() as i64);
-            m.beacon_interval_us.set(self.beacon_interval_current.as_micros() as i64);
+        for &tech in &self.engaged {
+            self.record(api.now, EventKind::TechEngaged { tech: tech.label() });
         }
         api.set_timer(MGR_TIMER_ENGAGE, ENGAGEMENT_CHECK);
         self.pump(api);
@@ -592,6 +600,14 @@ impl OmniManager {
     // ------------------------------------------------------------------
     // Pump: queues, callbacks, deferred work
     // ------------------------------------------------------------------
+
+    /// Records an event and bumps the counter its kind names, when
+    /// [`OmniConfig::obs`] is set.
+    fn record(&self, now: SimTime, kind: EventKind) {
+        if let Some(m) = &self.mgr_obs {
+            m.record(now, kind);
+        }
+    }
 
     /// Stores the time of the `NodeApi` the manager was handed, for the
     /// instrumented queues' `QueueDropped` stamps.
@@ -673,11 +689,8 @@ impl OmniManager {
         // (the forwarder's own beacons handle link-local discovery).
         if item.packed.relay.is_none() {
             let is_new_peer = self.peers.observe(item.packed.source, item.tech, item.source, now);
-            if let Some(m) = &self.mgr_obs {
-                m.peers.set(self.peers.len() as i64);
-                if is_new_peer {
-                    m.event(now, EventKind::PeerDiscovered { peer: item.packed.source.as_u64() });
-                }
+            if is_new_peer {
+                self.record(now, EventKind::PeerDiscovered { peer: item.packed.source.as_u64() });
             }
             if let Some(router) = self.relay.as_mut().and_then(|r| r.prophet.as_mut()) {
                 router.sighting(item.packed.source, now);
@@ -692,21 +705,19 @@ impl OmniManager {
                 // Authenticate/decrypt first (paper §3.4): beacons that are
                 // not sealed for our group are ignored entirely.
                 let Some(plain) = self.open(&item.packed.payload) else {
-                    self.note_auth_rejected(item.packed.source, now);
+                    let peer = item.packed.source.as_u64();
+                    self.record(now, EventKind::AuthRejected { peer });
                     return;
                 };
                 if let Ok(beacon) = omni_wire::AddressBeaconPayload::decode(&plain) {
-                    if let Some(m) = &self.mgr_obs {
-                        m.beacons_rx.inc();
-                        m.event(
-                            now,
-                            EventKind::BeaconReceived {
-                                tech: item.tech.label(),
-                                peer: item.packed.source.as_u64(),
-                                epoch: item.packed.trace.map_or(0, TraceId::as_u64),
-                            },
-                        );
-                    }
+                    self.record(
+                        now,
+                        EventKind::BeaconReceived {
+                            tech: item.tech.label(),
+                            peer: item.packed.source.as_u64(),
+                            epoch: item.packed.trace.map_or(0, TraceId::as_u64),
+                        },
+                    );
                     // Middleware that does not integrate low-level neighbor
                     // discovery cannot treat beacon-carried mesh addresses
                     // as connectable (SA ablation).
@@ -720,7 +731,8 @@ impl OmniManager {
             }
             ContentKind::Context => {
                 let Some(plain) = self.open(&item.packed.payload) else {
-                    self.note_auth_rejected(item.packed.source, now);
+                    let peer = item.packed.source.as_u64();
+                    self.record(now, EventKind::AuthRejected { peer });
                     return;
                 };
                 self.handle_context_plain(item.packed.source, &plain, api);
@@ -732,23 +744,14 @@ impl OmniManager {
         }
     }
 
-    /// A sealed beacon or context pack from `peer` failed authentication
-    /// under our group key: the frame is dropped, and the drop is recorded.
-    fn note_auth_rejected(&self, peer: OmniAddress, now: SimTime) {
-        if let Some(m) = &self.mgr_obs {
-            m.event(now, EventKind::AuthRejected { peer: peer.as_u64() });
-        }
-    }
-
     /// Delivers a data frame to the application's data callbacks (the
     /// `source` is the origin, even for frames that arrived via relay hops).
     fn deliver_data(&mut self, item: &ReceivedItem, now: SimTime) {
         let src = item.packed.source;
         let payload = &item.packed.payload;
         if let Some(m) = &self.mgr_obs {
-            m.data_delivered.inc();
             m.delivered_by_tech[item.tech.index()].inc();
-            m.event(
+            m.record(
                 now,
                 EventKind::DataDelivered {
                     peer: src.as_u64(),
@@ -781,11 +784,8 @@ impl OmniManager {
             return;
         }
         if trace != 0 && !self.data_seen.insert(trace) {
-            if let Some(m) = &self.mgr_obs {
-                m.data_deduped.inc();
-                let peer = item.packed.source.as_u64();
-                m.event(now, EventKind::DataDeduped { peer, trace });
-            }
+            let peer = item.packed.source.as_u64();
+            self.record(now, EventKind::DataDeduped { peer, trace });
         } else if for_me {
             self.deliver_data(&item, now);
         } else if header.ttl == 0 {
@@ -809,11 +809,8 @@ impl OmniManager {
         let entry = CustodyEntry { frame, taken_at: now, offered: HashMap::new(), origin };
         let evicted = relay.custody.insert(trace, entry);
         let depth = relay.custody.len() as i64;
-        if let Some(m) = &self.mgr_obs {
-            m.data_custody.inc();
-            let (peer, ttl) = (header.dest.as_u64(), u64::from(header.ttl));
-            m.event(now, EventKind::DataCustody { peer, ttl, trace });
-        }
+        let (peer, ttl) = (header.dest.as_u64(), u64::from(header.ttl));
+        self.record(now, EventKind::DataCustody { peer, ttl, trace });
         if let Some((old_trace, old)) = evicted {
             self.expire_relayed(old_trace, old.frame.relay, old.origin, now);
         }
@@ -832,11 +829,8 @@ impl OmniManager {
         origin: Option<Box<Origin>>,
         now: SimTime,
     ) {
-        if let Some(m) = &self.mgr_obs {
-            m.ttl_expired.inc();
-            let (peer, hops) = header.map_or((0, 0), |h| (h.dest.as_u64(), u64::from(h.hops)));
-            m.event(now, EventKind::TtlExpired { peer, hops, trace });
-        }
+        let (peer, hops) = header.map_or((0, 0), |h| (h.dest.as_u64(), u64::from(h.hops)));
+        self.record(now, EventKind::TtlExpired { peer, hops, trace });
         if let Some(origin) = origin {
             let info = ResponseInfo::SendExhausted {
                 description: "relay custody expired before any handoff".into(),
@@ -1040,18 +1034,15 @@ impl OmniManager {
             // A custody hop went out: count it as a relay forward, not an
             // application-level DataSent.
             let trace = send.trace.as_u64();
-            if let Some(m) = &self.mgr_obs {
-                m.data_relayed.inc();
-                m.event(
-                    api.now,
-                    EventKind::DataRelayed {
-                        tech: tech.label(),
-                        peer: dest_omni.as_u64(),
-                        hops: u64::from(hop.hops),
-                        trace,
-                    },
-                );
-            }
+            self.record(
+                api.now,
+                EventKind::DataRelayed {
+                    tech: tech.label(),
+                    peer: dest_omni.as_u64(),
+                    hops: u64::from(hop.hops),
+                    trace,
+                },
+            );
             let Some(relay) = &mut self.relay else { return };
             let origin = relay.handed_off(trace, dest_omni, hop);
             if let (Some(m), true) = (&self.mgr_obs, dest_omni == hop.dest) {
@@ -1064,12 +1055,11 @@ impl OmniManager {
             return;
         }
         if let Some(m) = &self.mgr_obs {
-            m.data_sent.inc();
             m.sent_by_tech[tech.index()].inc();
             let latency_us = api.now.as_micros().saturating_sub(send.enqueued_at.as_micros());
             m.send_latency_us[tech.index()].record(latency_us);
             m.delivery_latency.record_with_exemplar(latency_us, send.trace.as_u64());
-            m.event(
+            m.record(
                 api.now,
                 EventKind::DataSent {
                     tech: tech.label(),
@@ -1152,11 +1142,7 @@ impl OmniManager {
                     id,
                     ContextEntry { params, payload: packed.clone(), carried: self.engaged.clone() },
                 );
-                if let Some(m) = &self.mgr_obs {
-                    m.context_ops.inc();
-                    m.contexts.set(self.contexts.len() as i64);
-                    m.event(api.now, EventKind::ContextUpdated { id });
-                }
+                self.record(api.now, EventKind::ContextUpdated { id });
                 let mut engaged: Vec<TechType> = self.engaged.iter().copied().collect();
                 if engaged.is_empty() {
                     self.fail_context(cb, CtxOp::Add, "no context technology available", Some(id));
@@ -1197,10 +1183,7 @@ impl OmniManager {
                 entry.params = params;
                 entry.payload = packed.clone();
                 let carried: Vec<TechType> = entry.carried.iter().copied().collect();
-                if let Some(m) = &self.mgr_obs {
-                    m.context_ops.inc();
-                    m.event(api.now, EventKind::ContextUpdated { id });
-                }
+                self.record(api.now, EventKind::ContextUpdated { id });
                 let mut first_cb = Some(cb);
                 for t in carried {
                     let ctx = CtxSend::new(CtxOp::Update, id, params.interval, first_cb.take());
@@ -1223,11 +1206,7 @@ impl OmniManager {
                     self.fail_context(cb, CtxOp::Remove, "unknown context id", Some(id));
                     return;
                 };
-                if let Some(m) = &self.mgr_obs {
-                    m.context_ops.inc();
-                    m.contexts.set(self.contexts.len() as i64);
-                    m.event(api.now, EventKind::ContextUpdated { id });
-                }
+                self.record(api.now, EventKind::ContextUpdated { id });
                 let mut first_cb = Some(cb);
                 for t in entry.carried {
                     let interval = entry.params.interval;
@@ -1443,17 +1422,14 @@ impl OmniManager {
     /// Records that a send was accepted, on `tech` or (`None`) with no
     /// carrier yet.
     fn note_enqueued(&self, send: &DataSend, tech: Option<TechType>, now: SimTime) {
-        if let Some(m) = &self.mgr_obs {
-            m.data_enqueued.inc();
-            m.event(
-                now,
-                EventKind::DataEnqueued {
-                    tech: tech.map_or("none", TechType::label),
-                    bytes: send.wire_len,
-                    trace: send.trace.as_u64(),
-                },
-            );
-        }
+        self.record(
+            now,
+            EventKind::DataEnqueued {
+                tech: tech.map_or("none", TechType::label),
+                bytes: send.wire_len,
+                trace: send.trace.as_u64(),
+            },
+        );
     }
 
     /// Hands a send to a technology, arming the ack-deadline timer when the
@@ -1519,17 +1495,14 @@ impl OmniManager {
         let policy = self.cfg.retry;
         if !send.remaining.is_empty() {
             let next = send.remaining.remove(0);
-            if let Some(m) = &self.mgr_obs {
-                m.data_fallbacks.inc();
-                m.event(
-                    api.now,
-                    EventKind::DataFailedOver {
-                        from_tech: failed.map_or("none", TechType::label),
-                        to_tech: next.tech.label(),
-                        trace: send.trace.as_u64(),
-                    },
-                );
-            }
+            self.record(
+                api.now,
+                EventKind::DataFailedOver {
+                    from_tech: failed.map_or("none", TechType::label),
+                    to_tech: next.tech.label(),
+                    trace: send.trace.as_u64(),
+                },
+            );
             self.submit_data(send, next, api);
             return;
         }
@@ -1538,10 +1511,9 @@ impl OmniManager {
             send.current = None;
             let delay = policy.backoff_delay(send.attempt);
             if let Some(m) = &self.mgr_obs {
-                m.data_retries.inc();
                 m.retry_count.record(send.attempt as u64);
                 m.backoff_us.record(delay.as_micros());
-                m.event(
+                m.record(
                     api.now,
                     EventKind::DataRetried {
                         tech: failed.map_or("none", TechType::label),
@@ -1579,16 +1551,13 @@ impl OmniManager {
         info: ResponseInfo,
         now: SimTime,
     ) {
-        if let Some(m) = &self.mgr_obs {
-            let trace = info.trace().unwrap_or(0);
-            m.data_failed.inc();
-            m.event(
-                now,
-                EventKind::DataFailed { tech: tech.map_or("none", TechType::label), trace },
-            );
-            if let ResponseInfo::SendExhausted { destination, .. } = &info {
-                m.event(now, EventKind::SendExhausted { peer: destination.as_u64(), trace });
-            }
+        let trace = info.trace().unwrap_or(0);
+        self.record(
+            now,
+            EventKind::DataFailed { tech: tech.map_or("none", TechType::label), trace },
+        );
+        if let ResponseInfo::SendExhausted { destination, .. } = &info {
+            self.record(now, EventKind::SendExhausted { peer: destination.as_u64(), trace });
         }
         if let Some(cb) = cb {
             self.deferred.push_back((cb, StatusCode::SendDataFailure, info));
@@ -1703,16 +1672,13 @@ impl OmniManager {
             return;
         }
         self.beacon_interval_current = target;
-        if let Some(m) = &self.mgr_obs {
-            m.beacon_interval_us.set(target.as_micros() as i64);
-            m.event(
-                api.now,
-                EventKind::BeaconIntervalChanged {
-                    from_us: current.as_micros(),
-                    to_us: target.as_micros(),
-                },
-            );
-        }
+        self.record(
+            api.now,
+            EventKind::BeaconIntervalChanged {
+                from_us: current.as_micros(),
+                to_us: target.as_micros(),
+            },
+        );
         if let Some(entry) = self.contexts.get_mut(&ADDRESS_BEACON_CONTEXT_ID) {
             entry.params.interval = target;
             let payload = entry.payload.clone();
@@ -1758,10 +1724,8 @@ impl OmniManager {
         let prev = std::mem::replace(&mut self.fresh_prev, fresh);
         self.adapt_beacon_interval(&prev, api);
         let gone: Vec<OmniAddress> = prev.difference(&self.fresh_prev).copied().collect();
-        if let Some(m) = &self.mgr_obs {
-            for peer in &gone {
-                m.event(api.now, EventKind::PeerExpired { peer: peer.as_u64() });
-            }
+        for peer in &gone {
+            self.record(api.now, EventKind::PeerExpired { peer: peer.as_u64() });
         }
         if retry {
             for peer in gone {
@@ -1795,10 +1759,7 @@ impl OmniManager {
 
     fn engage(&mut self, tech: TechType, now: SimTime) {
         self.engaged.insert(tech);
-        if let Some(m) = &self.mgr_obs {
-            m.engaged.set(self.engaged.len() as i64);
-            m.event(now, EventKind::TechEngaged { tech: tech.label() });
-        }
+        self.record(now, EventKind::TechEngaged { tech: tech.label() });
         let mut items: Vec<(u64, SimDuration, PackedStruct)> = self
             .contexts
             .iter()
@@ -1816,10 +1777,7 @@ impl OmniManager {
 
     fn disengage(&mut self, tech: TechType, now: SimTime) {
         self.engaged.remove(&tech);
-        if let Some(m) = &self.mgr_obs {
-            m.engaged.set(self.engaged.len() as i64);
-            m.event(now, EventKind::TechDisengaged { tech: tech.label() });
-        }
+        self.record(now, EventKind::TechDisengaged { tech: tech.label() });
         let mut items: Vec<(u64, SimDuration)> = self
             .contexts
             .iter()
