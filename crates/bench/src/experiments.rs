@@ -14,9 +14,8 @@ use omni_baselines::sp::{SpBleDevice, SpWifiDevice};
 use omni_core::{ContextParams, OmniBuilder, OmniConfig, OmniStack};
 use omni_obs::Obs;
 use omni_sim::{
-    Command, DeviceCaps, DeviceId, NodeApi, NodeEvent, Position, Runner, SimConfig, SimDuration,
-    SimTime, Stack, BLE_ADV_PULSE, MCAST_FIXED_AIRTIME, MCAST_RATE_BPS, WIFI_JOIN_TIME,
-    WIFI_SCAN_TIME,
+    mcast_airtime, Command, DeviceCaps, DeviceId, NodeApi, NodeEvent, Position, Runner, SimConfig,
+    SimDuration, SimTime, Stack, BLE_ADV_PULSE, WIFI_JOIN_TIME, WIFI_SCAN_TIME,
 };
 use omni_wire::{StatusCode, TechType};
 
@@ -146,7 +145,7 @@ pub fn table3(obs: Option<&Obs>) -> Vec<OpDraw> {
         paper_ma: 183.3,
         measured_ma: {
             // Airtime of one 30 B multicast datagram.
-            let airtime = MCAST_FIXED_AIRTIME + SimDuration::from_secs_f64(30.0 / MCAST_RATE_BPS);
+            let airtime = mcast_airtime(30);
             measure_window(
                 |sim, a, _b| {
                     // Join first, then send one multicast datagram.

@@ -6,9 +6,9 @@
 //! radio, the size of the data, and the time needed to form a connection."
 
 use omni_sim::{
-    SimDuration, SimTime, BLE_MAX_PAYLOAD, BLE_ONESHOT_LATENCY, MCAST_FIXED_AIRTIME,
-    MCAST_RATE_BPS, NFC_MAX_PAYLOAD, NFC_TOUCH_LATENCY, TCP_CONNECT_TIME, WIFI_CAPACITY_BPS,
-    WIFI_JOIN_TIME, WIFI_SCAN_TIME,
+    mcast_airtime, SimDuration, SimTime, BLE_MAX_PAYLOAD, BLE_ONESHOT_LATENCY, MCAST_FIXED_AIRTIME,
+    NFC_MAX_PAYLOAD, NFC_TOUCH_LATENCY, TCP_CONNECT_TIME, WIFI_CAPACITY_BPS, WIFI_JOIN_TIME,
+    WIFI_SCAN_TIME,
 };
 use omni_wire::frame::DIRECTED_OVERHEAD;
 use omni_wire::TechType;
@@ -151,13 +151,11 @@ pub fn candidates(
     if on(TechType::WifiMulticast) {
         if let Some((mesh, at)) = record.mesh_mcast() {
             if fresh(at) {
-                let expected =
-                    MCAST_FIXED_AIRTIME + SimDuration::from_secs_f64(size as f64 / MCAST_RATE_BPS);
                 out.push(Candidate {
                     tech: TechType::WifiMulticast,
                     dest: LowAddr::Mesh(mesh),
                     establish: false,
-                    expected,
+                    expected: mcast_airtime(size),
                 });
             }
         }

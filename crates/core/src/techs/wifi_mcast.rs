@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use bytes::{Bytes, BytesMut};
-use omni_sim::{Command, NodeApi, NodeEvent, SimDuration, MCAST_FIXED_AIRTIME, MCAST_RATE_BPS};
+use omni_sim::{mcast_airtime, Command, NodeApi, NodeEvent, SimDuration};
 use omni_wire::{MeshAddress, OmniAddress, PackedStruct, TechType};
 
 use crate::control::ControlFrame;
@@ -50,8 +50,7 @@ pub struct WifiMulticastTech {
 
 impl WifiMulticastTech {
     /// Creates the technology for a device with the given identity. A data
-    /// send completes after the radio's airtime for it:
-    /// [`MCAST_FIXED_AIRTIME`] plus the bytes at [`MCAST_RATE_BPS`].
+    /// send completes after the radio's airtime for it, [`mcast_airtime`].
     pub fn new(own_omni: OmniAddress, own_mesh: MeshAddress) -> Self {
         WifiMulticastTech {
             own_omni,
@@ -131,14 +130,10 @@ impl WifiMulticastTech {
                     q.fail("data request without payload", req);
                     return;
                 };
-                // Estimated channel occupancy: fixed airtime + bytes at the
-                // basic rate.
-                let airtime = MCAST_FIXED_AIRTIME
-                    + SimDuration::from_secs_f64(wire_len as f64 / MCAST_RATE_BPS);
                 let frame = ControlFrame::Packed(packed.clone());
                 let payload = pooled(&mut self.scratch, |buf| frame.encode_into(buf));
                 api.push(Command::WifiMcastSend { payload, wire_len, bulk: wire_len > 4096 });
-                self.sends.arm(q, api, req, airtime);
+                self.sends.arm(q, api, req, mcast_airtime(wire_len));
             }
         }
     }

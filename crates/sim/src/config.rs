@@ -33,6 +33,13 @@ pub const MCAST_RATE_BPS: f64 = 166_000.0;
 /// Fixed channel occupancy per multicast packet (airtime the packet steals
 /// from concurrent unicast flows — the Table 5 "impediment").
 pub const MCAST_FIXED_AIRTIME: SimDuration = SimDuration::from_millis(30);
+/// Channel occupancy of one multicast datagram of `wire_len` bytes:
+/// [`MCAST_FIXED_AIRTIME`] plus the bytes at [`MCAST_RATE_BPS`]. The runner
+/// holds the channel this long, and the multicast technology and data
+/// selection expect a send to take this long.
+pub fn mcast_airtime(wire_len: u64) -> SimDuration {
+    MCAST_FIXED_AIRTIME + SimDuration::from_secs_f64(wire_len as f64 / MCAST_RATE_BPS)
+}
 /// Fixed protocol overhead added to every TCP message, in bytes.
 pub const TCP_OVERHEAD_BYTES: u64 = 60;
 

@@ -75,7 +75,7 @@ mod time;
 mod world;
 
 pub use config::{
-    EnergyParams, SimConfig, BLE_ADV_PULSE, BLE_MAX_PAYLOAD, BLE_ONESHOT_LATENCY,
+    mcast_airtime, EnergyParams, SimConfig, BLE_ADV_PULSE, BLE_MAX_PAYLOAD, BLE_ONESHOT_LATENCY,
     BLE_ONESHOT_PULSE, BLE_RANGE_M, MCAST_FIXED_AIRTIME, MCAST_RATE_BPS, NFC_MAX_PAYLOAD,
     NFC_RANGE_M, NFC_TOUCH_LATENCY, TCP_CONNECT_TIME, TCP_OVERHEAD_BYTES, WIFI_CAPACITY_BPS,
     WIFI_JOIN_TIME, WIFI_RANGE_M, WIFI_SCAN_TIME,
