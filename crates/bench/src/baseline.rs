@@ -332,12 +332,6 @@ impl Parser<'_> {
     }
 }
 
-/// The committed baseline path for a bench (`<repo root>/BENCH_<name>.json`
-/// relative to the working directory, which the scripts pin to the root).
-pub fn committed_path(bench: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from(format!("BENCH_{bench}.json"))
-}
-
 /// The fresh-run output path (`target/obs/BENCH_<name>.json`).
 pub fn fresh_path(bench: &str) -> std::path::PathBuf {
     std::path::Path::new("target").join("obs").join(format!("BENCH_{bench}.json"))

@@ -163,19 +163,10 @@ impl QuantileDigest {
         self.count == 0
     }
 
-    /// Mean of all samples; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     #[inline]
-    fn note(&mut self, v: u64, n: u64) {
-        self.count += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
+    fn note(&mut self, v: u64) {
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -184,16 +175,7 @@ impl QuantileDigest {
     #[inline]
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_of(v)] += 1;
-        self.note(v, 1);
-    }
-
-    /// Record `n` identical samples.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_of(v)] += n;
-        self.note(v, n);
+        self.note(v);
     }
 
     /// Record one sample and attach `trace` as an exemplar to its bucket,
@@ -201,7 +183,7 @@ impl QuantileDigest {
     pub fn record_with_exemplar(&mut self, v: u64, trace: u64) {
         let idx = bucket_of(v);
         self.counts[idx] += 1;
-        self.note(v, 1);
+        self.note(v);
         let ring = self.exemplars.entry(idx as u16).or_default();
         if ring.len() == EXEMPLARS_PER_BUCKET {
             ring.pop_front();
@@ -246,16 +228,6 @@ impl QuantileDigest {
         }
         let idx = self.bucket_of_rank(self.rank(q)) as u16;
         self.exemplars.get(&idx).map(|r| r.iter().copied().collect()).unwrap_or_default()
-    }
-
-    /// Every non-empty exemplar bucket as `(bucket_upper_bound, traces)`,
-    /// in ascending value order (traces newest last).
-    pub fn exemplar_buckets(&self) -> Vec<(u64, Vec<u64>)> {
-        self.exemplars
-            .iter()
-            .filter(|(_, ring)| !ring.is_empty())
-            .map(|(idx, ring)| (bucket_bounds(*idx as usize).1, ring.iter().copied().collect()))
-            .collect()
     }
 
     /// Fold `other` into `self`: per-bucket addition (both digests share the
@@ -407,7 +379,6 @@ mod tests {
         assert_eq!(d.summary(), DigestSummary::default());
         assert_eq!(d.quantile(0.99), 0);
         assert!(d.exemplars_at(0.99).is_empty());
-        assert!(d.exemplar_buckets().is_empty());
     }
 
     #[test]

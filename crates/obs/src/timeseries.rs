@@ -56,14 +56,6 @@ impl Sample {
         self.sum / (self.window_us as f64 / 1_000_000.0)
     }
 
-    /// Mean observation in the window (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum / self.count as f64
-    }
-
     /// Folds two adjacent samples into one covering both windows.
     fn merge(a: Sample, b: Sample) -> Sample {
         Sample {
@@ -356,6 +348,5 @@ mod tests {
         ring.push(Sample { t_us: 100, window_us: 100, count: 1, sum: 2.0, min: 0.0, max: 9.0 });
         let s = ring.samples()[0];
         assert_eq!((s.min, s.max), (0.0, 9.0));
-        assert_eq!(s.mean(), 2.0);
     }
 }

@@ -121,11 +121,6 @@ impl Sampler {
         self.series.get(name)
     }
 
-    /// Every recorded series name, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
-    }
-
     /// The coarsest retained series resolution in microseconds: the max of
     /// [`SeriesRing::resolution_us`] over every recorded series (0 before
     /// the first sample). Equals the sampling interval until some ring

@@ -45,14 +45,6 @@ impl ContentKind {
             other => Err(WireError::UnknownKind(other)),
         }
     }
-
-    /// Whether this kind is delivered to application callbacks.
-    ///
-    /// Address beacons "are completely hidden from the application"
-    /// (paper §3.3).
-    pub const fn is_application_visible(self) -> bool {
-        !matches!(self, ContentKind::AddressBeacon)
-    }
 }
 
 impl fmt::Display for ContentKind {
@@ -82,12 +74,5 @@ mod tests {
         for b in 3u8..=255 {
             assert_eq!(ContentKind::from_byte(b), Err(WireError::UnknownKind(b)));
         }
-    }
-
-    #[test]
-    fn beacons_are_hidden_from_applications() {
-        assert!(!ContentKind::AddressBeacon.is_application_visible());
-        assert!(ContentKind::Context.is_application_visible());
-        assert!(ContentKind::Data.is_application_visible());
     }
 }

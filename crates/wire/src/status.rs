@@ -136,15 +136,6 @@ impl ResponseInfo {
             _ => None,
         }
     }
-
-    /// The technologies a terminally failed send exhausted, when the failure
-    /// came from the reliable data path.
-    pub fn exhausted_techs(&self) -> Option<&[TechType]> {
-        match self {
-            ResponseInfo::SendExhausted { techs, .. } => Some(techs),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ResponseInfo {
@@ -214,7 +205,6 @@ mod tests {
         let fail =
             ResponseInfo::SendFailure { description: "timeout".into(), destination: d, trace: 0 };
         assert_eq!(fail.destination(), Some(d));
-        assert_eq!(fail.exhausted_techs(), None);
         assert_eq!(fail.trace(), None, "zero means untraced");
         let exhausted = ResponseInfo::SendExhausted {
             description: "retry budget spent".into(),
@@ -224,10 +214,6 @@ mod tests {
         };
         assert_eq!(exhausted.destination(), Some(d));
         assert_eq!(exhausted.trace(), Some(0xbeef));
-        assert_eq!(
-            exhausted.exhausted_techs(),
-            Some(&[TechType::BleBeacon, TechType::WifiTcp][..])
-        );
         let cfail =
             ResponseInfo::ContextFailure { description: "no tech".into(), context_id: Some(9) };
         assert_eq!(cfail.context_id(), Some(9));

@@ -49,15 +49,6 @@ impl TechType {
         matches!(self, TechType::Nfc | TechType::BleBeacon | TechType::WifiMulticast)
     }
 
-    /// Whether this technology can carry data.
-    ///
-    /// "Data can be distributed on any communication technology" (paper §3);
-    /// our implementation provides unicast TCP, multicast UDP and BLE beacons
-    /// as data carriers (paper §3.2), plus NFC for completeness.
-    pub const fn supports_data(self) -> bool {
-        true
-    }
-
     /// The technology's name, as `Display` writes it. Metric labels and
     /// event payloads take it as a `&'static str`, so recording never
     /// allocates.
@@ -104,12 +95,5 @@ mod tests {
         assert!(TechType::WifiMulticast.supports_context());
         assert!(TechType::Nfc.supports_context());
         assert!(!TechType::WifiTcp.supports_context());
-    }
-
-    #[test]
-    fn every_tech_supports_data() {
-        for t in TechType::ALL {
-            assert!(t.supports_data());
-        }
     }
 }
