@@ -38,16 +38,16 @@ pub struct OmniConfig {
     /// in the spirit of eDiscovery): beacon fast while the neighborhood is
     /// changing, decay toward `max` when it is stable.
     pub adaptive_beacon: Option<AdaptiveBeacon>,
-    /// Observability handle. When set, the manager exports peer-map /
-    /// context gauges, engagement and data counters, and structured events;
-    /// the three shared queues are instrumented (depth, wait, drops); and
-    /// each technology's failures count into `tech.<label>.failures`
-    /// through its port ([`TechQueues::fail`](crate::TechQueues::fail)).
-    /// The manager's gauges (`mgr.peers`, `mgr.contexts`,
-    /// `mgr.engaged_techs`, `mgr.beacon_interval_us`, `mgr.custody_depth`)
-    /// are per node under one name: on a handle a fleet shares, a gauge's
-    /// value is the last writer's, and only its `lo` and `hi` watermarks
-    /// (the smallest and largest value any node reported) mean something.
+    /// Observability handle. When set, the manager records structured
+    /// events and bumps the counter each event kind names (data, beacon,
+    /// context and relay counters); the three shared queues are
+    /// instrumented (depth, wait, drops); and each technology's failures
+    /// count into `tech.<label>.failures` through its port
+    /// ([`TechQueues::fail`](crate::TechQueues::fail)). The manager's one
+    /// gauge, `mgr.custody_depth`, is per node under one name: on a handle
+    /// a fleet shares, its value is the last writer's, and only its `lo`
+    /// and `hi` watermarks (the smallest and largest depth any node
+    /// reported) mean something.
     pub obs: Option<omni_obs::Obs>,
     /// Optional bound on the receive queue and each technology's send
     /// queue. When `Some(n)`, each holds at most `n` items and evicts the
