@@ -134,7 +134,7 @@ fn main() {
         off.heard
     );
     obs.counter("profile.fleet.heard").add(off.heard);
-    bline.gate("fleet_heard", off.heard as f64, 0.0);
+    bline.gate("fleet_heard", off.heard as f64);
 
     // -- 10k cell: overhead + report --------------------------------------
     let n = 10_000;
@@ -167,7 +167,7 @@ fn main() {
     let report = report.expect("profiled cell has a report");
     print_report(&report);
     obs.gauge("profile.cell.heard").set(heard_off as i64);
-    bline.gate("cell_heard", heard_off as f64, 0.0);
+    bline.gate("cell_heard", heard_off as f64);
     bline.info("overhead_pct", overhead_pct);
     for p in report.phases.iter().filter(|p| p.scopes > 0) {
         bline.info(&format!("share_{}", p.phase.name()), p.share);

@@ -259,14 +259,10 @@ fn main() {
     );
     assert_eq!(single.concluded_once, MSGS, "single-hop still concludes exactly once");
     assert_eq!(relay.concluded_once, MSGS, "relayed sends conclude exactly once");
-    bline.gate("chain_single_hop_delivered", single.delivered as f64, 0.0);
-    bline.gate("chain_epidemic_delivered", relay.delivered as f64, 0.0);
-    bline.gate("chain_epidemic_concluded_once", relay.concluded_once as f64, 0.0);
-    bline.gate(
-        "chain_epidemic_forwards",
-        relay.forwards_per_delivery * relay.delivered as f64,
-        0.0,
-    );
+    bline.gate("chain_single_hop_delivered", single.delivered as f64);
+    bline.gate("chain_epidemic_delivered", relay.delivered as f64);
+    bline.gate("chain_epidemic_concluded_once", relay.concluded_once as f64);
+    bline.gate("chain_epidemic_forwards", relay.forwards_per_delivery * relay.delivered as f64);
     bline.info("chain_epidemic_latency_s", relay.mean_latency_s);
 
     // Same seed, same bytes.
@@ -293,7 +289,6 @@ fn main() {
                 bline.gate(
                     &format!("chain{n}_{}_delivered", label.replace("(4)", "4")),
                     r.delivered as f64,
-                    0.0,
                 );
                 cells.push(Cell::measured_only(r.delivery_pct()));
             }
@@ -313,7 +308,6 @@ fn main() {
             bline.gate(
                 &format!("disaster_{}_delivered", label.replace("(4)", "4")),
                 r.delivered as f64,
-                0.0,
             );
             table.row(
                 label,
@@ -334,7 +328,6 @@ fn main() {
             bline.gate(
                 &format!("festival_{}_delivered", label.replace("(4)", "4")),
                 r.delivered as f64,
-                0.0,
             );
             table.row(
                 label,
@@ -358,7 +351,7 @@ fn main() {
             r.delivery_pct(),
             r.mean_latency_s
         );
-        bline.gate("mule_delivered", r.delivered as f64, 0.0);
+        bline.gate("mule_delivered", r.delivered as f64);
         bline.info("mule_latency_s", r.mean_latency_s);
         println!();
     }

@@ -174,9 +174,9 @@ fn main() {
         "every send must conclude with exactly one terminal status"
     );
     let mut bline = Baseline::new("reliability", smoke);
-    bline.gate("wild_delivered", wild.delivered as f64, 0.0);
-    bline.gate("wild_concluded_once", wild.concluded_once as f64, 0.0);
-    bline.gate("wild_succeeded", wild.succeeded as f64, 0.0);
+    bline.gate("wild_delivered", wild.delivered as f64);
+    bline.gate("wild_concluded_once", wild.concluded_once as f64);
+    bline.gate("wild_succeeded", wild.succeeded as f64);
 
     if !smoke {
         let mut table = Table::new(
@@ -200,8 +200,8 @@ fn main() {
             chart.bar(format!("naive @{:.0}%", loss * 100.0), naive.delivery_pct());
             chart.bar(format!("reliable @{:.0}%", loss * 100.0), reliable.delivery_pct());
             let pct = (loss * 100.0) as u64;
-            bline.gate(&format!("loss{pct}_naive_delivered"), naive.delivered as f64, 0.0);
-            bline.gate(&format!("loss{pct}_reliable_delivered"), reliable.delivered as f64, 0.0);
+            bline.gate(&format!("loss{pct}_naive_delivered"), naive.delivered as f64);
+            bline.gate(&format!("loss{pct}_reliable_delivered"), reliable.delivered as f64);
         }
         print!("{}", table.render());
         println!();

@@ -55,7 +55,7 @@ fn table3_section(obs: &Obs, bline: &mut Baseline) {
     );
     for r in &rows {
         t.row(r.operation, vec![Cell::new(r.paper_ma, r.measured_ma)]);
-        bline.gate(&format!("table3.{}_ma", key(r.operation)), r.measured_ma, 0.0);
+        bline.gate(&format!("table3.{}_ma", key(r.operation)), r.measured_ma);
     }
     print!("{}", t.render());
     println!();
@@ -86,8 +86,8 @@ fn table4_section(obs: &Obs, bline: &mut Baseline) {
                     fig4.bar(format!("{label} {sys}"), m.energy_ma);
                     fig5.bar(format!("{label} {sys}"), m.latency_ms);
                     let cell = format!("table4.{}.{}", key(&label), key(&sys.to_string()));
-                    bline.gate(&format!("{cell}.energy_ma"), m.energy_ma, 0.0);
-                    bline.gate(&format!("{cell}.latency_ms"), m.latency_ms, 0.0);
+                    bline.gate(&format!("{cell}.energy_ma"), m.energy_ma);
+                    bline.gate(&format!("{cell}.latency_ms"), m.latency_ms);
                 }
                 None => {
                     ecells.push(Cell::NA);
@@ -164,8 +164,8 @@ fn table5_section(obs: &Obs, bline: &mut Baseline) {
         fig6_energy.bar(format!("{label} @1000KBps"), m1000.energy_ma);
         let cell = format!("table5.{}", key(&format!("{variant:?}")));
         for (rate, m) in [("100kbps", m100), ("1000kbps", m1000)] {
-            bline.gate(&format!("{cell}.{rate}.time_s"), m.time_s, 0.0);
-            bline.gate(&format!("{cell}.{rate}.energy_ma"), m.energy_ma, 0.0);
+            bline.gate(&format!("{cell}.{rate}.time_s"), m.time_s);
+            bline.gate(&format!("{cell}.{rate}.energy_ma"), m.energy_ma);
         }
         // The paper's derived statistic: total charge (mA·s) to completion.
         println!(
@@ -195,8 +195,8 @@ fn fig7_section(obs: &Obs, bline: &mut Baseline) {
         energy.bar(sys.to_string(), m.energy_ma);
         println!("{sys}: delivered after {:.2} s, mean energy {:.2} mA", m.latency_s, m.energy_ma);
         let cell = format!("fig7.{}", key(&sys.to_string()));
-        bline.gate(&format!("{cell}.latency_s"), m.latency_s, 0.0);
-        bline.gate(&format!("{cell}.energy_ma"), m.energy_ma, 0.0);
+        bline.gate(&format!("{cell}.latency_s"), m.latency_s);
+        bline.gate(&format!("{cell}.energy_ma"), m.energy_ma);
     }
     println!();
     print!("{}", latency.render());
@@ -219,8 +219,8 @@ fn ablations_section(obs: &Obs, bline: &mut Baseline) {
     println!("  engagement policy (Omni)     : {omni:>7.2} mA");
     println!("  advertise on all (SA-style)  : {everywhere:>7.2} mA");
     println!("  -> the bifurcation saves {:.2} mA of continuous discovery draw", everywhere - omni);
-    bline.gate("ablation.bifurcation.omni_ma", omni, 0.0);
-    bline.gate("ablation.bifurcation.all_techs_ma", everywhere, 0.0);
+    bline.gate("ablation.bifurcation.omni_ma", omni);
+    bline.gate("ablation.bifurcation.all_techs_ma", everywhere);
 
     println!();
     println!("== Ablation: low-level neighbor discovery integration ==");
@@ -235,8 +235,8 @@ fn ablations_section(obs: &Obs, bline: &mut Baseline) {
         "  -> integration removes the {:.1} s network-establishment cost",
         (without_nd - with_nd) / 1e3
     );
-    bline.gate("ablation.nd.integrated_ms", with_nd, 0.0);
-    bline.gate("ablation.nd.not_integrated_ms", without_nd, 0.0);
+    bline.gate("ablation.nd.integrated_ms", with_nd);
+    bline.gate("ablation.nd.not_integrated_ms", without_nd);
 
     println!();
     println!("== Sweep: address/context beacon interval (paper fixes 500 ms) ==");
@@ -272,6 +272,6 @@ fn ablations_section(obs: &Obs, bline: &mut Baseline) {
     println!("  adaptive 250 ms -> 4 s decay: {adaptive:>7.2} mA");
     println!("  -> same worst-case discovery latency when the neighborhood changes,");
     println!("     {:.2} mA saved once it stabilizes", fixed_fast - adaptive);
-    bline.gate("ablation.adaptive.fixed_250ms_ma", fixed_fast, 0.0);
-    bline.gate("ablation.adaptive.decay_ma", adaptive, 0.0);
+    bline.gate("ablation.adaptive.fixed_250ms_ma", fixed_fast);
+    bline.gate("ablation.adaptive.decay_ma", adaptive);
 }

@@ -175,8 +175,8 @@ fn main() {
         );
 
         let mut b = Baseline::new("scale", true);
-        b.gate("n1000_heard", cell.heard as f64, 0.0);
-        b.gate("n10000_heard", big.heard as f64, 0.0);
+        b.gate("n1000_heard", cell.heard as f64);
+        b.gate("n10000_heard", big.heard as f64);
         b.info("n1000_ticks_per_sec", cell.ticks_per_sec);
         b.info("n1000_mean_tick_us", cell.mean_tick_us);
         b.info("n1000_p95_tick_us", cell.p95_tick_us as f64);
@@ -216,7 +216,7 @@ fn main() {
             ],
         );
         chart.bar(format!("{n} nodes"), cell.ticks_per_sec);
-        bline.gate(&format!("n{n}_heard"), cell.heard as f64, 0.0);
+        bline.gate(&format!("n{n}_heard"), cell.heard as f64);
         bline.info(&format!("n{n}_ticks_per_sec"), cell.ticks_per_sec);
         bline.info(&format!("n{n}_allocs_per_tick"), cell.allocs_per_tick);
 

@@ -141,13 +141,13 @@ fn main() {
     // tolerance is zero and the gate doubles as a determinism check; wall
     // clock is informational only.
     let mut b = Baseline::new("telemetry", smoke);
-    b.gate("samples", sampler.samples_taken() as f64, 0.0);
-    b.gate("beacons_tx", obs.counter("tech.ble-beacon.tx_frames").get() as f64, 0.0);
-    b.gate("partition_drops", drops.total(), 0.0);
-    b.gate("partition_start_us", partition_spans[0].0 as f64, 0.0);
-    b.gate("churn_start_us", churn_spans[0].0 as f64, 0.0);
-    b.gate("health_transitions", health_events as f64, 0.0);
-    b.gate("nodes_down_peak", peak, 0.0);
+    b.gate("samples", sampler.samples_taken() as f64);
+    b.gate("beacons_tx", obs.counter("tech.ble-beacon.tx_frames").get() as f64);
+    b.gate("partition_drops", drops.total());
+    b.gate("partition_start_us", partition_spans[0].0 as f64);
+    b.gate("churn_start_us", churn_spans[0].0 as f64);
+    b.gate("health_transitions", health_events as f64);
+    b.gate("nodes_down_peak", peak);
     b.info("wall_ms", wall_ms);
     omni_bench::baseline::emit(&b);
 

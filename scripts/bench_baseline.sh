@@ -10,10 +10,14 @@
 #                                        # baselines with the fresh values
 #
 # Committed baselines live at the repo root (BENCH_telemetry.json, …) and are
-# always smoke-mode: simulation metrics are deterministic, so the bands are
-# tight and the gate doubles as a determinism regression check. `reproduce`
+# always smoke-mode. The gate is exact: a bench passes when its `bench` and
+# `mode` lines and its `"gate": true` metric lines read the same in the
+# committed and the fresh file. Simulation metrics are deterministic, so the
+# gate doubles as a determinism regression check. Info metrics
+# (`"gate": false`, such as wall-clock times) are never compared. `reproduce`
 # has a single mode, which records itself as smoke and ignores the flag. A
-# failing compare prints one line per drifted metric and exits non-zero.
+# failing bench prints the diff of its gated lines (`<` committed, `>` fresh)
+# and the script exits non-zero.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,6 +32,12 @@ for a in "$@"; do
     *) echo "unknown flag: $a" >&2; exit 2 ;;
   esac
 done
+
+# gated <file>: the lines the gate compares, each without its trailing comma
+# (the last metric of a file has none).
+gated() {
+  grep -E '^  "(bench|mode)"|"gate": true' "$1" | sed 's/,$//'
+}
 
 fail=0
 for bench in "${BENCHES[@]}"; do
@@ -47,7 +57,10 @@ for bench in "${BENCHES[@]}"; do
     fail=1
     continue
   fi
-  if ! cargo run --release -q -p omni-bench --bin baseline -- compare "$committed" "$fresh"; then
+  if diff <(gated "$committed") <(gated "$fresh") >&2; then
+    echo "baseline $bench: $(gated "$committed" | grep -c '"gate": true') gated metric(s) identical"
+  else
+    echo "baseline $bench: gated lines differ (< $committed, > $fresh)" >&2
     fail=1
   fi
 done
@@ -56,4 +69,4 @@ if [[ "$fail" != 0 ]]; then
   echo "bench baselines: DRIFT DETECTED" >&2
   exit 1
 fi
-echo "bench baselines: all within tolerance"
+echo "bench baselines: every gated line identical"
