@@ -126,21 +126,9 @@ pub struct FaultConfig {
     pub churn: Vec<ChurnWindow>,
 }
 
-impl FaultConfig {
-    /// Whether any fault is configured at all.
-    pub fn any(&self) -> bool {
-        self.ble_loss > 0.0
-            || self.mcast_loss > 0.0
-            || self.tcp_connect_loss > 0.0
-            || !self.ble_jitter.is_zero()
-            || !self.partitions.is_empty()
-            || !self.churn.is_empty()
-    }
-}
-
 /// Runtime fault state owned by the runner: the dedicated RNG, the current
-/// churn status of every device, a per-device index of the configured
-/// partitions, and drop accounting.
+/// churn status of every device and a per-device index of the configured
+/// partitions. Drops are counted by the runner, under their cause.
 ///
 /// **Determinism.** There is exactly ONE fault RNG stream, seeded
 /// `seed ^ FAULT_SEED_SALT`, and it is only ever drawn from the runner's
@@ -158,8 +146,6 @@ pub(crate) struct FaultState {
     /// hears, so it scans only the few partitions that can involve the pair
     /// instead of the whole list.
     partitions_of: Vec<Vec<usize>>,
-    /// Frames dropped by loss injection (all media).
-    pub frames_dropped: u64,
     /// Total RNG draws (loss + jitter), for determinism assertions.
     pub draws: u64,
 }
@@ -182,7 +168,6 @@ impl FaultState {
             rng: SmallRng::seed_from_u64(seed ^ FAULT_SEED_SALT),
             down: Vec::new(),
             partitions_of,
-            frames_dropped: 0,
             draws: 0,
         }
     }
@@ -194,11 +179,7 @@ impl FaultState {
             return false;
         }
         self.draws += 1;
-        let lost = self.rng.gen_bool(p.min(1.0));
-        if lost {
-            self.frames_dropped += 1;
-        }
-        lost
+        self.rng.gen_bool(p.min(1.0))
     }
 
     /// Extra one-shot delivery latency in `[0, max]` (zero draw-free).
@@ -250,13 +231,11 @@ mod tests {
 
     #[test]
     fn default_config_is_inert() {
-        let cfg = FaultConfig::default();
-        assert!(!cfg.any());
-        let mut s = FaultState::new(7, cfg);
+        let mut s = FaultState::new(7, FaultConfig::default());
         // No draws, no drops, nothing down.
         assert!(!s.lose(0.0));
         assert_eq!(s.jitter(SimDuration::ZERO), SimDuration::ZERO);
-        assert_eq!(s.frames_dropped, 0);
+        assert_eq!(s.draws, 0);
         assert!(s.link_ok(DeviceId(0), DeviceId(1), SimTime::from_secs(1), FaultScope::Ble));
     }
 
