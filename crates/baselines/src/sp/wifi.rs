@@ -171,7 +171,7 @@ impl Stack for SpWifiDevice {
                 api.push(Command::WifiJoin);
                 self.dispatch(api, |h, ctl| h.on_start(ctl));
             }
-            NodeEvent::WifiJoined { ok: true } => {
+            NodeEvent::WifiJoined => {
                 let was = self.net;
                 self.net = NetState::Up;
                 api.push(Command::WifiMcastListen(true));

@@ -225,14 +225,12 @@ impl D2dTechnology for WifiMulticastTech {
     fn on_node_event(&mut self, event: &mut NodeEvent, api: &mut NodeApi<'_>) -> bool {
         let Some(q) = &self.queues else { return false };
         match event {
-            NodeEvent::WifiJoined { ok } => {
-                if *ok {
-                    // Re-assert listening on every (re)join: another
-                    // technology may have left the group under us (the TCP
-                    // establishment sequence does exactly that).
-                    self.joined = true;
-                    api.push(Command::WifiMcastListen(true));
-                }
+            NodeEvent::WifiJoined => {
+                // Re-assert listening on every (re)join: another technology
+                // may have left the group under us (the TCP establishment
+                // sequence does exactly that).
+                self.joined = true;
+                api.push(Command::WifiMcastListen(true));
                 false // other technologies may also be waiting on joins
             }
             NodeEvent::Multicast { from, payload } => self.on_multicast(*from, payload, api),
@@ -276,7 +274,7 @@ mod tests {
     ) {
         with_api(cmds, |api| {
             tech.enable(queues.clone(), api);
-            tech.on_node_event(&mut NodeEvent::WifiJoined { ok: true }, api);
+            tech.on_node_event(&mut NodeEvent::WifiJoined, api);
         });
     }
 

@@ -286,17 +286,13 @@ impl D2dTechnology for WifiTcpTech {
                 }
                 false
             }
-            NodeEvent::WifiJoined { ok } => {
+            NodeEvent::WifiJoined => {
                 if let Some(est) = self.establish.as_mut() {
                     if est.phase == Phase::Joining {
-                        if *ok {
-                            est.phase = Phase::Resolving;
-                            est.attempts = 1;
-                            let dest = est.dest_omni;
-                            self.send_resolve(q, dest, api);
-                        } else {
-                            self.establish_failed("could not join mesh group", api);
-                        }
+                        est.phase = Phase::Resolving;
+                        est.attempts = 1;
+                        let dest = est.dest_omni;
+                        self.send_resolve(q, dest, api);
                     }
                 }
                 false
@@ -490,7 +486,7 @@ mod tests {
         assert!(cmds.iter().any(|(_, c)| matches!(c, Command::WifiJoin)));
         cmds.clear();
         with_api(&mut cmds, |api| {
-            tech.on_node_event(&mut NodeEvent::WifiJoined { ok: true }, api);
+            tech.on_node_event(&mut NodeEvent::WifiJoined, api);
         });
         // A resolve multicast goes out.
         let resolve_sent = cmds.iter().any(|(_, c)| match c {
@@ -535,7 +531,7 @@ mod tests {
                 &mut NodeEvent::WifiScanDone { found: vec![MeshAddress::from_u64(0xB2)] },
                 api,
             );
-            tech.on_node_event(&mut NodeEvent::WifiJoined { ok: true }, api);
+            tech.on_node_event(&mut NodeEvent::WifiJoined, api);
         });
         // Exhaust the retries.
         let retry_token = (2u64 << 32) + TOKEN_RESOLVE_RETRY;

@@ -80,12 +80,9 @@ pub enum NodeEvent {
         /// scan.
         found: Vec<MeshAddress>,
     },
-    /// A WiFi join/associate completed.
-    WifiJoined {
-        /// Whether the join succeeded (always true in the current model; a
-        /// join can only be issued while powered).
-        ok: bool,
-    },
+    /// A WiFi join/associate completed. A join can only be issued while
+    /// powered, so it always succeeds.
+    WifiJoined,
     /// A multicast datagram was received (requires joined + listening).
     Multicast {
         /// Sender's mesh address.
