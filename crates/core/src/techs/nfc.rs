@@ -15,15 +15,14 @@ use crate::queues::{LowAddr, SendOp, SendRequest, TechQueues};
 use crate::tech::D2dTechnology;
 use crate::techs::{pooled, TimedSends};
 
-/// Context touch timers take the offsets from here up to the data sends'
-/// upper half of the timer range.
+/// Context `id`'s touch timer is offset `TOKEN_CONTEXT_BASE + id`, below the
+/// data sends' upper half of the timer range.
 const TOKEN_CONTEXT_BASE: u64 = 0x100;
 
 #[derive(Debug)]
 struct NfcContext {
     payload: bytes::Bytes,
     interval: SimDuration,
-    slot: u64,
 }
 
 /// The NFC technology.
@@ -34,8 +33,6 @@ pub struct NfcTech {
     /// The port, present exactly while the technology is enabled.
     queues: Option<TechQueues>,
     contexts: HashMap<u64, NfcContext>,
-    slot_to_context: HashMap<u64, u64>,
-    next_slot: u64,
     /// Data sends waiting out the touch latency.
     sends: TimedSends,
     /// Reusable encode scratch for outgoing frames (DESIGN.md §5i).
@@ -52,8 +49,6 @@ impl NfcTech {
             own_addr,
             queues: None,
             contexts: HashMap::new(),
-            slot_to_context: HashMap::new(),
-            next_slot: 0,
             sends: TimedSends::default(),
             scratch: BytesMut::new(),
         }
@@ -73,16 +68,10 @@ impl NfcTech {
                     q.fail("payload exceeds NFC limit", req);
                     return;
                 }
-                let slot = match self.contexts.get(&context_id) {
-                    Some(c) => c.slot,
-                    None => {
-                        self.next_slot += 1;
-                        self.slot_to_context.insert(self.next_slot, context_id);
-                        q.set_timer(api, TOKEN_CONTEXT_BASE + self.next_slot, interval);
-                        self.next_slot
-                    }
-                };
-                self.contexts.insert(context_id, NfcContext { payload: encoded, interval, slot });
+                let ctx = NfcContext { payload: encoded, interval };
+                if self.contexts.insert(context_id, ctx).is_none() {
+                    q.set_timer(api, TOKEN_CONTEXT_BASE + context_id, interval);
+                }
                 q.succeed(&req);
             }
             SendOp::RelayContext => {
@@ -94,9 +83,8 @@ impl NfcTech {
                 }
             }
             SendOp::RemoveContext { context_id } => match self.contexts.remove(&context_id) {
-                Some(ctx) => {
-                    self.slot_to_context.remove(&ctx.slot);
-                    q.cancel_timer(api, TOKEN_CONTEXT_BASE + ctx.slot);
+                Some(_) => {
+                    q.cancel_timer(api, TOKEN_CONTEXT_BASE + context_id);
                     q.succeed(&req);
                 }
                 None => q.fail(format!("unknown context {context_id}"), req),
@@ -133,10 +121,9 @@ impl D2dTechnology for NfcTech {
     fn disable(&mut self, api: &mut NodeApi<'_>) {
         let Some(q) = self.queues.take() else { return };
         let held = self.sends.cancel(&q, api);
-        for (_, ctx) in self.contexts.drain() {
-            q.cancel_timer(api, TOKEN_CONTEXT_BASE + ctx.slot);
+        for (id, _) in self.contexts.drain() {
+            q.cancel_timer(api, TOKEN_CONTEXT_BASE + id);
         }
-        self.slot_to_context.clear();
         q.shut_down(held);
     }
 
@@ -160,8 +147,7 @@ impl D2dTechnology for NfcTech {
         }
         let Some(offset) = q.timer_offset(event) else { return false };
         if !self.sends.fire(q, offset) {
-            let id = self.slot_to_context.get(&offset.wrapping_sub(TOKEN_CONTEXT_BASE));
-            if let Some(ctx) = id.and_then(|id| self.contexts.get(id)) {
+            if let Some(ctx) = self.contexts.get(&offset.wrapping_sub(TOKEN_CONTEXT_BASE)) {
                 api.push(Command::NfcSend { payload: ctx.payload.clone() });
                 q.set_timer(api, offset, ctx.interval);
             }
@@ -197,7 +183,7 @@ mod tests {
         });
         with_api(&mut cmds, |api| tech.poll(api));
         cmds.clear();
-        let token = (3u64 << 32) + TOKEN_CONTEXT_BASE + 1;
+        let token = (3u64 << 32) + TOKEN_CONTEXT_BASE + 4;
         with_api(&mut cmds, |api| {
             assert!(tech.on_node_event(&mut NodeEvent::Timer { token }, api));
         });
