@@ -58,7 +58,7 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| black_box(&batch).encode());
     });
     c.bench_function("control_batch_decode", |b| {
-        b.iter(|| ControlFrame::decode(black_box(&batch_encoded)).unwrap());
+        b.iter(|| ControlFrame::decode_shared(black_box(&batch_encoded)).unwrap());
     });
 
     c.bench_function("omni_address_derivation", |b| {

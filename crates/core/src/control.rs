@@ -83,71 +83,13 @@ impl ControlFrame {
         }
     }
 
-    /// Decodes a multicast frame.
+    /// Decodes a multicast frame. Carried transmissions slice their payloads
+    /// out of the shared datagram buffer instead of copying them (DESIGN.md
+    /// §5i).
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] for truncated or unrecognized frames.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let (&tag, rest) = bytes.split_first().ok_or(WireError::Truncated { needed: 1, got: 0 })?;
-        match tag {
-            TAG_PACKED => Ok(ControlFrame::Packed(PackedStruct::decode(rest)?)),
-            TAG_BATCH => {
-                let (&count, mut body) =
-                    rest.split_first().ok_or(WireError::Truncated { needed: 1, got: 0 })?;
-                let mut packs = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    if body.len() < 2 {
-                        return Err(WireError::Truncated { needed: 2, got: body.len() });
-                    }
-                    let len = u16::from_be_bytes([body[0], body[1]]) as usize;
-                    body = &body[2..];
-                    if body.len() < len {
-                        return Err(WireError::Truncated { needed: len, got: body.len() });
-                    }
-                    packs.push(PackedStruct::decode(&body[..len])?);
-                    body = &body[len..];
-                }
-                Ok(ControlFrame::Batch(packs))
-            }
-            TAG_RESOLVE => {
-                if rest.len() != 16 {
-                    return Err(WireError::Truncated { needed: 16, got: rest.len() });
-                }
-                let mut t = [0u8; 8];
-                let mut r = [0u8; 8];
-                t.copy_from_slice(&rest[..8]);
-                r.copy_from_slice(&rest[8..]);
-                Ok(ControlFrame::Resolve {
-                    target: OmniAddress::from_bytes(t),
-                    requester: OmniAddress::from_bytes(r),
-                })
-            }
-            TAG_REPLY => {
-                if rest.len() != 16 {
-                    return Err(WireError::Truncated { needed: 16, got: rest.len() });
-                }
-                let mut a = [0u8; 8];
-                let mut m = [0u8; 8];
-                a.copy_from_slice(&rest[..8]);
-                m.copy_from_slice(&rest[8..]);
-                Ok(ControlFrame::ResolveReply {
-                    addr: OmniAddress::from_bytes(a),
-                    mesh: MeshAddress(m),
-                })
-            }
-            other => Err(WireError::UnknownKind(other)),
-        }
-    }
-
-    /// Zero-copy variant of [`ControlFrame::decode`]: carried transmissions
-    /// slice their payloads out of the shared datagram buffer instead of
-    /// copying them (DESIGN.md §5i). Control-only frames (resolve, reply)
-    /// carry no payload and delegate to the owned decoder.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`ControlFrame::decode`].
     pub fn decode_shared(bytes: &Bytes) -> Result<Self, WireError> {
         let buf = bytes.as_ref();
         let (&tag, rest) = buf.split_first().ok_or(WireError::Truncated { needed: 1, got: 0 })?;
@@ -176,7 +118,24 @@ impl ControlFrame {
                 }
                 Ok(ControlFrame::Batch(packs))
             }
-            _ => Self::decode(buf),
+            TAG_RESOLVE | TAG_REPLY => {
+                if rest.len() != 16 {
+                    return Err(WireError::Truncated { needed: 16, got: rest.len() });
+                }
+                let (mut first, mut second) = ([0u8; 8], [0u8; 8]);
+                first.copy_from_slice(&rest[..8]);
+                second.copy_from_slice(&rest[8..]);
+                let first = OmniAddress::from_bytes(first);
+                Ok(if tag == TAG_RESOLVE {
+                    ControlFrame::Resolve {
+                        target: first,
+                        requester: OmniAddress::from_bytes(second),
+                    }
+                } else {
+                    ControlFrame::ResolveReply { addr: first, mesh: MeshAddress(second) }
+                })
+            }
+            other => Err(WireError::UnknownKind(other)),
         }
     }
 }
@@ -189,7 +148,7 @@ mod tests {
     fn packed_frame_roundtrips() {
         let p = PackedStruct::context(OmniAddress::from_u64(5), Bytes::from_static(b"svc"));
         let f = ControlFrame::Packed(p);
-        assert_eq!(ControlFrame::decode(&f.encode()).unwrap(), f);
+        assert_eq!(ControlFrame::decode_shared(&f.encode()).unwrap(), f);
     }
 
     #[test]
@@ -198,7 +157,7 @@ mod tests {
             target: OmniAddress::from_u64(0xAAAA),
             requester: OmniAddress::from_u64(0xBBBB),
         };
-        assert_eq!(ControlFrame::decode(&f.encode()).unwrap(), f);
+        assert_eq!(ControlFrame::decode_shared(&f.encode()).unwrap(), f);
     }
 
     #[test]
@@ -207,13 +166,13 @@ mod tests {
             addr: OmniAddress::from_u64(0xCCCC),
             mesh: MeshAddress::from_u64(0xDDDD),
         };
-        assert_eq!(ControlFrame::decode(&f.encode()).unwrap(), f);
+        assert_eq!(ControlFrame::decode_shared(&f.encode()).unwrap(), f);
     }
 
     #[test]
     fn junk_is_rejected_not_panicking() {
-        assert!(ControlFrame::decode(&[]).is_err());
-        assert!(ControlFrame::decode(&[0xff, 1, 2]).is_err());
-        assert!(ControlFrame::decode(&[TAG_RESOLVE, 1, 2]).is_err());
+        for junk in [&[][..], &[0xff, 1, 2], &[TAG_RESOLVE, 1, 2], &[TAG_BATCH, 2, 0, 9]] {
+            assert!(ControlFrame::decode_shared(&Bytes::copy_from_slice(junk)).is_err());
+        }
     }
 }

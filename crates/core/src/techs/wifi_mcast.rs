@@ -320,7 +320,7 @@ mod tests {
             })
             .collect();
         assert_eq!(sends.len(), 1, "one consolidated datagram per tick");
-        match ControlFrame::decode(&sends[0]).unwrap() {
+        match ControlFrame::decode_shared(&sends[0]).unwrap() {
             ControlFrame::Batch(packs) => assert_eq!(packs.len(), 2),
             other => panic!("expected a batch, got {other:?}"),
         }
@@ -389,7 +389,7 @@ mod tests {
             Command::WifiMcastSend { payload, .. } => Some(payload.clone()),
             _ => None,
         });
-        let reply = ControlFrame::decode(&sent.expect("reply sent")).unwrap();
+        let reply = ControlFrame::decode_shared(&sent.expect("reply sent")).unwrap();
         assert_eq!(
             reply,
             ControlFrame::ResolveReply {

@@ -491,7 +491,7 @@ mod tests {
         // A resolve multicast goes out.
         let resolve_sent = cmds.iter().any(|(_, c)| match c {
             Command::WifiMcastSend { payload, .. } => matches!(
-                ControlFrame::decode(payload),
+                ControlFrame::decode_shared(payload),
                 Ok(ControlFrame::Resolve { target, .. }) if target == OmniAddress::from_u64(9)
             ),
             _ => false,
