@@ -24,6 +24,24 @@ use crate::interaction::{
     SpWifiResponder,
 };
 
+/// A simulator with the default configuration, recording into `obs` when
+/// one is given.
+fn new_sim(obs: Option<&Obs>) -> Runner {
+    let mut sim = Runner::new(SimConfig::default());
+    if let Some(o) = obs {
+        sim.set_obs(o.clone());
+    }
+    sim
+}
+
+/// [`new_sim`] with two PIs, at 0 m and 5 m.
+fn pi_pair(obs: Option<&Obs>) -> (Runner, DeviceId, DeviceId) {
+    let mut sim = new_sim(obs);
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    (sim, a, b)
+}
+
 /// `dev`'s mean current over `[0, until)` above the run's WiFi standby draw,
 /// the evaluation's energy baseline (paper §4.1).
 fn above_standby_ma(sim: &Runner, dev: DeviceId, until: SimTime) -> f64 {
@@ -87,12 +105,7 @@ fn measure_window(
     subtract_standby: bool,
     obs: Option<&Obs>,
 ) -> f64 {
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-    }
-    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
-    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let (mut sim, a, b) = pi_pair(obs);
     setup(&mut sim, a, b);
     // Charge accumulated strictly within the window.
     sim.run_until(window.0);
@@ -323,12 +336,7 @@ pub fn table4_cell(system: System, row: &Table4Row, obs: Option<&Obs>) -> Option
     if system == System::Sp && ble_ctx && wifi_data {
         return None; // the paper's N/A cells
     }
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-    }
-    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
-    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let (mut sim, a, b) = pi_pair(obs);
     let report;
     match system {
         System::Sp => {
@@ -388,7 +396,7 @@ pub fn table4_cell(system: System, row: &Table4Row, obs: Option<&Obs>) -> Option
                 }
                 System::Sp => unreachable!(),
             };
-            let (init, rep) = omni_initiator(row.size);
+            let (init, rep) = omni_initiator();
             report = rep;
             let mgr_a = mk(&sim, a);
             sim.set_stack(a, Box::new(OmniStack::new(mgr_a, init)));
@@ -440,19 +448,14 @@ pub fn table5_cell(
     obs: Option<&Obs>,
 ) -> DisseminateMeasured {
     let spec = FileSpec::PAPER_30MB;
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-    }
+    let mut sim = new_sim(obs);
+    let cfg = OmniConfig { obs: obs.cloned(), ..Default::default() };
+    let omni = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone());
     if variant == DisseminateVariant::Direct {
         let d = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
         sim.set_infra_rate(d, rate_bps);
         let (init, report) = omni_disseminate(spec, 0, 1);
-        let mut builder = OmniBuilder::new().with_ble().with_wifi();
-        if let Some(o) = obs {
-            builder = builder.with_obs(o);
-        }
-        let mgr = builder.build(&sim, d);
+        let mgr = omni.build(&sim, d);
         sim.set_stack(d, Box::new(OmniStack::new(mgr, init)));
         let observed = {
             let rep = report.clone();
@@ -486,13 +489,9 @@ pub fn table5_cell(
                 let (init, report) = omni_disseminate(spec, i, 3);
                 reports.push(report);
                 let mgr = if variant == DisseminateVariant::Sa {
-                    sa::build(&sim, d, OmniConfig { obs: obs.cloned(), ..Default::default() })
+                    sa::build(&sim, d, cfg.clone())
                 } else {
-                    let mut builder = OmniBuilder::new().with_ble().with_wifi();
-                    if let Some(o) = obs {
-                        builder = builder.with_obs(o);
-                    }
-                    builder.build(&sim, d)
+                    omni.build(&sim, d)
                 };
                 sim.set_stack(d, Box::new(OmniStack::new(mgr, init)));
             }
@@ -526,10 +525,7 @@ pub struct ProphetMeasured {
 /// Runs the three-device PRoPHET scenario (paper §4.3): A holds a 1 KB
 /// bundle for C, B carries it across after a 5 s encounter delay.
 pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-    }
+    let mut sim = new_sim(obs);
     let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
     let b = sim.add_device(DeviceCaps::PI, Position::new(20.0, 0.0));
     let c = sim.add_device(DeviceCaps::PI, Position::new(5_000.0, 0.0));
@@ -563,10 +559,7 @@ pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
             let (ib, _) = omni_prophet(ids[1], vec![], vec![(ids[2], 0.5)]);
             let (ic, rc) = omni_prophet(ids[2], vec![], vec![]);
             rep_c = rc;
-            let mut inits = [Some(ia), None, None];
-            let mut inits_b = [None, Some(ib), None];
-            let mut inits_c = [None, None, Some(ic)];
-            for (i, d) in [a, b, c].into_iter().enumerate() {
+            for (d, init) in [a, b, c].into_iter().zip([ia, ib, ic]) {
                 let mgr = if system == System::Sa {
                     sa::build(&sim, d, mw_cfg.clone())
                 } else {
@@ -576,23 +569,7 @@ pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
                         .with_config(mw_cfg.clone())
                         .build(&sim, d)
                 };
-                let init_a = inits[i].take();
-                let init_b = inits_b[i].take();
-                let init_c = inits_c[i].take();
-                sim.set_stack(
-                    d,
-                    Box::new(OmniStack::new(mgr, move |o| {
-                        if let Some(f) = init_a {
-                            f(o);
-                        }
-                        if let Some(f) = init_b {
-                            f(o);
-                        }
-                        if let Some(f) = init_c {
-                            f(o);
-                        }
-                    })),
-                );
+                sim.set_stack(d, Box::new(OmniStack::new(mgr, init)));
             }
         }
     }
@@ -620,13 +597,8 @@ pub fn fig7_cell(system: System, obs: Option<&Obs>) -> ProphetMeasured {
 /// `advertise_on_all_techs` isolates the context/data bifurcation; varying
 /// `beacon_interval` or `adaptive_beacon` prices the beacon cadence.
 pub fn discovery_energy(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-        cfg.obs = Some(o.clone());
-    }
-    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
-    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let (mut sim, a, b) = pi_pair(obs);
+    cfg.obs = obs.cloned().or(cfg.obs);
     for d in [a, b] {
         let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone()).build(&sim, d);
         sim.set_stack(
@@ -648,13 +620,8 @@ pub fn discovery_energy(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
 /// Toggling `integrate_low_level_nd` isolates the value of carrying the
 /// WiFi address in the BLE address beacon.
 pub fn data_latency_ms(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-        cfg.obs = Some(o.clone());
-    }
-    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
-    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let (mut sim, a, b) = pi_pair(obs);
+    cfg.obs = obs.cloned().or(cfg.obs);
     let dest = OmniBuilder::omni_address(&sim, b);
     let sent: Rc<RefCell<(Option<SimTime>, Option<SimTime>)>> = Rc::new(RefCell::new((None, None)));
     let mgr = OmniBuilder::new().with_ble().with_wifi().with_config(cfg.clone()).build(&sim, a);
@@ -697,12 +664,7 @@ pub fn data_latency_ms(mut cfg: OmniConfig, obs: Option<&Obs>) -> f64 {
 /// A beacons every `beacon_interval`. One rendezvous, so one draw of A's
 /// seeded first-pulse jitter.
 pub fn discovery_latency_ms(beacon_interval: SimDuration, obs: Option<&Obs>) -> f64 {
-    let mut sim = Runner::new(SimConfig::default());
-    if let Some(o) = obs {
-        sim.set_obs(o.clone());
-    }
-    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
-    let b = sim.add_device(DeviceCaps::PI, Position::new(5.0, 0.0));
+    let (mut sim, a, b) = pi_pair(obs);
     let heard: Rc<RefCell<Option<SimTime>>> = Rc::new(RefCell::new(None));
     let cfg = OmniConfig { beacon_interval, obs: obs.cloned(), ..Default::default() };
     let mgr = OmniBuilder::new().with_ble().with_config(cfg.clone()).build(&sim, a);

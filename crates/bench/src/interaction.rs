@@ -53,7 +53,7 @@ pub type SharedInteraction = Rc<RefCell<InteractionReport>>;
 // ---------------------------------------------------------------------
 
 /// Builds the initiator application over the Developer API.
-pub fn omni_initiator(reply_size: u64) -> (impl FnOnce(&mut OmniCtl), SharedInteraction) {
+pub fn omni_initiator() -> (impl FnOnce(&mut OmniCtl), SharedInteraction) {
     let report: SharedInteraction = Rc::new(RefCell::new(InteractionReport::default()));
     let peer: Rc<RefCell<Option<OmniAddress>>> = Rc::new(RefCell::new(None));
     let init = {
@@ -99,7 +99,6 @@ pub fn omni_initiator(reply_size: u64) -> (impl FnOnce(&mut OmniCtl), SharedInte
                 }
             }));
             omni.set_timer(1, WARMUP);
-            let _ = reply_size;
         }
     };
     (init, report)
