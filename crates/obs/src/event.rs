@@ -53,12 +53,15 @@ pub enum EventKind {
         /// `omni_address` the frame claimed as its source.
         peer: u64,
     },
-    /// The engagement algorithm powered a data technology up.
+    /// A context technology began carrying the device's beacon and context
+    /// packs: the primary one at start, or one the engagement algorithm
+    /// engaged. Nothing is powered up.
     TechEngaged {
         /// Technology label.
         tech: &'static str,
     },
-    /// The engagement algorithm powered a data technology down.
+    /// The engagement algorithm stopped carrying the beacon and context
+    /// packs on a context technology, which keeps listening.
     TechDisengaged {
         /// Technology label.
         tech: &'static str,
