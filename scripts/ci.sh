@@ -84,7 +84,7 @@ stage "bench baseline gate (drift vs committed BENCH_*.json)" \
   scripts/bench_baseline.sh --smoke
 
 stage "omnibench tests (seed determinism + traced-run identity of every workload)" \
-  cargo test --release --offline --manifest-path omnibench/Cargo.toml -q
+  cargo test --release --offline --locked --manifest-path omnibench/Cargo.toml -q
 
 if ((${#failed[@]})); then
   echo "ci: ${#failed[@]} stage(s) failed:"
