@@ -40,23 +40,15 @@ pub struct OmniConfig {
     pub adaptive_beacon: Option<AdaptiveBeacon>,
     /// Observability handle. When set, the manager records structured
     /// events and bumps the counter each event kind names (data, beacon,
-    /// context and relay counters); the three shared queues are
-    /// instrumented (depth, wait, drops); and each technology's failures
-    /// count into `tech.<label>.failures` through its port
+    /// context and relay counters); the three shared queues export their
+    /// depth and wait; and each technology's failures count into
+    /// `tech.<label>.failures` through its port
     /// ([`TechQueues::fail`](crate::TechQueues::fail)). The manager's one
     /// gauge, `mgr.custody_depth`, is per node under one name: on a handle
     /// a fleet shares, its value is the last writer's, and only its `lo`
     /// and `hi` watermarks (the smallest and largest depth any node
     /// reported) mean something.
     pub obs: Option<omni_obs::Obs>,
-    /// Optional bound on the receive queue and each technology's send
-    /// queue. When `Some(n)`, each holds at most `n` items and evicts the
-    /// oldest to admit a new one (drops are counted, and surface as
-    /// `queue.*.dropped` metrics plus `QueueDropped` events when `obs` is
-    /// set); an evicted send reports a failure to its caller. The response
-    /// queue is never bounded, so no status callback is lost. `None` keeps
-    /// the historical unbounded behavior.
-    pub queue_capacity: Option<usize>,
     /// Reliable data path policy: ack deadlines, bounded retries with
     /// exponential backoff, and failover across the peer's technologies.
     /// The default ([`RetryPolicy::off`], `max_attempts == 1`) preserves the
@@ -155,7 +147,6 @@ impl Default for OmniConfig {
             relay_ttl: 0,
             adaptive_beacon: None,
             obs: None,
-            queue_capacity: None,
             retry: RetryPolicy::off(),
             relay: crate::relay::RelayPolicy::off(),
         }

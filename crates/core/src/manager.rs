@@ -23,8 +23,6 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use bytes::{BufMut, Bytes};
 use omni_obs::{Counter, Digest, EventKind, Gauge, Obs};
@@ -138,17 +136,13 @@ struct MgrObs {
     /// `hi` watermarks, the smallest and largest depth any node reported,
     /// mean something there.
     custody_depth: Gauge,
-    /// Sim time in microseconds, shared with the instrumented queues, which
-    /// stamp their `QueueDropped` events with it.
-    now_us: Arc<AtomicU64>,
 }
 
 impl MgrObs {
-    fn new(obs: &Obs, node: u32, relay_label: &'static str, now_us: Arc<AtomicU64>) -> Self {
+    fn new(obs: &Obs, node: u32, relay_label: &'static str) -> Self {
         MgrObs {
             obs: obs.clone(),
             node,
-            now_us,
             beacons_rx: obs.counter("mgr.beacons_rx"),
             data_enqueued: obs.counter("mgr.data_enqueued"),
             data_sent: obs.counter("mgr.data_sent"),
@@ -348,38 +342,25 @@ impl OmniManager {
     /// configuration and pluggable technologies.
     pub fn new(own: OmniAddress, cfg: OmniConfig, techs: Vec<Box<dyn D2dTechnology>>) -> Self {
         let node = own.as_u64() as u32;
-        let now_us = Arc::new(AtomicU64::new(0));
-        fn mk_queue<T>(
-            cfg: &OmniConfig,
-            capacity: Option<usize>,
-            label: &'static str,
-            node: u32,
-            now_us: &Arc<AtomicU64>,
-        ) -> SharedQueue<T> {
-            let q = match capacity {
-                Some(n) => SharedQueue::bounded(n),
-                None => SharedQueue::new(),
-            };
+        fn mk_queue<T>(cfg: &OmniConfig, label: &'static str) -> SharedQueue<T> {
             match &cfg.obs {
-                Some(obs) => q.instrumented(obs, label, node, now_us.clone()),
-                None => q,
+                Some(obs) => SharedQueue::new().instrumented(obs, label),
+                None => SharedQueue::new(),
             }
         }
-        let receive = mk_queue(&cfg, cfg.queue_capacity, "receive", node, &now_us);
-        // Never bounded: it carries the failures `surface_eviction` reports
-        // for evicted sends, and evicting one of those would lose it.
-        let response = mk_queue(&cfg, None, "response", node, &now_us);
+        let receive = mk_queue(&cfg, "receive");
+        let response = mk_queue(&cfg, "response");
         let cfg_cipher = cfg.context_key.map(|key| ContextCipher::new(key, own.as_u64()));
         let techs = techs
             .into_iter()
             .map(|tech| {
                 let ty = tech.tech_type();
-                let send = mk_queue(&cfg, cfg.queue_capacity, send_queue_label(ty), node, &now_us);
+                let send = mk_queue(&cfg, send_queue_label(ty));
                 TechSlot { ty, tech, send, addr: None }
             })
             .collect();
         let mgr_obs =
-            cfg.obs.as_ref().map(|obs| MgrObs::new(obs, node, cfg.relay.strategy.label(), now_us));
+            cfg.obs.as_ref().map(|obs| MgrObs::new(obs, node, cfg.relay.strategy.label()));
         let relay = Relay::new(own, cfg.relay);
         OmniManager {
             own,
@@ -453,7 +434,6 @@ impl OmniManager {
             return;
         }
         self.started = true;
-        self.note_time(api);
         for (i, slot) in self.techs.iter_mut().enumerate() {
             let queues = TechQueues::new(
                 slot.ty,
@@ -552,7 +532,6 @@ impl OmniManager {
     /// Handles a substrate event: manager timers, application timers, or a
     /// technology event; then pumps the queues.
     pub fn handle_event(&mut self, event: &mut NodeEvent, api: &mut NodeApi<'_>) {
-        self.note_time(api);
         match event {
             NodeEvent::Timer { token } if *token == MGR_TIMER_ENGAGE => {
                 self.evaluate_engagement(api);
@@ -592,19 +571,10 @@ impl OmniManager {
         }
     }
 
-    /// Stores the time of the `NodeApi` the manager was handed, for the
-    /// instrumented queues' `QueueDropped` stamps.
-    fn note_time(&self, api: &NodeApi<'_>) {
-        if let Some(m) = &self.mgr_obs {
-            m.now_us.store(api.now.as_micros(), Ordering::Relaxed);
-        }
-    }
-
     /// Processes queues until quiescent. A technology is polled only while
     /// its send queue holds requests (see [`D2dTechnology::poll`]), so a
     /// pass with nothing to send costs one atomic load per technology.
     pub fn pump(&mut self, api: &mut NodeApi<'_>) {
-        self.note_time(api);
         for _ in 0..256 {
             let mut progressed = false;
             for slot in &mut self.techs {
@@ -981,12 +951,11 @@ impl OmniManager {
         for tech in engaged {
             let token = self.alloc_token();
             if let Some(q) = self.queue_of(tech) {
-                let evicted = q.push(SendRequest {
+                q.push(SendRequest {
                     token,
                     op: SendOp::RelayContext,
                     packed: Some(packed.clone()),
                 });
-                self.surface_eviction(tech, evicted);
             }
         }
     }
@@ -1389,8 +1358,7 @@ impl OmniManager {
         let packed = entry.map(|e| e.payload.clone());
         self.pending_ctx.insert(token, ctx);
         if let Some(q) = self.queue_of(tech) {
-            let evicted = q.push(SendRequest { token, op, packed });
-            self.surface_eviction(tech, evicted);
+            q.push(SendRequest { token, op, packed });
         }
     }
 
@@ -1442,31 +1410,9 @@ impl OmniManager {
             send.tried.push(candidate.tech);
         }
         self.pending_data.insert(token, send);
-        let evicted = match self.queue_of(candidate.tech) {
-            Some(q) => q.push(SendRequest { token, op, packed }),
-            None => None,
-        };
-        self.surface_eviction(candidate.tech, evicted);
-    }
-
-    /// A bounded send queue evicted its oldest request to admit a new one.
-    /// Losing it silently would leave the application waiting forever:
-    /// fabricate a technology failure so the normal fallback / retry /
-    /// terminal-status machinery reports it instead.
-    fn surface_eviction(&mut self, tech: TechType, evicted: Option<SendRequest>) {
-        let Some(original) = evicted else { return };
-        let token = original.token;
-        if !self.pending_ctx.contains_key(&token) && !self.pending_data.contains_key(&token) {
-            return; // internal copy (relay, engagement): nobody is waiting
+        if let Some(q) = self.queue_of(candidate.tech) {
+            q.push(SendRequest { token, op, packed });
         }
-        self.response.push(TechResponse::Outcome {
-            tech,
-            token,
-            result: Err(TechFailure {
-                description: "send queue overflow: oldest request evicted".into(),
-                original,
-            }),
-        });
     }
 
     /// Advances a send after a failed try: fail over to the next candidate

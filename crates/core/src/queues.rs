@@ -13,19 +13,18 @@
 //! allocation as the mutex and is only written under it, so the common case
 //! of polling an empty queue is one atomic load and never takes the lock.
 //!
-//! Queues are unbounded by default ([`SharedQueue::new`]); callers that need
-//! backpressure build them with [`SharedQueue::bounded`], which drops the
-//! *oldest* element to admit a new one and counts the drops. Attaching an
-//! [`Obs`] handle ([`SharedQueue::instrumented`]) additionally exports a
-//! depth gauge, an enqueue→dequeue wait digest, a drop counter, and a
-//! [`EventKind::QueueDropped`] event per drop, stamped with sim time.
+//! Like the paper's, the queues are unbounded. The manager's pump runs until
+//! a pass finds every queue empty, so a queue holds only what the event being
+//! handled put on it. Attaching an [`Obs`] handle
+//! ([`SharedQueue::instrumented`]) exports a depth gauge and an
+//! enqueue→dequeue wait digest.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use omni_obs::{Counter, Digest, EventKind, Gauge, Obs};
+use omni_obs::{Counter, Digest, Gauge, Obs};
 use omni_wire::{BleAddress, MeshAddress, NfcAddress, OmniAddress, PackedStruct, TechType};
 use parking_lot::Mutex;
 
@@ -56,39 +55,25 @@ impl std::fmt::Display for LowAddr {
     }
 }
 
-/// Observability attachment for a queue: metric handles plus what is needed
-/// to stamp [`EventKind::QueueDropped`] events (the label, the owning node,
-/// and the owner's sim clock in microseconds).
+/// Observability attachment for a queue: its depth gauge and wait digest.
 #[derive(Debug)]
 struct QueueInstr {
     depth: Gauge,
-    dropped: Counter,
     wait_us: Digest,
-    obs: Obs,
-    label: &'static str,
-    node: u32,
-    now_us: Arc<AtomicU64>,
-}
-
-#[derive(Debug)]
-struct QueueInner<T> {
-    /// Items paired with their enqueue instant (stamped only when
-    /// instrumented, so the uninstrumented path never reads the clock).
-    items: VecDeque<(T, Option<Instant>)>,
-    capacity: Option<usize>,
-    dropped: u64,
 }
 
 /// The single allocation behind a [`SharedQueue`] and its clones.
 #[derive(Debug)]
 struct QueueShared<T> {
-    /// Mirror of `inner.items.len()`, stored (`Release`) only while the
-    /// mutex is held and loaded (`Acquire`) without it. Readers that find
-    /// it zero skip the lock: the queue was empty at the moment of the
-    /// load, which is a valid linearization point for `pop`. Items
-    /// themselves are only ever read under the mutex.
+    /// Mirror of `items.len()`, stored (`Release`) only while the mutex is
+    /// held and loaded (`Acquire`) without it. Readers that find it zero
+    /// skip the lock: the queue was empty at the moment of the load, which
+    /// is a valid linearization point for `pop`. Items themselves are only
+    /// ever read under the mutex.
     len: AtomicUsize,
-    inner: Mutex<QueueInner<T>>,
+    /// Items paired with their enqueue instant (stamped only when
+    /// instrumented, so the uninstrumented path never reads the clock).
+    items: Mutex<VecDeque<(T, Option<Instant>)>>,
 }
 
 /// A multi-producer multi-consumer FIFO shared by reference.
@@ -111,76 +96,36 @@ impl<T> Default for SharedQueue<T> {
 }
 
 impl<T> SharedQueue<T> {
-    /// Creates an empty, unbounded queue.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_capacity_limit(None)
-    }
-
-    /// Creates an empty queue holding at most `capacity` items (minimum 1).
-    /// When full, a push evicts the *oldest* item — newest data wins, which
-    /// is the right policy for discovery and status traffic.
-    pub fn bounded(capacity: usize) -> Self {
-        Self::with_capacity_limit(Some(capacity.max(1)))
-    }
-
-    fn with_capacity_limit(capacity: Option<usize>) -> Self {
         SharedQueue {
             shared: Arc::new(QueueShared {
                 len: AtomicUsize::new(0),
-                inner: Mutex::new(QueueInner { items: VecDeque::new(), capacity, dropped: 0 }),
+                items: Mutex::new(VecDeque::new()),
             }),
             instr: None,
         }
     }
 
-    /// Attaches observability: exports `queue.<label>.depth`,
-    /// `queue.<label>.dropped`, and `queue.<label>.wait_us` (wall-clock),
-    /// and records a [`EventKind::QueueDropped`] per evicted item, stamped
-    /// with the sim time the owner last stored in `now_us`. `node`
-    /// identifies the owning device.
-    pub fn instrumented(
-        mut self,
-        obs: &Obs,
-        label: &'static str,
-        node: u32,
-        now_us: Arc<AtomicU64>,
-    ) -> Self {
+    /// Attaches observability: exports `queue.<label>.depth` and
+    /// `queue.<label>.wait_us` (wall-clock).
+    pub fn instrumented(mut self, obs: &Obs, label: &'static str) -> Self {
         self.instr = Some(Arc::new(QueueInstr {
             depth: obs.gauge(&format!("queue.{label}.depth")),
-            dropped: obs.counter(&format!("queue.{label}.dropped")),
             wait_us: obs.digest(&format!("queue.{label}.wait_us")),
-            obs: obs.clone(),
-            label,
-            node,
-            now_us,
         }));
         self
     }
 
-    /// Appends an item; on a full bounded queue the oldest item is evicted
-    /// and returned, so the caller can surface the loss (e.g. fail the
-    /// evicted send request) instead of dropping it silently.
-    pub fn push(&self, item: T) -> Option<T> {
+    /// Appends an item.
+    pub fn push(&self, item: T) {
         let stamp = self.instr.as_ref().map(|_| Instant::now());
-        let mut inner = self.shared.inner.lock();
-        let mut evicted = None;
-        if let Some(cap) = inner.capacity {
-            if inner.items.len() >= cap {
-                evicted = inner.items.pop_front().map(|(old, _)| old);
-                inner.dropped += 1;
-                if let Some(i) = &self.instr {
-                    i.dropped.inc();
-                    let t_us = i.now_us.load(Ordering::Relaxed);
-                    i.obs.event(t_us, i.node, EventKind::QueueDropped { queue: i.label });
-                }
-            }
-        }
-        inner.items.push_back((item, stamp));
-        self.shared.len.store(inner.items.len(), Ordering::Release);
+        let mut items = self.shared.items.lock();
+        items.push_back((item, stamp));
+        self.shared.len.store(items.len(), Ordering::Release);
         if let Some(i) = &self.instr {
-            i.depth.set(inner.items.len() as i64);
+            i.depth.set(items.len() as i64);
         }
-        evicted
     }
 
     /// Removes and returns the oldest item.
@@ -188,11 +133,11 @@ impl<T> SharedQueue<T> {
         if self.is_empty() {
             return None;
         }
-        let mut inner = self.shared.inner.lock();
-        let (item, stamp) = inner.items.pop_front()?;
-        self.shared.len.store(inner.items.len(), Ordering::Release);
+        let mut items = self.shared.items.lock();
+        let (item, stamp) = items.pop_front()?;
+        self.shared.len.store(items.len(), Ordering::Release);
         if let Some(i) = &self.instr {
-            i.depth.set(inner.items.len() as i64);
+            i.depth.set(items.len() as i64);
             if let Some(t0) = stamp {
                 i.wait_us.record(t0.elapsed().as_micros() as u64);
             }
@@ -215,8 +160,8 @@ impl<T> SharedQueue<T> {
         if self.is_empty() {
             return Vec::new();
         }
-        let mut inner = self.shared.inner.lock();
-        let drained: Vec<(T, Option<Instant>)> = inner.items.drain(..).collect();
+        let mut items = self.shared.items.lock();
+        let drained: Vec<(T, Option<Instant>)> = items.drain(..).collect();
         self.shared.len.store(0, Ordering::Release);
         if let Some(i) = &self.instr {
             i.depth.set(0);
@@ -227,16 +172,6 @@ impl<T> SharedQueue<T> {
             }
         }
         drained.into_iter().map(|(item, _)| item).collect()
-    }
-
-    /// Maximum number of items, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.shared.inner.lock().capacity
-    }
-
-    /// Number of items evicted because the queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.shared.inner.lock().dropped
     }
 }
 
@@ -515,44 +450,23 @@ mod tests {
             q.push(i);
         }
         assert_eq!(q.len(), 10_000);
-        assert_eq!(q.dropped(), 0);
-        assert_eq!(q.capacity(), None);
+        assert_eq!(q.drain(), (0..10_000).collect::<Vec<_>>());
     }
 
     #[test]
-    fn bounded_queue_drops_oldest() {
-        let q = SharedQueue::bounded(3);
-        for i in 0..3 {
-            assert_eq!(q.push(i), None);
-        }
-        assert_eq!(q.push(3), Some(0), "eviction returns the displaced item");
-        assert_eq!(q.push(4), Some(1));
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.dropped(), 2);
-        assert_eq!(q.drain(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn instrumented_queue_exports_depth_drops_and_waits() {
+    fn instrumented_queue_exports_depth_and_waits() {
         let obs = Obs::new();
-        let now_us = Arc::new(AtomicU64::new(0));
-        let q = SharedQueue::bounded(2).instrumented(&obs, "receive", 7, now_us.clone());
+        let q = SharedQueue::new().instrumented(&obs, "receive");
         q.push("a");
         q.push("b");
+        q.push("c");
+        assert_eq!(obs.gauge("queue.receive.depth").get(), 3);
+        assert_eq!(q.pop(), Some("a"));
         assert_eq!(obs.gauge("queue.receive.depth").get(), 2);
-        now_us.store(1_250_000, Ordering::Relaxed);
-        q.push("c"); // evicts "a"
-        assert_eq!(obs.counter("queue.receive.dropped").get(), 1);
-        let events = obs.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!((events[0].t_us, events[0].node), (1_250_000, 7));
-        assert_eq!(events[0].kind, EventKind::QueueDropped { queue: "receive" });
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(obs.gauge("queue.receive.depth").get(), 1);
         assert_eq!(obs.digest("queue.receive.wait_us").count(), 1);
         q.drain();
         assert_eq!(obs.gauge("queue.receive.depth").get(), 0);
-        assert_eq!(obs.digest("queue.receive.wait_us").count(), 2);
+        assert_eq!(obs.digest("queue.receive.wait_us").count(), 3);
     }
 
     /// Checks that every clone reports the length of a reference model.
@@ -566,19 +480,13 @@ mod tests {
     #[test]
     fn length_stays_consistent_across_clones() {
         let obs = Obs::new();
-        for q in [
-            SharedQueue::new(),
-            SharedQueue::bounded(3),
-            SharedQueue::bounded(3).instrumented(&obs, "t", 1, Arc::default()),
-        ] {
+        for q in [SharedQueue::new(), SharedQueue::new().instrumented(&obs, "t")] {
             let (a, b) = (q.clone(), q.clone());
-            let cap = q.capacity().unwrap_or(usize::MAX);
             let mut model = 0;
             assert_len(&[&q, &a, &b], 0);
             for i in 0..5 {
-                let evicted = [&q, &a, &b][i % 3].push(i);
-                assert_eq!(evicted.is_some(), model == cap);
-                model = (model + 1).min(cap);
+                [&q, &a, &b][i % 3].push(i);
+                model += 1;
                 assert_len(&[&q, &a, &b], model);
             }
             assert!(b.pop().is_some());
@@ -599,7 +507,7 @@ mod tests {
 
     #[test]
     fn length_is_exact_under_concurrent_producers_and_consumers() {
-        let q = SharedQueue::bounded(64);
+        let q = SharedQueue::new();
         let popped = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|s| {
             for t in 0..2 {
@@ -619,9 +527,9 @@ mod tests {
                 }
             });
         });
-        let left = q.drain().len();
+        let drained = q.drain().len();
         assert!(q.is_empty());
-        assert_eq!(popped.into_inner() + left + q.dropped() as usize, 20_000);
+        assert_eq!(popped.into_inner() + drained, 20_000);
     }
 
     #[test]
