@@ -105,11 +105,6 @@ pub enum EventKind {
         /// Context identifier.
         id: u64,
     },
-    /// A bounded queue dropped its oldest element to admit a new one.
-    QueueDropped {
-        /// Queue label (e.g. `"receive"`).
-        queue: &'static str,
-    },
     /// A data send attempt missed its ack deadline (or failed) and was
     /// rescheduled with backoff.
     DataRetried {
@@ -231,7 +226,6 @@ impl EventKind {
             EventKind::DataDelivered { .. } => "DataDelivered",
             EventKind::DataFailed { .. } => "DataFailed",
             EventKind::ContextUpdated { .. } => "ContextUpdated",
-            EventKind::QueueDropped { .. } => "QueueDropped",
             EventKind::DataRetried { .. } => "DataRetried",
             EventKind::DataFailedOver { .. } => "DataFailedOver",
             EventKind::SendExhausted { .. } => "SendExhausted",
@@ -395,7 +389,6 @@ mod tests {
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(EventKind::BeaconSent { tech: "ble-beacon", epoch: 0 }.name(), "BeaconSent");
-        assert_eq!(EventKind::QueueDropped { queue: "receive" }.name(), "QueueDropped");
         assert_eq!(
             EventKind::DataRetried { tech: "ble-beacon", attempt: 1, trace: 0 }.name(),
             "DataRetried"

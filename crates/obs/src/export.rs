@@ -182,9 +182,6 @@ pub fn event_json(e: &Event) -> String {
         EventKind::ContextUpdated { id } => {
             let _ = write!(out, ", \"id\": {id}");
         }
-        EventKind::QueueDropped { queue } => {
-            let _ = write!(out, ", \"queue\": {}", json_str(queue));
-        }
         EventKind::DataRetried { tech, attempt, trace } => {
             let _ = write!(
                 out,
@@ -443,10 +440,10 @@ mod tests {
     fn hostile_event_labels_survive_snapshot_json() {
         let obs = Obs::new();
         obs.counter("evil \"quoted\\name\"").add(1);
-        obs.event(1, 0, EventKind::QueueDropped { queue: "rx\"q\\" });
+        obs.event(1, 0, EventKind::TechEngaged { tech: "rx\"q\\" });
         let json = obs.snapshot().to_json();
         assert!(json.contains("\"evil \\\"quoted\\\\name\\\"\": 1"));
-        assert!(json.contains("\"queue\": \"rx\\\"q\\\\\""));
+        assert!(json.contains("\"tech\": \"rx\\\"q\\\\\""));
     }
 
     #[test]

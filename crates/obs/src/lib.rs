@@ -11,8 +11,8 @@
 //!   ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace exemplars, registered
 //!   by name next to the counters and gauges ([`Obs::digest`]).
 //! * **Events** — a typed [`EventKind`] stream ([`BeaconSent`], …,
-//!   [`QueueDropped`]) in a bounded [`EventRing`] that overwrites the oldest
-//!   entry when full and counts the overflow.
+//!   [`HealthTransition`]) in a bounded [`EventRing`] that overwrites the
+//!   oldest entry when full and counts the overflow.
 //! * **Time series** — a fixed-capacity [`SeriesRing`] of windowed
 //!   [`Sample`]s (counter deltas, gauge watermarks, windowed digests) that
 //!   downsamples in place when full, plus bounded-cardinality labeled metrics
@@ -41,7 +41,7 @@
 //! ```
 //!
 //! [`BeaconSent`]: EventKind::BeaconSent
-//! [`QueueDropped`]: EventKind::QueueDropped
+//! [`HealthTransition`]: EventKind::HealthTransition
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
