@@ -18,8 +18,7 @@
 //!   snapshot per bucket ([`QuantileDigest::windowed_since`]), so the
 //!   reported p50/p99/p999 describe *this window's* tail rather than the
 //!   lifetime blend — except wall-clock instruments (`*.wait_us`), which are
-//!   excluded the same way the `FlightRecorder` drops wall-clock events,
-//!   keeping the stream sim-deterministic,
+//!   excluded to keep the stream sim-deterministic,
 //! * derives fleet [`WindowStats`] (delivery ratio, windowed delivery
 //!   latency p99, queue high-water, beacon staleness, churn) and feeds the
 //!   [`HealthMonitor`].

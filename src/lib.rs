@@ -16,8 +16,8 @@
 //! * [`apps`] — the evaluation applications: Disseminate-like media sharing,
 //!   the PRoPHET DTN router, and the smart-city tourism scenario.
 //! * [`obs`] — the dependency-free observability layer: atomic metrics,
-//!   span timing, and the structured event stream every other layer reports
-//!   into.
+//!   quantile digests, and the structured event stream every other layer
+//!   reports into.
 //!
 //! Start with the [`quickstart` example](https://example.invalid/omni), or:
 //!
