@@ -747,3 +747,106 @@ fn resolution_that_never_answers_times_out() {
     assert_eq!(*code, StatusCode::SendDataFailure, "{statuses:?}");
     assert!(info.contains("address resolution timed out"), "{info}");
 }
+
+/// A status callback of [`sends_to_a_wifi_only_peer`]: the send's index,
+/// when it reported, its code and its info.
+type Report = (usize, SimTime, StatusCode, String);
+
+/// A PI a at (0, 0) advertising `from-a` and a WiFi-only b at (5, 0), run
+/// for 30 s under `faults`. For each `(at_ms, len, total)` in `sends`, a
+/// sends `len` bytes (logically `total`) to b at `at_ms`. a knows b only
+/// through multicast, so its TCP technology reaches b on the establish
+/// path, which leaves the mesh group before it scans. Returns a's status
+/// callbacks and b's log.
+fn sends_to_a_wifi_only_peer(
+    faults: FaultConfig,
+    sends: &'static [(u64, usize, u64)],
+) -> (Vec<Report>, Log) {
+    let mut sim = Runner::new(SimConfig { faults, ..Default::default() });
+    let a = sim.add_device(DeviceCaps::PI, Position::new(0.0, 0.0));
+    let b =
+        sim.add_device(DeviceCaps { ble: false, wifi: true, nfc: false }, Position::new(5.0, 0.0));
+    let omni_b = OmniBuilder::omni_address(&sim, b);
+    let reports: Rc<RefCell<Vec<Report>>> = Rc::default();
+    let r = reports.clone();
+    let stack_a =
+        OmniStack::new(OmniBuilder::new().with_ble().with_wifi().build(&sim, a), move |omni| {
+            omni.add_context(
+                ContextParams::default(),
+                Bytes::from_static(b"from-a"),
+                Box::new(|_, _, _| {}),
+            );
+            omni.request_timers(Box::new(move |send, o| {
+                let (_, len, total) = sends[send as usize];
+                let r = r.clone();
+                o.send_data_sized(
+                    vec![omni_b],
+                    Bytes::from(vec![b'x'; len]),
+                    total,
+                    Box::new(move |code, info, o| {
+                        r.borrow_mut().push((send as usize, o.now, code, info.to_string()))
+                    }),
+                );
+            }));
+            for (send, &(at_ms, _, _)) in sends.iter().enumerate() {
+                omni.set_timer(send as u64, SimDuration::from_millis(at_ms));
+            }
+        });
+    let (stack_b, log_b) = listener_stack(&sim, b, OmniBuilder::new().with_wifi(), b"from-b");
+    sim.set_stack(a, Box::new(stack_a));
+    sim.set_stack(b, Box::new(stack_b));
+    sim.run_until(SimTime::from_secs(30));
+    let reports = reports.take();
+    (reports, log_b)
+}
+
+/// A multicast send made while the TCP technology establishes a path has
+/// left the mesh group is still delivered. At 10 s a sends 1,000,000 B to
+/// b over TCP's establish path; at 10.5 s it sends 30 B, for which
+/// multicast is the cheapest candidate. Multicast must not report the
+/// 30 B as sent while the radio is out of the group.
+#[test]
+fn a_multicast_send_during_an_establish_is_delivered() {
+    let (reports, log_b) = sends_to_a_wifi_only_peer(
+        FaultConfig::default(),
+        &[(10_000, 4, 1_000_000), (10_500, 30, 30)],
+    );
+    let received: Vec<usize> = log_b.borrow().data.iter().map(|(_, _, d)| d.len()).collect();
+    assert!(
+        received.contains(&30),
+        "b never received the 30 B send: {received:?}, a saw {reports:?}"
+    );
+    for send in 0..2 {
+        let mine: Vec<&Report> = reports.iter().filter(|r| r.0 == send).collect();
+        let [(_, _, code, _)] = &mine[..] else {
+            panic!("send {send}: expected one terminal status, got {reports:?}");
+        };
+        assert_eq!(*code, StatusCode::SendDataSuccess, "send {send}: {reports:?}");
+    }
+}
+
+/// An establish whose scan finds no network puts the radio back in the
+/// mesh group it left. A WiFi partition between a and b covers
+/// [9.9 s, 12 s), so the scan of a 1 MB send's establish at 10 s finds
+/// nothing. b, which hears a only through multicast, hears a's context
+/// again once the partition heals.
+#[test]
+fn a_failed_establish_returns_to_the_group() {
+    let partition = LinkPartition::new(0, 1, SimTime::from_millis(9_900), SimTime::from_secs(12))
+        .scoped(FaultScope::Wifi);
+    let faults = FaultConfig { partitions: vec![partition], ..Default::default() };
+    let (reports, log_b) = sends_to_a_wifi_only_peer(faults, &[(10_000, 4, 1_000_000)]);
+    assert_eq!(reports.len(), 1, "one terminal callback: {reports:?}");
+    let heard: Vec<SimTime> = log_b
+        .borrow()
+        .contexts
+        .iter()
+        .filter(|(_, _, c)| c == b"from-a")
+        .map(|(t, _, _)| *t)
+        .collect();
+    assert!(
+        heard.iter().any(|&t| t > SimTime::from_secs(15)),
+        "b stopped hearing a once the establish failed (last at {:?}); a saw {reports:?}",
+        heard.last()
+    );
+}
