@@ -233,6 +233,12 @@ impl D2dTechnology for WifiMulticastTech {
                 api.push(Command::WifiMcastListen(true));
                 false // other technologies may also be waiting on joins
             }
+            NodeEvent::WifiLeft => {
+                // Until the next join, a send would leave no frame on the
+                // air, so data sends fail and beacon ticks stay silent.
+                self.joined = false;
+                false
+            }
             NodeEvent::Multicast { from, payload } => self.on_multicast(*from, payload, api),
             _ => match q.timer_offset(event) {
                 Some(TOKEN_RESCAN) => {
@@ -480,30 +486,30 @@ mod tests {
         assert!(queues.response.is_empty());
     }
 
+    /// A send while the radio is out of the group fails at once, so the
+    /// manager can fall back: before the first join and after a leave.
     #[test]
-    fn data_before_join_fails_for_fallback() {
+    fn data_outside_the_group_fails_for_fallback() {
         let (mut tech, queues) = mk();
         let mut cmds = Vec::new();
         with_api(&mut cmds, |api| {
             tech.enable(queues.clone(), api);
         });
-        // Not joined yet.
-        queues.send.push(SendRequest {
-            token: 3,
-            op: SendOp::SendData {
-                dest: LowAddr::Mesh(MeshAddress::from_u64(0xB2)),
-                dest_omni: OmniAddress::from_u64(9),
-                wire_len: 30,
-                establish: false,
-            },
-            packed: Some(PackedStruct::data(OmniAddress::from_u64(1), Bytes::from_static(b"x"))),
-        });
-        with_api(&mut cmds, |api| tech.poll(api));
-        match queues.response.pop() {
-            Some(TechResponse::Outcome { token: 3, result: Err(f), .. }) => {
-                assert!(f.description.contains("not joined"));
+        for (token, events) in [(3, vec![]), (4, vec![NodeEvent::WifiJoined, NodeEvent::WifiLeft])]
+        {
+            with_api(&mut cmds, |api| {
+                for mut event in events {
+                    tech.on_node_event(&mut event, api);
+                }
+            });
+            queues.send.push(mcast_send(token));
+            with_api(&mut cmds, |api| tech.poll(api));
+            match queues.response.pop() {
+                Some(TechResponse::Outcome { token: t, result: Err(f), .. }) if t == token => {
+                    assert!(f.description.contains("not joined"), "{}", f.description);
+                }
+                other => panic!("send {token}: unexpected {other:?}"),
             }
-            other => panic!("unexpected {other:?}"),
         }
     }
 }

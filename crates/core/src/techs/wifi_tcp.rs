@@ -130,10 +130,16 @@ impl WifiTcpTech {
 
     fn establish_failed(&mut self, why: &str, api: &mut NodeApi<'_>) {
         let Some(q) = &self.queues else { return };
-        for req in self.establish.take().into_iter().flat_map(|est| est.reqs) {
+        let Some(est) = self.establish.take() else { return };
+        for req in est.reqs {
             q.fail(why, req);
         }
         self.next_establish(api);
+        // A procedure that failed its scan left the group and never joined
+        // again: rejoin, unless the next procedure is scanning afresh.
+        if est.phase == Phase::Scanning && self.establish.is_none() {
+            api.push(Command::WifiJoin);
+        }
     }
 
     fn next_establish(&mut self, api: &mut NodeApi<'_>) {
@@ -515,6 +521,28 @@ mod tests {
         assert!(cmds
             .iter()
             .any(|(_, c)| matches!(c, Command::TcpConnect { peer, .. } if *peer == MeshAddress::from_u64(0xB2))));
+    }
+
+    /// A scan that finds no network fails the send and rejoins the group
+    /// the establish left.
+    #[test]
+    fn a_scan_that_finds_no_network_rejoins_the_group() {
+        let (mut tech, queues) = mk();
+        let mut cmds = Vec::new();
+        with_api(&mut cmds, |api| {
+            tech.enable(queues.clone(), api);
+        });
+        queues.send.push(data_req(1, true));
+        with_api(&mut cmds, |api| tech.poll(api));
+        cmds.clear();
+        with_api(&mut cmds, |api| {
+            tech.on_node_event(&mut NodeEvent::WifiScanDone { found: vec![] }, api);
+        });
+        assert!(matches!(cmds[..], [(_, Command::WifiJoin)]), "{cmds:?}");
+        assert!(matches!(
+            queues.response.pop(),
+            Some(TechResponse::Outcome { token: 1, result: Err(_), .. })
+        ));
     }
 
     #[test]

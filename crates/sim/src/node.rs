@@ -83,6 +83,10 @@ pub enum NodeEvent {
     /// A WiFi join/associate completed. A join can only be issued while
     /// powered, so it always succeeds.
     WifiJoined,
+    /// The radio left the mesh group it had joined, through
+    /// [`Command::WifiLeave`] or by powering off. A radio that was not
+    /// joined hears nothing.
+    WifiLeft,
     /// A multicast datagram was received (requires joined + listening).
     Multicast {
         /// Sender's mesh address.
@@ -197,13 +201,15 @@ pub enum Command {
         payload: Bytes,
     },
     /// Powers the WiFi radio on or off. Powering off drops the joined state
-    /// and fails all connections and flows.
+    /// (a joined radio hears [`NodeEvent::WifiLeft`]) and fails all
+    /// connections and flows.
     WifiPower(bool),
     /// Starts a network scan ([`crate::WIFI_SCAN_TIME`], scan current).
     WifiScan,
     /// Joins the mesh group ([`crate::WIFI_JOIN_TIME`], connect current).
     WifiJoin,
-    /// Leaves the mesh group immediately.
+    /// Leaves the mesh group immediately; a joined radio hears
+    /// [`NodeEvent::WifiLeft`].
     WifiLeave,
     /// Enables or disables multicast reception (requires joined).
     WifiMcastListen(bool),

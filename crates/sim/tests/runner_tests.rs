@@ -51,6 +51,7 @@ fn label(ev: &NodeEvent) -> String {
         NodeEvent::BleOneShotSent => "oneshot-sent".into(),
         NodeEvent::WifiScanDone { found } => format!("scan-done:{}", found.len()),
         NodeEvent::WifiJoined => "joined".into(),
+        NodeEvent::WifiLeft => "left".into(),
         NodeEvent::Multicast { payload, .. } => {
             format!("mcast:{}", String::from_utf8_lossy(payload))
         }
@@ -409,6 +410,36 @@ fn multicast_requires_join_and_stalls_unicast() {
     // join (1200 ms) + fixed airtime (30 ms) + 30 B at 166 KB/s (~0.18 ms).
     let secs = got.0.as_secs_f64();
     assert!((secs - 1.2302).abs() < 0.002, "got {secs}");
+}
+
+/// A joined radio hears that it left the group, whether it left or was
+/// powered off; a radio that was not joined hears nothing.
+#[test]
+fn a_joined_radio_hears_that_it_left() {
+    let (mut sim, a, b) = two_device_sim();
+    let mut logs = Vec::new();
+    for (dev, out) in [(a, Command::WifiLeave), (b, Command::WifiPower(false))] {
+        let (p, log) = Probe::new();
+        let start = vec![Command::WifiLeave, Command::WifiJoin];
+        let p = p.with_start(start).with_reaction(move |ev, api| {
+            if matches!(ev, NodeEvent::WifiJoined) {
+                api.push(out.clone());
+                api.push(out.clone());
+            }
+        });
+        sim.set_stack(dev, Box::new(p));
+        logs.push(log);
+    }
+    sim.run_until(SimTime::from_secs(5));
+    for log in logs {
+        let wifi: Vec<String> = log
+            .borrow()
+            .iter()
+            .filter(|(_, l)| l == "joined" || l == "left")
+            .map(|(t, l)| format!("{}:{l}", t.as_millis()))
+            .collect();
+        assert_eq!(wifi, ["1200:joined", "1200:left"]);
+    }
 }
 
 #[test]
