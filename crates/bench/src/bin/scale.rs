@@ -10,7 +10,9 @@
 //!
 //! `--smoke` runs the 1000-node cell and three 10 000-node cells against CI
 //! wall-clock and allocation budgets, and holds the best of the 10 000-node
-//! cells to a throughput floor.
+//! cells to a throughput floor. A fourth 10 000-node cell runs with the
+//! tick-phase profiler on: it must hear what the others heard, and its
+//! clock reads are gated exactly (DESIGN.md §5j).
 
 use std::time::Instant;
 
@@ -18,7 +20,7 @@ use omni_bench::baseline::Baseline;
 use omni_bench::fleet::{PairGrid, TICK_MS};
 use omni_bench::report::{Chart, Table};
 use omni_bench::ObsRun;
-use omni_obs::Obs;
+use omni_obs::{Obs, PhaseReport};
 use omni_sim::{Runner, SimConfig, SimTime};
 
 #[path = "../counting_alloc.rs"]
@@ -62,6 +64,11 @@ const FLOOR_TRIES: usize = 3;
 const ALLOC_CEILING_1K: f64 = 10.0;
 const ALLOC_CEILING_10K: f64 = 100.0;
 
+/// The profiled 10 000-node cell may read the clock at most once per this
+/// many dispatched events: an exact count of the profiler's cost (two reads
+/// per scope), where a wall-clock difference is too noisy to resolve 5%.
+const EVENTS_PER_CLOCK_READ: u64 = 100;
+
 /// Measured beacon rounds per cell: big fleets run fewer so the full sweep
 /// finishes in minutes, with enough rounds left for a stable p95.
 fn ticks_for(n: usize) -> u64 {
@@ -78,18 +85,27 @@ struct CellResult {
     p95_tick_us: u64,
     allocs_per_tick: f64,
     heard: u64,
+    /// The profiler's report, when the cell ran profiled.
+    profile: Option<PhaseReport>,
 }
 
 /// Runs an N-device fleet for `ticks_for(n)` beacon rounds, timing each
 /// round and counting its heap allocations. `brute_force` swaps the
-/// neighbor query.
-fn run_cell(n: usize, brute_force: bool, obs: &Obs) -> CellResult {
+/// neighbor query; `profile` enables the tick-phase profiler.
+fn run_cell(n: usize, brute_force: bool, profile: bool, obs: &Obs) -> CellResult {
     let ticks = ticks_for(n);
     let mut sim = Runner::new(SimConfig::default());
     sim.set_brute_force_neighbors(brute_force);
+    if profile {
+        sim.enable_profiler();
+    }
     let heard = GRID.add_fleet(&mut sim, n, b"scale", |i| (i % SCAN_STRIDE == 0).then_some(1.0));
 
-    let label = if brute_force { format!("n{n}.brute") } else { format!("n{n}") };
+    let label = match (brute_force, profile) {
+        (true, _) => format!("n{n}.brute"),
+        (_, true) => format!("n{n}.profiled"),
+        _ => format!("n{n}"),
+    };
     let tick_us = obs.digest(&format!("scale.{label}.tick_us"));
     let allocs_before = counting_alloc::allocs();
     let started = Instant::now();
@@ -109,6 +125,7 @@ fn run_cell(n: usize, brute_force: bool, obs: &Obs) -> CellResult {
         p95_tick_us: tick_us.quantile(0.95),
         allocs_per_tick: allocs as f64 / ticks as f64,
         heard,
+        profile: sim.profiler().map(|p| p.report()),
     }
 }
 
@@ -117,7 +134,7 @@ fn main() {
     let obs = ObsRun::new("scale");
 
     if smoke {
-        let cell = run_cell(1000, false, &obs);
+        let cell = run_cell(1000, false, false, &obs);
         println!(
             "scale smoke: 1000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, p95 {} µs, \
              {:.2} allocs/tick, {} beacons heard",
@@ -142,7 +159,7 @@ fn main() {
         );
 
         let bigs: Vec<CellResult> =
-            (0..FLOOR_TRIES).map(|_| run_cell(10_000, false, &obs)).collect();
+            (0..FLOOR_TRIES).map(|_| run_cell(10_000, false, false, &obs)).collect();
         for big in &bigs {
             println!(
                 "scale smoke: 10000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, \
@@ -174,6 +191,23 @@ fn main() {
             big.ticks_per_sec
         );
 
+        let profiled = run_cell(10_000, false, true, &obs);
+        let report = profiled.profile.expect("the cell ran profiled");
+        let clock_reads = 2 * report.phases.iter().map(|p| p.scopes).sum::<u64>();
+        let overhead_pct = (big.ticks_per_sec / profiled.ticks_per_sec - 1.0) * 100.0;
+        println!(
+            "scale smoke: 10000 nodes profiled, {:.0} ticks/sec ({overhead_pct:+.1}% against the \
+             best), {clock_reads} clock reads over {} events",
+            profiled.ticks_per_sec, report.events
+        );
+        assert_eq!(profiled.heard, big.heard, "the profiler changed what the fleet heard");
+        assert!(
+            clock_reads * EVENTS_PER_CLOCK_READ <= report.events,
+            "the profiler read the clock {clock_reads} times over {} events, more than once per \
+             {EVENTS_PER_CLOCK_READ} — same-phase coalescing regressed (DESIGN.md §5j)",
+            report.events
+        );
+
         let mut b = Baseline::new("scale", true);
         b.gate("n1000_heard", cell.heard as f64);
         b.gate("n10000_heard", big.heard as f64);
@@ -183,6 +217,9 @@ fn main() {
         b.info("n1000_allocs_per_tick", cell.allocs_per_tick);
         b.info("n10000_ticks_per_sec", big.ticks_per_sec);
         b.info("n10000_allocs_per_tick", big.allocs_per_tick);
+        b.gate("n10000_profiled_events", report.events as f64);
+        b.gate("n10000_profiled_clock_reads", clock_reads as f64);
+        b.info("n10000_profiler_overhead_pct", overhead_pct);
         omni_bench::baseline::emit(&b);
         println!("scale: ok");
         return;
@@ -196,7 +233,7 @@ fn main() {
     let mut chart = Chart::new("Ticks/sec by fleet size (spatial grid)", "ticks/sec");
     let mut grid_1000 = None;
     for n in [100usize, 500, 1000, 5000, 10_000, 50_000, 100_000] {
-        let cell = run_cell(n, false, &obs);
+        let cell = run_cell(n, false, false, &obs);
         println!(
             "n={n:6}: {:8.1} ticks/sec, mean {:8.0} µs, p95 {:7} µs, {:8.0} allocs/tick, \
              {} beacons heard",
@@ -232,8 +269,8 @@ fn main() {
     // brute run: on a loaded box the sweep's earlier cells can depress the
     // first sample enough to flake a 10× floor that holds comfortably.
     let grid = grid_1000.expect("1000-node cell ran");
-    let brute = run_cell(1000, true, &obs);
-    let grid_fresh = run_cell(1000, false, &obs);
+    let brute = run_cell(1000, true, false, &obs);
+    let grid_fresh = run_cell(1000, false, false, &obs);
     assert_eq!(grid.heard, grid_fresh.heard, "same fleet, same seed — heard must repeat");
     let speedup = grid.ticks_per_sec.max(grid_fresh.ticks_per_sec) / brute.ticks_per_sec;
     println!(

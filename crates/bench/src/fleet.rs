@@ -1,7 +1,7 @@
 //! The stub beacon fleet the simulator benches share: a bare [`Stack`] with
 //! no Omni code that advertises every beacon round, optionally scans, and
 //! counts what it hears, plus the constant-density pair-site layout
-//! ([`PairGrid`]) the `scale`, `telemetry` and `profile` benches place it on.
+//! ([`PairGrid`]) the `scale` and `telemetry` benches place it on.
 
 use std::cell::Cell;
 use std::rc::Rc;

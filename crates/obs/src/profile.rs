@@ -2,9 +2,11 @@
 //!
 //! [`TickProfiler`] attributes the runner's wall time to a fixed
 //! [`Phase`] taxonomy (staged commit, fault evaluation, medium pump, timer
-//! drain, telemetry sample), keeps a per-phase [`QuantileDigest`] of scope
-//! latencies, and a bounded ring of recent [`PhaseSlice`]s for Chrome-trace
-//! export.
+//! drain, telemetry sample). It counts each phase's wall time and scopes,
+//! and the events the runner offered it ([`TickProfiler::count_event`]).
+//! A scope costs two clock reads, so the deterministic scope and event
+//! counts give the profiler's cost exactly. It also keeps a bounded ring of
+//! recent [`PhaseSlice`]s for Chrome-trace export.
 //!
 //! **Determinism contract** (DESIGN.md §5j): the profiler is *read-only*
 //! with respect to the simulation. It reads `std::time::Instant` and writes
@@ -22,8 +24,6 @@
 
 use std::collections::VecDeque;
 use std::time::Instant;
-
-use crate::digest::QuantileDigest;
 
 /// Number of distinct phases in the taxonomy.
 pub const PHASE_COUNT: usize = 5;
@@ -58,7 +58,7 @@ impl Phase {
         Phase::TelemetrySample,
     ];
 
-    /// Stable kebab-case name used in flamegraph stacks and trace slices.
+    /// Stable kebab-case name used in trace slices.
     pub fn name(self) -> &'static str {
         match self {
             Phase::StagedCommit => "staged-commit",
@@ -106,7 +106,7 @@ pub struct PhaseSlice {
     pub dur_us: u64,
 }
 
-/// Per-phase totals and latency quantiles inside a [`PhaseReport`].
+/// One phase's totals inside a [`PhaseReport`].
 #[derive(Clone, Copy, Debug)]
 pub struct PhaseStat {
     /// The phase.
@@ -115,14 +115,6 @@ pub struct PhaseStat {
     pub total_us: u64,
     /// Number of scopes recorded.
     pub scopes: u64,
-    /// Fraction of the profiled total (0 when nothing was recorded).
-    pub share: f64,
-    /// Per-scope latency quantiles, µs.
-    pub p50_us: u64,
-    /// 99th percentile scope latency, µs.
-    pub p99_us: u64,
-    /// 99.9th percentile scope latency, µs.
-    pub p999_us: u64,
 }
 
 /// Aggregated profiler readout: per-phase breakdown and recent slices.
@@ -130,8 +122,11 @@ pub struct PhaseStat {
 pub struct PhaseReport {
     /// One entry per [`Phase::ALL`] member, in that order.
     pub phases: Vec<PhaseStat>,
-    /// Total profiled wall time, µs.
+    /// Total profiled wall time, µs: the sum of the phases' totals.
     pub total_us: u64,
+    /// Events the runner dispatched while profiling
+    /// ([`TickProfiler::count_event`]).
+    pub events: u64,
     /// Share of the profiled work that ran serially: always 1.0, since the
     /// runner is single-threaded (DESIGN.md §5g). Kept only because the
     /// `omnibench` benchmark prints it as `sim.serial_fraction`.
@@ -155,7 +150,7 @@ pub struct TickProfiler {
     epoch: Instant,
     total_ns: [u64; PHASE_COUNT],
     scopes: [u64; PHASE_COUNT],
-    latency_us: [QuantileDigest; PHASE_COUNT],
+    events: u64,
     slices: VecDeque<PhaseSlice>,
     slice_capacity: usize,
 }
@@ -173,7 +168,7 @@ impl TickProfiler {
             epoch: Instant::now(),
             total_ns: [0; PHASE_COUNT],
             scopes: [0; PHASE_COUNT],
-            latency_us: std::array::from_fn(|_| QuantileDigest::new()),
+            events: 0,
             slices: VecDeque::new(),
             slice_capacity: 0,
         }
@@ -184,6 +179,13 @@ impl TickProfiler {
     pub fn set_slice_capacity(&mut self, cap: usize) {
         self.slice_capacity = cap;
         self.slices.reserve(cap.saturating_sub(self.slices.len()));
+    }
+
+    /// Count one event the runner dispatched, whether or not it opened a
+    /// scope.
+    #[inline]
+    pub fn count_event(&mut self) {
+        self.events += 1;
     }
 
     /// Start measuring `phase`; pass the returned token to
@@ -205,7 +207,6 @@ impl TickProfiler {
         let i = phase.idx();
         self.total_ns[i] += ns;
         self.scopes[i] += 1;
-        self.latency_us[i].record(ns / 1_000);
         if self.slice_capacity > 0 {
             if self.slices.len() == self.slice_capacity {
                 self.slices.pop_front();
@@ -218,29 +219,19 @@ impl TickProfiler {
     /// Aggregate everything recorded so far.
     pub fn report(&self) -> PhaseReport {
         // Truncate each phase to µs first and total the truncated values,
-        // so per-phase shares sum to exactly 1.
-        let phase_us: [u64; PHASE_COUNT] = std::array::from_fn(|i| self.total_ns[i] / 1_000);
-        let total_us: u64 = phase_us.iter().sum();
-        let phases = Phase::ALL
+        // so the phase totals sum to exactly `total_us`.
+        let phases: Vec<PhaseStat> = Phase::ALL
             .iter()
-            .map(|p| {
-                let i = p.idx();
-                let us = phase_us[i];
-                let s = self.latency_us[i].summary();
-                PhaseStat {
-                    phase: *p,
-                    total_us: us,
-                    scopes: self.scopes[i],
-                    share: if total_us == 0 { 0.0 } else { us as f64 / total_us as f64 },
-                    p50_us: s.p50,
-                    p99_us: s.p99,
-                    p999_us: s.p999,
-                }
+            .map(|&phase| PhaseStat {
+                phase,
+                total_us: self.total_ns[phase.idx()] / 1_000,
+                scopes: self.scopes[phase.idx()],
             })
             .collect();
         PhaseReport {
+            total_us: phases.iter().map(|p| p.total_us).sum(),
             phases,
-            total_us,
+            events: self.events,
             serial_fraction: 1.0,
             slices: self.slices.iter().copied().collect(),
         }
@@ -273,8 +264,11 @@ mod tests {
         assert!(r.phase(Phase::TimerDrain).total_us >= 500);
         assert_eq!(r.phase(Phase::StagedCommit).scopes, 1);
         assert_eq!(r.phase(Phase::FaultEval).total_us, 0);
-        let share_sum: f64 = r.phases.iter().map(|s| s.share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to 1, got {share_sum}");
+        let phase_sum: u64 = r.phases.iter().map(|s| s.total_us).sum();
+        assert_eq!(phase_sum, r.total_us, "the phase totals sum to the total");
+        assert_eq!(r.events, 0, "no event was counted");
+        p.count_event();
+        assert_eq!(p.report().events, 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES=(telemetry reliability scale relay profile reproduce)
+BENCHES=(telemetry reliability scale relay reproduce)
 REUSE=0
 UPDATE=0
 for a in "$@"; do

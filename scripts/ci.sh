@@ -68,9 +68,6 @@ stage "scale smoke (1000- and 10k-node tick and allocation budgets)" \
 stage "trace smoke (flight-recorder completeness + determinism)" \
   cargo run --release -p omni-bench --bin trace -- --smoke
 
-stage "profile smoke (profiler byte-identity + <=5% overhead budget)" \
-  cargo run --release -p omni-bench --bin profile -- --smoke
-
 stage "telemetry smoke (fault-window reconstruction from series)" \
   cargo run --release -p omni-bench --bin telemetry -- --smoke
 
