@@ -42,7 +42,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use omni_obs::{split_labels, Obs, QuantileDigest, Sample, SeriesRing};
+use omni_obs::{json_str, split_labels, Obs, QuantileDigest, Sample, SeriesRing};
 
 use crate::health::{HealthEvent, HealthMonitor, HealthState, WindowStats};
 use crate::time::SimDuration;
@@ -56,16 +56,6 @@ pub const SERIES_CAPACITY: usize = 256;
 /// sim-deterministic stream (queue wait spans use `std::time::Instant`).
 fn wall_clock(name: &str) -> bool {
     split_labels(name).0.ends_with(".wait_us")
-}
-
-/// Minimal JSON string escaping for metric names (which may carry label
-/// braces but never quotes or control characters in practice).
-fn escape(s: &str) -> String {
-    if s.contains('"') || s.contains('\\') {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    } else {
-        s.to_string()
-    }
 }
 
 /// Periodic sampler: metrics registry → time series + JSONL + health.
@@ -191,7 +181,7 @@ impl Sampler {
             if !counter_lines.is_empty() {
                 counter_lines.push(',');
             }
-            counter_lines.push_str(&format!("\"{}\":{}", escape(name), delta));
+            counter_lines.push_str(&format!("{}:{}", json_str(name), delta));
         }
         if beacons_tx > 0 {
             self.last_beacon_us = Some(t_us);
@@ -223,8 +213,8 @@ impl Sampler {
                 gauge_lines.push(',');
             }
             gauge_lines.push_str(&format!(
-                "\"{}\":{{\"value\":{},\"lo\":{},\"hi\":{}}}",
-                escape(&name),
+                "{}:{{\"value\":{},\"lo\":{},\"hi\":{}}}",
+                json_str(&name),
                 value,
                 lo,
                 hi
@@ -264,8 +254,8 @@ impl Sampler {
                 digest_lines.push(',');
             }
             digest_lines.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                escape(&name),
+                "{}:{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
+                json_str(&name),
                 windowed.count(),
                 windowed.quantile(0.50),
                 windowed.quantile(0.99),
