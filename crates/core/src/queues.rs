@@ -279,7 +279,8 @@ pub enum ResponseOk {
 pub struct TechFailure {
     /// Human-readable reason.
     pub description: String,
-    /// The complete original request, for replay on another technology.
+    /// The complete original request, as paper §3.2 asks. The manager
+    /// replays from its own state and does not read it.
     pub original: SendRequest,
 }
 
