@@ -1,15 +1,26 @@
-//! The runner's event queue: a `(time, seq)` heap plus one FIFO lane per
-//! BLE advertising interval.
+//! The runner's event queue: a `(time, seq)` heap plus FIFO lanes, one per
+//! fixed latency of the simulator and one per BLE advertising interval.
 //!
-//! In a large fleet nearly every scheduled event is an advertising pulse
-//! re-arming itself at `now + interval`. Those re-arms go into a lane per
-//! interval instead of the heap. `now` never decreases and `seq` always
-//! increases, so each lane is appended in `(time, seq)` order and its front
-//! is its least entry; [`EventQueue::pop_due`] takes the least `(time, seq)`
-//! among the heap top and the lane fronts. Every event therefore pops in
-//! exactly the order one heap holding everything would give, while a pulse
-//! costs an O(1) append and pop of a 32-byte entry instead of an O(log n)
-//! sift of an 80-byte one (DESIGN.md §5g).
+//! Most scheduled events are due a fixed delay after they are scheduled: a
+//! BLE one-shot's deliveries and completion [`BLE_ONESHOT_LATENCY`] later,
+//! a walk step or a one-second timer one second later, an advertising pulse
+//! one interval later. Those go into a lane per delay instead of the heap.
+//! The fixed lanes are made once, with the queue; the advertising lanes are
+//! made per interval on demand and reused when drained. One argument orders
+//! every lane:
+//!
+//! - all entries of a lane share one delay;
+//! - `now` never decreases and `seq` only grows;
+//! - so a lane is appended in `(time, seq)` order, and its front is its
+//!   least entry.
+//!
+//! [`EventQueue::pop_due`] takes the least `(time, seq)` among the heap top
+//! and the lane fronts. Every event therefore pops in exactly the order one
+//! heap holding everything would give, while a lane entry costs an O(1)
+//! append and pop instead of an O(log n) sift; a pulse's entry is also 32
+//! bytes instead of 80 (DESIGN.md §5g).
+//!
+//! [`BLE_ONESHOT_LATENCY`]: crate::BLE_ONESHOT_LATENCY
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -30,94 +41,127 @@ pub(crate) struct Pulse {
     pub(crate) gen: u64,
 }
 
-struct Scheduled<E> {
+/// An entry of the heap or of a lane: 32 bytes for a pulse.
+struct Scheduled<T> {
     at: SimTime,
     seq: u64,
-    ev: E,
+    ev: T,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<T> Scheduled<T> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
+
+impl<T> PartialEq for Scheduled<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<T> Eq for Scheduled<T> {}
+impl<T> PartialOrd for Scheduled<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for Scheduled<E> {
+impl<T> Ord for Scheduled<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
-/// A lane entry: 32 bytes.
-#[derive(Debug, Clone, Copy)]
-struct LaneEntry {
-    at: SimTime,
-    seq: u64,
-    pulse: Pulse,
+/// The entries scheduled at one delay, in `(time, seq)` order.
+struct Lane<T> {
+    delay: SimDuration,
+    entries: VecDeque<Scheduled<T>>,
 }
 
-/// The pulses re-armed at one advertising interval, in `(time, seq)` order.
-struct Lane {
-    interval: SimDuration,
-    entries: VecDeque<LaneEntry>,
+impl<T> Lane<T> {
+    fn new(delay: SimDuration) -> Self {
+        Lane { delay, entries: VecDeque::new() }
+    }
+
+    fn push_back(&mut self, entry: Scheduled<T>) {
+        debug_assert!(self.entries.back().is_none_or(|b| b.at <= entry.at), "lane went backwards");
+        self.entries.push_back(entry);
+    }
+}
+
+/// Lowers `least` to the least lane front below it, and returns that
+/// lane's index if there is one.
+fn least_front<T>(lanes: &[Lane<T>], least: &mut Option<(SimTime, u64)>) -> Option<usize> {
+    let mut found = None;
+    for (i, l) in lanes.iter().enumerate() {
+        if let Some(k) = l.entries.front().map(Scheduled::key) {
+            if least.is_none_or(|m| k < m) {
+                *least = Some(k);
+                found = Some(i);
+            }
+        }
+    }
+    found
 }
 
 /// Events in `(time, seq)` order; `seq` is drawn from one counter for heap
-/// events and lane pulses alike.
+/// events and lane entries alike.
 pub(crate) struct EventQueue<E> {
     seq: u64,
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    lanes: Vec<Lane>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue { seq: 0, heap: BinaryHeap::new(), lanes: Vec::new() }
-    }
+    /// One lane per fixed latency, made with the queue and never removed.
+    fixed: Vec<Lane<E>>,
+    /// One lane per advertising interval with pulses pending.
+    pulses: Vec<Lane<Pulse>>,
 }
 
 impl<E> EventQueue<E> {
+    /// An empty queue with one lane for each of `fixed_delays`.
+    pub(crate) fn new(fixed_delays: &[SimDuration]) -> Self {
+        EventQueue {
+            seq: 0,
+            heap: BinaryHeap::new(),
+            fixed: fixed_delays.iter().map(|&d| Lane::new(d)).collect(),
+            pulses: Vec::new(),
+        }
+    }
+
     fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
         seq
     }
 
-    /// Schedules `ev` at `at`.
-    pub(crate) fn push(&mut self, at: SimTime, ev: E) {
-        let seq = self.next_seq();
-        self.heap.push(Reverse(Scheduled { at, seq, ev }));
+    /// Schedules `ev` at `now + delay`: in the fixed lane of `delay` if the
+    /// queue has one, in the heap otherwise. `now` must not be earlier than
+    /// any previous call's, which keeps every lane in `(time, seq)` order.
+    pub(crate) fn push(&mut self, now: SimTime, delay: SimDuration, ev: E) {
+        let entry = Scheduled { at: now + delay, seq: self.next_seq(), ev };
+        match self.fixed.iter_mut().find(|l| l.delay == delay) {
+            Some(lane) => lane.push_back(entry),
+            None => self.heap.push(Reverse(entry)),
+        }
     }
 
     /// Schedules a re-armed pulse at `now + interval` in the lane of
-    /// `interval`. `now` must not be earlier than any previous call's, which
-    /// keeps every lane in `(time, seq)` order.
+    /// `interval`, under the same rule on `now` as [`EventQueue::push`].
     pub(crate) fn push_pulse(&mut self, now: SimTime, interval: SimDuration, pulse: Pulse) {
-        let at = now + interval;
-        let seq = self.next_seq();
-        let i = match self.lanes.iter().position(|l| l.interval == interval) {
+        let entry = Scheduled { at: now + interval, seq: self.next_seq(), ev: pulse };
+        let i = match self.pulses.iter().position(|l| l.delay == interval) {
             Some(i) => i,
             // A drained lane is reused, so the lane count stays at the
             // number of intervals with pulses pending at once.
-            None => match self.lanes.iter().position(|l| l.entries.is_empty()) {
+            None => match self.pulses.iter().position(|l| l.entries.is_empty()) {
                 Some(i) => {
-                    self.lanes[i].interval = interval;
+                    self.pulses[i].delay = interval;
                     i
                 }
                 None => {
-                    self.lanes.push(Lane { interval, entries: VecDeque::new() });
-                    self.lanes.len() - 1
+                    self.pulses.push(Lane::new(interval));
+                    self.pulses.len() - 1
                 }
             },
         };
-        let entries = &mut self.lanes[i].entries;
-        debug_assert!(entries.back().is_none_or(|b| b.at <= at), "lane went backwards");
-        entries.push_back(LaneEntry { at, seq, pulse });
+        self.pulses[i].push_back(entry);
     }
 
     /// Pops the least `(time, seq)` event due at or before `t`.
@@ -125,20 +169,14 @@ impl<E> EventQueue<E> {
     where
         E: From<Pulse>,
     {
-        let mut next = self.heap.peek().map(|Reverse(s)| (s.at, s.seq));
-        let mut lane = None;
-        for (i, l) in self.lanes.iter().enumerate() {
-            if let Some(e) = l.entries.front() {
-                if next.is_none_or(|k| (e.at, e.seq) < k) {
-                    next = Some((e.at, e.seq));
-                    lane = Some(i);
-                }
-            }
-        }
-        let (at, _) = next.filter(|&(at, _)| at <= t)?;
-        let ev = match lane {
-            Some(i) => self.lanes[i].entries.pop_front().expect("front exists").pulse.into(),
-            None => {
+        let mut least = self.heap.peek().map(|Reverse(s)| s.key());
+        let fixed = least_front(&self.fixed, &mut least);
+        let pulse = least_front(&self.pulses, &mut least);
+        let (at, _) = least.filter(|&(at, _)| at <= t)?;
+        let ev = match (fixed, pulse) {
+            (_, Some(i)) => self.pulses[i].entries.pop_front().expect("front exists").ev.into(),
+            (Some(i), None) => self.fixed[i].entries.pop_front().expect("front exists").ev,
+            (None, None) => {
                 let Reverse(s) = self.heap.pop().expect("peeked");
                 self.shrink_heap();
                 s.ev
@@ -159,9 +197,11 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Pending heap events and lane pulses.
+    /// Pending events: heap, fixed lanes and pulse lanes.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len() + self.lanes.iter().map(|l| l.entries.len()).sum::<usize>()
+        self.heap.len()
+            + self.fixed.iter().map(|l| l.entries.len()).sum::<usize>()
+            + self.pulses.iter().map(|l| l.entries.len()).sum::<usize>()
     }
 
     /// The heap's allocated capacity, in entries.
@@ -174,6 +214,9 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The runner's fixed latencies: a BLE one-shot's and a walk step's.
+    const FIXED: [SimDuration; 2] = [SimDuration::from_millis(41), SimDuration::from_secs(1)];
 
     /// A test event: heap events carry a label, pulses arrive as `1000 + dev`.
     struct Label(u32);
@@ -195,32 +238,35 @@ mod tests {
 
     #[test]
     fn lane_entries_are_32_bytes() {
-        assert_eq!(std::mem::size_of::<LaneEntry>(), 32);
+        assert_eq!(std::mem::size_of::<Scheduled<Pulse>>(), 32);
     }
 
     #[test]
     fn heap_and_lanes_merge_in_time_then_seq_order() {
-        let mut q = EventQueue::default();
+        let mut q = EventQueue::new(&FIXED);
         let t0 = SimTime::ZERO;
         let ms = SimDuration::from_millis;
-        q.push(t0 + ms(10), Label(1)); // seq 0
-        q.push_pulse(t0, ms(10), pulse(1)); // seq 1, same instant as the event
-        q.push_pulse(t0, ms(5), pulse(2)); // seq 2, another lane, earlier
-        q.push(t0 + ms(10), Label(3)); // seq 3, ties with both at 10 ms
-        q.push_pulse(t0, ms(10), pulse(4)); // seq 4
-        assert_eq!(q.len(), 5);
+        q.push(t0, ms(41), Label(1)); // seq 0, the 41 ms fixed lane
+        q.push_pulse(t0, ms(41), pulse(1)); // seq 1, a pulse lane, same instant
+        q.push_pulse(t0, ms(5), pulse(2)); // seq 2, another pulse lane, earlier
+        q.push(t0 + ms(1), ms(40), Label(3)); // seq 3, the heap, ties with both
+        q.push_pulse(t0 + ms(1), ms(40), pulse(4)); // seq 4, a third pulse lane
+        q.push(t0 + ms(1), ms(41), Label(5)); // seq 5, the fixed lane, at 42 ms
+        assert_eq!(q.len(), 6);
         assert_eq!(
-            drain(&mut q, t0 + ms(10)),
-            vec![(5_000, 1002), (10_000, 1), (10_000, 1001), (10_000, 3), (10_000, 1004)]
+            drain(&mut q, t0 + ms(41)),
+            vec![(5_000, 1002), (41_000, 1), (41_000, 1001), (41_000, 3), (41_000, 1004)]
         );
+        assert_eq!(q.len(), 1);
+        assert_eq!(drain(&mut q, t0 + ms(42)), vec![(42_000, 5)]);
         assert_eq!(q.len(), 0);
     }
 
     #[test]
     fn nothing_later_than_the_horizon_pops() {
-        let mut q = EventQueue::default();
+        let mut q = EventQueue::new(&FIXED);
         q.push_pulse(SimTime::ZERO, SimDuration::from_millis(2), pulse(0));
-        q.push(SimTime::from_millis(3), Label(7));
+        q.push(SimTime::ZERO, SimDuration::from_millis(3), Label(7));
         assert!(q.pop_due(SimTime::from_millis(1)).is_none());
         assert_eq!(drain(&mut q, SimTime::from_millis(2)), vec![(2_000, 1000)]);
         assert_eq!(drain(&mut q, SimTime::from_millis(3)), vec![(3_000, 7)]);
@@ -228,11 +274,70 @@ mod tests {
 
     #[test]
     fn a_drained_lane_is_reused_for_a_new_interval() {
-        let mut q = EventQueue::default();
+        let mut q = EventQueue::new(&FIXED);
         q.push_pulse(SimTime::ZERO, SimDuration::from_millis(1), pulse(0));
         drain(&mut q, SimTime::from_millis(1));
         q.push_pulse(SimTime::from_millis(1), SimDuration::from_millis(7), pulse(1));
-        assert_eq!(q.lanes.len(), 1);
+        assert_eq!(q.pulses.len(), 1);
         assert_eq!(drain(&mut q, SimTime::from_millis(8)), vec![(8_000, 1001)]);
+    }
+
+    /// A test event tagged with the `seq` the queue draws for it; a pulse
+    /// carries its tag as its generation.
+    struct Tag(u64);
+
+    impl From<Pulse> for Tag {
+        fn from(p: Pulse) -> Self {
+            Tag(p.gen)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random pushes at zero, at both fixed latencies and at a uniform
+        /// delay, pulses on two intervals (one equal to a fixed latency) and
+        /// pops to random horizons: after every step the queue has popped
+        /// exactly what one heap ordered by `(time, seq)` pops, and holds as
+        /// many events.
+        #[test]
+        fn pops_match_one_heap_holding_everything(
+            ops in proptest::collection::vec((0u8..10, 0u64..1_500), 1_000..4_000),
+        ) {
+            let ms = SimDuration::from_millis;
+            let mut q = EventQueue::new(&FIXED);
+            let mut reference = BinaryHeap::new();
+            let mut now = SimTime::ZERO;
+            let mut seq = 0;
+            for (step, &(op, x)) in ops.iter().enumerate() {
+                match op {
+                    0..=3 => {
+                        let delay = [SimDuration::ZERO, FIXED[0], FIXED[1], ms(x)][op as usize];
+                        q.push(now, delay, Tag(seq));
+                        reference.push(Reverse((now + delay, seq)));
+                        seq += 1;
+                    }
+                    4 => {
+                        let interval = if x % 2 == 0 { ms(500) } else { FIXED[0] };
+                        q.push_pulse(now, interval, Pulse { dev: 0, slot: 0, gen: seq });
+                        reference.push(Reverse((now + interval, seq)));
+                        seq += 1;
+                    }
+                    _ => {
+                        let horizon = now + ms(x % 200);
+                        let got = q.pop_due(horizon).map(|(at, Tag(s))| (at, s));
+                        let want = match reference.peek() {
+                            Some(&Reverse((at, _))) if at <= horizon => {
+                                reference.pop().map(|Reverse(k)| k)
+                            }
+                            _ => None,
+                        };
+                        proptest::prop_assert_eq!(got, want, "step {}", step);
+                        now = got.map_or(horizon, |(at, _)| at);
+                    }
+                }
+                proptest::prop_assert_eq!(q.len(), reference.len(), "step {}", step);
+            }
+        }
     }
 }
