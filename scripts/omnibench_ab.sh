@@ -14,9 +14,13 @@
 # run_seconds, flipping which side runs first every pair. After each
 # workload's pairs it prints one table: for every end-to-end metric, each
 # side's median and quartiles, the change/base ratio of the medians, how
-# many pairs each side won (ties count for neither) and whether the medians
-# differ by more than the base's interquartile range. Under the table one
-# line says whether both sides agree on the simulated metrics and operation
+# many pairs each side won (ties count for neither), whether the medians
+# differ by more than the base's interquartile range, and whether the
+# change's median is within the metric's BENCHMARK.json bound: `yes` unless
+# it is worse than the base's median, in the direction `better` names, by
+# more than `bound` (a fraction of the base's median), `NO` then. Under the
+# table one line says whether every end-to-end metric is within its bound,
+# and one whether both sides agree on the simulated metrics and operation
 # counts. Per-run outputs stay in target/ab/runs/<workload>/.
 #
 # A run takes about half a minute, so this is not part of scripts/ci.sh.
@@ -99,9 +103,20 @@ def load(side, i):
 res = {s: [load(s, i) for i in range(pairs)] for s in ("base", "change")}
 print(f"\nomnibench A/B: {workload}, seed {seed}, {pairs} pairs of {seconds} s runs")
 print(f"base = {rev} ({sha[:10]}), change = working tree\n")
+
+
+def worse_by(base, change, higher):
+    """How much worse the change's median is, as a fraction of the base's."""
+    loss = base - change if higher else change - base
+    if loss <= 0:
+        return 0.0
+    return loss / abs(base) if base else float("inf")
+
+
 header = ("metric", "unit", "base median [q1, q3]", "change median [q1, q3]",
-          "change/base", "won base:change", "gap > base IQR")
+          "change/base", "won base:change", "gap > base IQR", "within bound")
 rows = [header]
+outside = []
 for m in bench["end_to_end"]:
     name, higher = m["name"], m["better"] == "higher"
     vals = {s: [r["metrics"][name]["value"] for r in res[s]] for s in res}
@@ -113,10 +128,14 @@ for m in bench["end_to_end"]:
             wins["change" if (c > b) == higher else "base"] += 1
     bq, cq = quart["base"], quart["change"]
     ratio = cq[1] / bq[1] if bq[1] else float("nan")
+    within = worse_by(bq[1], cq[1], higher) <= m["bound"]
+    if not within:
+        outside.append(f"{name} (bound {m['bound']:.0%})")
     rows.append((name, m["unit"], f"{bq[1]:.4g} [{bq[0]:.4g}, {bq[2]:.4g}]",
                  f"{cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]", f"{ratio:.3f}",
                  f"{wins['base']}:{wins['change']}",
-                 "yes" if abs(cq[1] - bq[1]) > bq[2] - bq[0] else "no"))
+                 "yes" if abs(cq[1] - bq[1]) > bq[2] - bq[0] else "no",
+                 "yes" if within else "NO"))
 widths = [max(len(r[k]) for r in rows) for k in range(len(header))]
 for r in rows:
     print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -126,9 +145,11 @@ def outcome(r):
     return (r["correct"], r["attempted"], r["failed"], r["simulated"])
 
 
+print(f"\n{workload}: every end-to-end metric within its BENCHMARK.json bound:",
+      "yes" if not outside else "NO, outside: " + ", ".join(outside))
 ref = outcome(res["base"][0])
 differ = [f"{s}.{i}" for s in res for i, r in enumerate(res[s]) if outcome(r) != ref]
-print(f"\n{workload}: simulated metrics and correct/attempted/failed:",
+print(f"{workload}: simulated metrics and correct/attempted/failed:",
       "identical in every run" if not differ else "DIFFER in " + ", ".join(differ))
 print(f"{workload}: runs passing omnibench's correctness checks:",
       ", ".join(f"{s} {sum(r['correct'] for r in res[s])} of {pairs}" for s in res))
