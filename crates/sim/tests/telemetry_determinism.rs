@@ -8,10 +8,10 @@
 //!    a run.
 
 use bytes::Bytes;
-use omni_obs::{event_json, Obs};
+use omni_obs::{event_json, Obs, Sample};
 use omni_sim::{
     ChurnWindow, Command, DeviceCaps, FaultConfig, LinkPartition, NodeApi, NodeEvent, Position,
-    Runner, SimConfig, SimDuration, SimTime, Stack,
+    Runner, SimConfig, SimDuration, SimTime, Stack, SAMPLE_EVERY,
 };
 
 /// Beacons every 500 ms and scans continuously; counts what it hears.
@@ -50,9 +50,8 @@ fn faulty_config(seed: u64) -> SimConfig {
     SimConfig { seed, faults, ..Default::default() }
 }
 
-/// Runs the fleet for 30 s; returns the obs handle and the sampler JSONL
-/// (empty when sampling is off).
-fn run_fleet(seed: u64, sample: bool) -> (Obs, String) {
+/// Runs the fleet for 30 s; returns the finished runner and its obs handle.
+fn run_runner(seed: u64, sample: bool) -> (Runner, Obs) {
     let mut sim = Runner::new(faulty_config(seed));
     let obs = Obs::new();
     sim.set_obs(obs.clone());
@@ -64,6 +63,13 @@ fn run_fleet(seed: u64, sample: bool) -> (Obs, String) {
         sim.set_stack(dev, Box::new(Chatter { heard: 0 }));
     }
     sim.run_until(SimTime::from_secs(30));
+    (sim, obs)
+}
+
+/// Runs the fleet for 30 s; returns the obs handle and the sampler JSONL
+/// (empty when sampling is off).
+fn run_fleet(seed: u64, sample: bool) -> (Obs, String) {
+    let (sim, obs) = run_runner(seed, sample);
     let jsonl = sim.sampler().map(|s| s.to_jsonl().to_string()).unwrap_or_default();
     (obs, jsonl)
 }
@@ -94,7 +100,7 @@ fn enabling_the_sampler_does_not_perturb_fleet_behavior() {
     assert_eq!(
         on.snapshot().metrics.counters,
         off.snapshot().metrics.counters,
-        "every counter (tx/rx, drops, per-cell traffic) must match sampler-off"
+        "every counter (tx/rx, drops) must match sampler-off"
     );
     assert_eq!(
         behavior_events(&on),
@@ -116,4 +122,35 @@ fn health_transitions_reach_the_event_ring_at_fleet_scope() {
     assert!(first.contains("\"from\": \"healthy\""), "{first}");
     let last = event_json(health.last().unwrap());
     assert!(last.contains("\"to\": \"healthy\""), "{last}");
+}
+
+/// Asserts `spans` is one span whose boundaries each lie within one
+/// [`SAMPLE_EVERY`] of the injected window `[from_s, to_s)`.
+fn assert_one_span_near(name: &str, spans: &[(u64, u64)], (from_s, to_s): (u64, u64)) {
+    assert_eq!(spans.len(), 1, "{name}: one window injected, got {spans:?}");
+    let tolerance = SAMPLE_EVERY.as_micros();
+    let (start, end) = spans[0];
+    assert!(
+        start.abs_diff(from_s * 1_000_000) <= tolerance
+            && end.abs_diff(to_s * 1_000_000) <= tolerance,
+        "{name}: span {:?} is not within {tolerance}us of [{from_s}s, {to_s}s)",
+        spans[0]
+    );
+}
+
+#[test]
+fn fault_windows_reconstruct_from_the_sampler() {
+    let (sim, _) = run_runner(42, true);
+    let sampler = sim.sampler().expect("sampler enabled");
+    let spans = |name: &str, pred: fn(&Sample) -> bool| {
+        sampler.series(name).unwrap_or_else(|| panic!("{name} recorded")).spans_where(pred)
+    };
+    // The partition between devices 0 and 1 over [8 s, 14 s).
+    let partition = spans("sim.faults.drops{cause=partition}", |s| s.sum > 0.0);
+    assert_one_span_near("partition drops", &partition, (8, 14));
+    // Churn: device 3 over [10 s, 16 s) and device 7 over [12 s, 18 s).
+    let down = spans("sim.nodes_down", |s| s.sum > 0.0);
+    assert_one_span_near("nodes down", &down, (10, 18));
+    let degraded = spans("sim.health", |s| s.sum >= 1.0);
+    assert_one_span_near("health degraded or worse", &degraded, (10, 18));
 }
