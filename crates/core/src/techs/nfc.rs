@@ -140,7 +140,12 @@ impl D2dTechnology for NfcTech {
     fn on_node_event(&mut self, event: &mut NodeEvent, api: &mut NodeApi<'_>) -> bool {
         let Some(q) = &self.queues else { return false };
         if let NodeEvent::NfcReceived { from, payload } = event {
-            if let Some(packed) = frame::decode_for_shared(self.own_omni, payload) {
+            // Claimed, so the frame moves into the received item, as BLE's
+            // does. NFC carries only untagged and directed frames, so every
+            // frame for this device parses as plain.
+            if let frame::Incoming::Plain(packed) =
+                frame::parse_for_owned(self.own_omni, std::mem::take(payload))
+            {
                 q.deliver(LowAddr::Nfc(*from), packed);
             }
             return true;
@@ -162,7 +167,7 @@ mod tests {
     use crate::queues::{ResponseOk, TechResponse};
     use crate::techs::testing::{disabled_tokens, port, with_api};
     use bytes::Bytes;
-    use omni_wire::PackedStruct;
+    use omni_wire::{PackedStruct, HEADER_LEN};
 
     fn mk() -> (NfcTech, TechQueues) {
         let tech = NfcTech::new(OmniAddress::from_u64(1), NfcAddress::from_u32(7));
@@ -288,17 +293,17 @@ mod tests {
             tech.enable(queues.clone(), api);
         });
         let packed = PackedStruct::context(OmniAddress::from_u64(9), Bytes::from_static(b"tag"));
-        with_api(&mut cmds, |api| {
-            assert!(tech.on_node_event(
-                &mut NodeEvent::NfcReceived {
-                    from: NfcAddress::from_u32(9),
-                    payload: packed.encode()
-                },
-                api
-            ));
-        });
+        let heard = packed.encode();
+        let mut ev =
+            NodeEvent::NfcReceived { from: NfcAddress::from_u32(9), payload: heard.clone() };
+        with_api(&mut cmds, |api| assert!(tech.on_node_event(&mut ev, api)));
         let item = queues.receive.pop().expect("received");
         assert_eq!(item.tech, TechType::Nfc);
         assert_eq!(item.packed, packed);
+        // The frame moved into the item: the claimed event is left empty and
+        // the payload aliases the heard buffer.
+        let NodeEvent::NfcReceived { payload, .. } = &ev else { unreachable!() };
+        assert!(payload.is_empty());
+        assert_eq!(item.packed.payload.as_ref().as_ptr(), heard[HEADER_LEN..].as_ptr());
     }
 }

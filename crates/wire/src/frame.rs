@@ -181,18 +181,6 @@ pub fn parse_for_shared(own: OmniAddress, frame: &Bytes) -> Incoming {
     parse_for_owned(own, frame.clone())
 }
 
-/// Zero-copy variant of [`decode_for`], with payloads sliced out of the
-/// shared `frame` buffer exactly like [`parse_for_shared`].
-pub fn decode_for_shared(own: OmniAddress, frame: &Bytes) -> Option<PackedStruct> {
-    match FrameView::parse(frame.as_ref()) {
-        Ok(FrameView::Broadcast(v)) => Some(v.to_shared(frame, 0)),
-        Ok(FrameView::Directed { dest, packed }) if dest == own => {
-            Some(packed.to_shared(frame, DIRECTED_OVERHEAD))
-        }
-        _ => None,
-    }
-}
-
 /// Interprets a broadcast frame, including the reliable-mode shapes.
 ///
 /// Owned-codec oracle for [`parse_for_shared`]; the hot receive paths use

@@ -42,7 +42,7 @@ fn exercise(input: &[u8]) {
     }
 
     // Frame-level parsing: total, and classification agrees with the owned
-    // parse_for/decode_for for addressees and bystanders alike.
+    // parse_for for addressees and bystanders alike.
     let who = [OmniAddress::from_u64(0xAB), OmniAddress::from_u64(read_candidate_dest(input))];
     if let Err(e) = FrameView::parse(input) {
         assert_taxonomy(&e);
@@ -50,7 +50,6 @@ fn exercise(input: &[u8]) {
     for own in who {
         assert_eq!(frame::parse_for_shared(own, &shared), frame::parse_for(own, input));
         assert_eq!(frame::parse_for_owned(own, shared.clone()), frame::parse_for(own, input));
-        assert_eq!(frame::decode_for_shared(own, &shared), frame::decode_for(own, input));
     }
     // Peek helpers are total too.
     let _ = PackedStruct::peek_trace(input);

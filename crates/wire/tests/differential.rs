@@ -164,11 +164,6 @@ proptest! {
                     frame::parse_for(who, wire),
                     "parse_for and parse_for_owned diverged"
                 );
-                prop_assert_eq!(
-                    frame::decode_for_shared(who, wire),
-                    frame::decode_for(who, wire),
-                    "decode_for and decode_for_shared diverged"
-                );
             }
         }
         // The shared path's delivered payload aliases the frame buffer.
