@@ -1,16 +1,15 @@
 //! Telemetry benchmark: the fleet sampler must reconstruct injected fault
-//! windows from its time series alone.
+//! windows from its sampling windows alone.
 //!
 //! Runs a constant-density beaconing fleet (1000 nodes; 200 under `--smoke`)
 //! with the sim-clock [`Sampler`](omni_sim::Sampler) enabled and two known
 //! fault injections:
 //!
 //! * a **link partition** between the co-sited pair 0↔1 over
-//!   `[12.3 s, 19.7 s)` — reconstructed from the
-//!   `sim.faults.drops{cause=partition}` series (windows with a non-zero
-//!   drop delta), and
+//!   `[12.3 s, 19.7 s)` — reconstructed from the windows with a non-zero
+//!   `sim.faults.drops{cause=partition}` delta, and
 //! * a **churn window** taking 8 nodes down over `[25 s, 34.5 s)` —
-//!   reconstructed from the `sim.nodes_down` series.
+//!   reconstructed from the windows with nodes down.
 //!
 //! Both windows are deliberately unaligned to the 1 s sampling grid; the
 //! binary asserts each reconstructed boundary lands within **one sampling
@@ -27,7 +26,9 @@ use std::time::Instant;
 use omni_bench::baseline::Baseline;
 use omni_bench::fleet::PairGrid;
 use omni_bench::ObsRun;
-use omni_sim::{ChurnWindow, FaultConfig, LinkPartition, Runner, SimConfig, SimTime, SAMPLE_EVERY};
+use omni_sim::{
+    ChurnWindow, FaultConfig, HealthState, LinkPartition, Runner, SimConfig, SimTime, SAMPLE_EVERY,
+};
 
 /// Pair sites on a constant-density grid, two devices per site (the scale
 /// bench's layout).
@@ -104,31 +105,29 @@ fn main() {
     let sampler = sim.sampler().expect("sampler enabled");
     assert_eq!(sampler.samples_taken(), run_secs, "one sample per second of sim time");
 
-    // Partition window ← the per-cause drop series alone.
-    let drops =
-        sampler.series("sim.faults.drops{cause=partition}").expect("partition drops recorded");
-    let partition_spans = drops.spans_where(|s| s.sum > 0.0);
+    // Partition window ← the per-cause drop deltas alone.
+    const PARTITION_DROPS: &str = "sim.faults.drops{cause=partition}";
+    let partition_spans = sampler.spans_where(|w| w.counter(PARTITION_DROPS) > 0);
     assert_eq!(partition_spans.len(), 1, "one partition window injected, got {partition_spans:?}");
     assert_recovers("partition", partition_spans[0], PARTITION_US);
+    let partition_drops: u64 = sampler.windows().iter().map(|w| w.counter(PARTITION_DROPS)).sum();
 
-    // Churn window ← the nodes-down series alone.
-    let down = sampler.series("sim.nodes_down").expect("nodes_down recorded");
-    let churn_spans = down.spans_where(|s| s.sum > 0.0);
+    // Churn window ← the nodes-down count alone.
+    let churn_spans = sampler.spans_where(|w| w.nodes_down > 0);
     assert_eq!(churn_spans.len(), 1, "one churn window injected, got {churn_spans:?}");
     assert_recovers("churn", churn_spans[0], CHURN_US);
-    let peak = down.samples().iter().map(|s| s.max).fold(0.0f64, f64::max);
-    assert_eq!(peak, CHURN_N as f64, "all churned nodes visible at the peak");
+    let peak = sampler.windows().iter().map(|w| w.nodes_down).max().unwrap_or(0);
+    assert_eq!(peak, CHURN_N, "all churned nodes visible at the peak");
 
     // The churn window must also trip the health monitor, and the verdict
-    // series must recover by the end of the run.
+    // must recover by the end of the run.
     let health_events = obs
         .events()
         .iter()
         .filter(|e| e.kind.name() == "HealthTransition" && e.node == u32::MAX)
         .count() as u64;
     assert!(health_events >= 2, "expected degrade + recover transitions");
-    let health = sampler.series("sim.health").expect("health series");
-    let degraded = health.spans_where(|s| s.sum >= 1.0);
+    let degraded = sampler.spans_where(|w| w.health >= HealthState::Degraded);
     assert_eq!(degraded.len(), 1, "one degraded span, got {degraded:?}");
     assert_recovers("health", degraded[0], CHURN_US);
 
@@ -143,11 +142,11 @@ fn main() {
     let mut b = Baseline::new("telemetry", smoke);
     b.gate("samples", sampler.samples_taken() as f64);
     b.gate("beacons_tx", obs.counter("tech.ble-beacon.tx_frames").get() as f64);
-    b.gate("partition_drops", drops.total());
+    b.gate("partition_drops", partition_drops as f64);
     b.gate("partition_start_us", partition_spans[0].0 as f64);
     b.gate("churn_start_us", churn_spans[0].0 as f64);
     b.gate("health_transitions", health_events as f64);
-    b.gate("nodes_down_peak", peak);
+    b.gate("nodes_down_peak", peak as f64);
     b.info("wall_ms", wall_ms);
     omni_bench::baseline::emit(&b);
 

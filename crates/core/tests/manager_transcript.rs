@@ -113,7 +113,11 @@ use omni_wire::{OmniAddress, ResponseInfo};
 /// 166 to 154 and `mgr.data_enqueued` from 188 to 172. Every fleet lost its
 /// queue drop counters, all zero outside the reliable fleet, and that is all
 /// that moved in the other four.
-const PINNED_DIGEST: u64 = 0xcfe3_ef99_1acc_3710;
+///
+/// Re-pinned a ninth time when the runner stopped counting frames per
+/// spatial-grid cell. Each fleet lost its `sim.cell.tx_frames{cell=..}`
+/// counter lines, nine in all, and nothing else moved.
+const PINNED_DIGEST: u64 = 0xbd84_dfcc_c63e_5168;
 
 /// Event-ring size: no fleet here comes close to wrapping it (asserted).
 const EVENT_CAPACITY: usize = 1 << 18;

@@ -296,7 +296,7 @@ mod tests {
         let obs = Obs::new();
         obs.counter("tech.ble-beacon.tx_frames").add(3);
         obs.gauge("queue.receive.depth").set(2);
-        obs.digest("beacon.interval_us").record(500_000);
+        obs.digest("mgr.delivery_latency_us").record(12_000);
         obs.event(1_000, 0, EventKind::BeaconSent { tech: "ble-beacon", epoch: 0 });
         let snap = obs.snapshot();
 

@@ -5,7 +5,9 @@
 //! ([`Obs`]) carrying these instruments:
 //!
 //! * **Metrics** — atomic [`Counter`]s and [`Gauge`]s in a
-//!   [`MetricsRegistry`].  Recording is lock-free and allocation-free.
+//!   [`MetricsRegistry`], plus labeled counters and digests
+//!   ([`MetricsRegistry::counter_with`]).  Recording is lock-free and
+//!   allocation-free.
 //! * **Quantile digests** — the one percentile instrument: mergeable
 //!   log-linear [`QuantileDigest`]s with bounded relative error
 //!   ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace exemplars, registered
@@ -13,10 +15,6 @@
 //! * **Events** — a typed [`EventKind`] stream ([`BeaconSent`], …,
 //!   [`HealthTransition`]) in a bounded [`EventRing`] that overwrites the
 //!   oldest entry when full and counts the overflow.
-//! * **Time series** — a fixed-capacity [`SeriesRing`] of windowed
-//!   [`Sample`]s (counter deltas, gauge watermarks, windowed digests) that
-//!   downsamples in place when full, plus bounded-cardinality labeled metrics
-//!   ([`MetricsRegistry::counter_with`] and friends).
 //! * **Profiler** — a [`TickProfiler`] attributing event-loop wall time to
 //!   a fixed [`Phase`] taxonomy and counting its scopes and the events it
 //!   was offered, with Chrome-trace export ([`chrome_phase_slices`]).
@@ -33,7 +31,7 @@
 //!
 //! let obs = Obs::new();
 //! obs.counter("tech.ble-beacon.tx_frames").inc();
-//! obs.digest("beacon.interval_us").record(500_000);
+//! obs.digest("mgr.delivery_latency_us").record(12_000);
 //! obs.event(1_000, 0, EventKind::BeaconSent { tech: "ble-beacon", epoch: 0 });
 //!
 //! let snapshot = obs.snapshot();
@@ -51,7 +49,6 @@ mod event;
 mod export;
 mod metrics;
 mod profile;
-mod timeseries;
 
 pub use digest::{
     Digest, DigestSummary, QuantileDigest, EXEMPLARS_PER_BUCKET, RELATIVE_ERROR_BOUND, SUBBUCKETS,
@@ -60,12 +57,10 @@ pub use event::{Event, EventKind, EventRing};
 pub use export::{chrome_phase_slices, event_json, json_str, Snapshot};
 pub use metrics::{
     labeled_name, split_labels, Counter, Gauge, GaugeRead, MetricsRead, MetricsRegistry,
-    MAX_LABEL_SETS,
 };
 pub use profile::{
     Phase, PhaseReport, PhaseScope, PhaseSlice, PhaseStat, TickProfiler, PHASE_COUNT,
 };
-pub use timeseries::{Sample, SeriesRing};
 
 use std::sync::Arc;
 
@@ -129,15 +124,10 @@ impl Obs {
         self.digest(name)
     }
 
-    /// Get or create the counter `base` sliced by `labels` (bounded
-    /// cardinality — see [`MetricsRegistry::counter_with`]).
+    /// Get or create the counter `base` sliced by `labels` (see
+    /// [`MetricsRegistry::counter_with`]).
     pub fn counter_with(&self, base: &str, labels: &[(&str, &str)]) -> Counter {
         self.inner.metrics.counter_with(base, labels)
-    }
-
-    /// Get or create the gauge `base` sliced by `labels`.
-    pub fn gauge_with(&self, base: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.inner.metrics.gauge_with(base, labels)
     }
 
     /// Get or create the quantile digest `base` sliced by `labels`.

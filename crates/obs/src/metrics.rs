@@ -120,9 +120,9 @@ impl Gauge {
     }
 
     /// Returns the current `(lowest, highest)` watermarks and resets both to
-    /// the current value, starting a fresh observation window.  The time-
-    /// series sampler calls this once per window to turn lifetime watermarks
-    /// into per-window ones.
+    /// the current value, starting a fresh observation window.  The
+    /// telemetry sampler calls this once per window to turn lifetime
+    /// watermarks into per-window ones.
     pub fn take_watermarks(&self) -> (i64, i64) {
         let out = self.watermarks();
         let v = self.get();
@@ -138,12 +138,6 @@ struct Registered {
     gauges: Vec<(String, Gauge)>,
     digests: Vec<(String, Digest)>,
 }
-
-/// Maximum number of distinct label sets a single base metric name may grow.
-/// Past the cap, further label sets collapse into one shared
-/// `base{overflow=true}` series so unbounded label values (e.g. grid cells in
-/// a huge world) cannot blow up registry memory or snapshot size.
-pub const MAX_LABEL_SETS: usize = 64;
 
 /// Builds the flattened registry name for a labeled metric:
 /// `base{k=v,k2=v2}`, labels sorted by key.  Label keys and values must not
@@ -190,10 +184,10 @@ pub fn split_labels(name: &str) -> (&str, Vec<(&str, &str)>) {
 /// explicitly.  Registration takes a short uncontended lock and may allocate;
 /// the returned handles never do either.
 ///
-/// Labeled variants (`counter_with("sim.cell.tx_frames", &[("cell", "3:0")])`)
-/// register under the flattened name `base{k=v,…}` with cardinality bounded
-/// by [`MAX_LABEL_SETS`] per base name — callers should cache the returned
-/// handle per label set, exactly as for unlabeled metrics.
+/// Labeled variants (`counter_with("sim.faults.drops", &[("cause", "partition")])`)
+/// register under the flattened name `base{k=v,…}` ([`labeled_name`]) —
+/// callers should cache the returned handle per label set, exactly as for
+/// unlabeled metrics.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Registered>,
@@ -203,29 +197,6 @@ impl MetricsRegistry {
     /// Create an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Resolves the flattened name for `base` + `labels` among the series
-    /// `list` picks out of the registry, collapsing into
-    /// `base{overflow=true}` once the base has [`MAX_LABEL_SETS`] distinct
-    /// label sets.
-    fn labeled<T>(
-        &self,
-        base: &str,
-        labels: &[(&str, &str)],
-        list: fn(&Registered) -> &Vec<(String, T)>,
-    ) -> String {
-        let reg = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let series = list(&reg);
-        let name = labeled_name(base, labels);
-        let prefix = format!("{base}{{");
-        if series.iter().any(|(have, _)| *have == name)
-            || series.iter().filter(|(have, _)| have.starts_with(&prefix)).count() < MAX_LABEL_SETS
-        {
-            name
-        } else {
-            labeled_name(base, &[("overflow", "true")])
-        }
     }
 
     /// The handle registered under `name` in the series `list` picks out,
@@ -255,17 +226,12 @@ impl MetricsRegistry {
 
     /// Get or create the counter for `name` sliced by `labels`.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.counter(&self.labeled(name, labels, |r| &r.counters))
-    }
-
-    /// Get or create the gauge for `name` sliced by `labels`.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.gauge(&self.labeled(name, labels, |r| &r.gauges))
+        self.counter(&labeled_name(name, labels))
     }
 
     /// Get or create the quantile digest for `name` sliced by `labels`.
     pub fn digest_with(&self, name: &str, labels: &[(&str, &str)]) -> Digest {
-        self.digest(&self.labeled(name, labels, |r| &r.digests))
+        self.digest(&labeled_name(name, labels))
     }
 
     /// Get or create the counter named `name`.
@@ -425,34 +391,7 @@ mod tests {
         reg.counter_with("tx", &[("tech", "nfc")]).inc();
         assert_eq!(reg.counter("tx{tech=ble}").get(), 2);
         assert_eq!(reg.counter("tx{tech=nfc}").get(), 1);
-        reg.gauge_with("depth", &[("q", "rx")]).set(4);
-        assert_eq!(reg.gauge("depth{q=rx}").get(), 4);
         reg.digest_with("lat", &[("tech", "nfc")]).record(7);
         assert_eq!(reg.digest("lat{tech=nfc}").count(), 1);
-    }
-
-    #[test]
-    fn labeled_cardinality_is_bounded() {
-        let reg = MetricsRegistry::new();
-        for i in 0..(MAX_LABEL_SETS + 10) {
-            reg.counter_with("cells", &[("cell", &format!("{i}"))]).inc();
-        }
-        let read = reg.read();
-        let series: Vec<&str> = read
-            .counters
-            .iter()
-            .map(|(n, _)| n.as_str())
-            .filter(|n| n.starts_with("cells{"))
-            .collect();
-        assert_eq!(series.len(), MAX_LABEL_SETS + 1, "cap plus one overflow series");
-        let (_, overflow) = read
-            .counters
-            .iter()
-            .find(|(n, _)| n == "cells{overflow=true}")
-            .expect("overflow series exists");
-        assert_eq!(*overflow, 10, "past the cap every new label set shares one series");
-        // Pre-existing label sets keep resolving to their own series.
-        reg.counter_with("cells", &[("cell", "0")]).inc();
-        assert_eq!(reg.counter("cells{cell=0}").get(), 2);
     }
 }

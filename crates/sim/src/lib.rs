@@ -86,6 +86,6 @@ pub use health::{HealthEvent, HealthMonitor, HealthState, WindowStats};
 pub use node::{Command, ConnId, DeviceId, NodeApi, NodeEvent, Stack, TcpError};
 pub use recorder::{FlightRecorder, TraceOutcome, TraceTimeline};
 pub use runner::{DeviceCaps, Runner};
-pub use telemetry::{Sampler, SAMPLE_EVERY, SERIES_CAPACITY};
+pub use telemetry::{Sampler, Window, SAMPLE_EVERY};
 pub use time::{SimDuration, SimTime};
 pub use world::{CellHasher, Position, World, DEFAULT_CELL_M};

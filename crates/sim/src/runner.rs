@@ -8,7 +8,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use omni_obs::{Counter, Digest, EventKind, Gauge, Obs, Phase, PhaseScope, TickProfiler};
+use omni_obs::{Counter, EventKind, Obs, Phase, PhaseScope, TickProfiler};
 use omni_wire::{BleAddress, MeshAddress, NfcAddress, TechType};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -276,34 +276,13 @@ struct RunnerObs {
     mcast: TechMeters,
     tcp: TechMeters,
     nfc: TechMeters,
-    beacon_interval_us: Digest,
     /// Fault drops by cause (`sim.faults.drops{cause=…}`).
     drops_frame_loss: Counter,
     drops_partition: Counter,
     drops_node_down: Counter,
-    /// Per-cell frame transmission counters
-    /// (`sim.cell.tx_frames{cell=x:y}`), cached per grid cell.
-    cell_tx: HashMap<(i64, i64), Counter>,
-    /// Per-cell device density gauges (`sim.cell.density{cell=x:y}`),
-    /// refreshed on every sampling tick.
-    cell_density: HashMap<(i64, i64), Gauge>,
 }
 
 impl RunnerObs {
-    fn cell_tx_counter(&mut self, cell: (i64, i64)) -> &Counter {
-        let obs = &self.obs;
-        self.cell_tx.entry(cell).or_insert_with(|| {
-            obs.counter_with("sim.cell.tx_frames", &[("cell", &format!("{}:{}", cell.0, cell.1))])
-        })
-    }
-
-    fn cell_density_gauge(&mut self, cell: (i64, i64)) -> &Gauge {
-        let obs = &self.obs;
-        self.cell_density.entry(cell).or_insert_with(|| {
-            obs.gauge_with("sim.cell.density", &[("cell", &format!("{}:{}", cell.0, cell.1))])
-        })
-    }
-
     /// Counts a frame a fault dropped under its cause (`"frame-loss"`,
     /// `"partition"` or `"node-down"`) and records [`EventKind::FrameDropped`]
     /// when it is a directed frame carrying a trace ID (the reliable
@@ -431,28 +410,25 @@ impl Runner {
     }
 
     /// Attaches an observability handle. The runner records per-technology
-    /// tx/rx frame and byte counters, the realized BLE advertising cadence
-    /// (`beacon.interval_us`), and [`EventKind::BeaconSent`] events.
+    /// tx/rx frame and byte counters, fault drops by cause, and
+    /// [`EventKind::BeaconSent`] events.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = Some(RunnerObs {
             ble: TechMeters::new(&obs, TechType::BleBeacon),
             mcast: TechMeters::new(&obs, TechType::WifiMulticast),
             tcp: TechMeters::new(&obs, TechType::WifiTcp),
             nfc: TechMeters::new(&obs, TechType::Nfc),
-            beacon_interval_us: obs.digest("beacon.interval_us"),
             drops_frame_loss: obs.counter_with("sim.faults.drops", &[("cause", "frame-loss")]),
             drops_partition: obs.counter_with("sim.faults.drops", &[("cause", "partition")]),
             drops_node_down: obs.counter_with("sim.faults.drops", &[("cause", "node-down")]),
-            cell_tx: HashMap::new(),
-            cell_density: HashMap::new(),
             obs,
         });
     }
 
     /// Enables periodic telemetry sampling (off by default): every
     /// [`SAMPLE_EVERY`] of sim time, the attached [`Obs`] registry is
-    /// folded into per-metric time series, a JSONL stream, and the fleet
-    /// health monitor (see [`Sampler`]).  Health transitions are recorded as
+    /// folded into one [`crate::Window`] and the fleet health monitor (see
+    /// [`Sampler`]).  Health transitions are recorded as
     /// [`EventKind::HealthTransition`] events under the fleet-scope node id
     /// `u32::MAX`.
     ///
@@ -1145,10 +1121,8 @@ impl Runner {
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, BLE_ONESHOT_PULSE);
-        let cell = self.world.cell_index(dev);
-        if let Some(o) = self.obs.as_mut() {
+        if let Some(o) = &self.obs {
             o.ble.tx(payload.len());
-            o.cell_tx_counter(cell).inc();
         }
         let mut recipients = std::mem::take(&mut self.nbr_buf);
         self.world.scanners_into(dev, self.cfg.range_m(TechType::BleBeacon), &mut recipients);
@@ -1323,10 +1297,8 @@ impl Runner {
         {
             return;
         }
-        let cell = self.world.cell_index(dev);
-        if let Some(o) = self.obs.as_mut() {
+        if let Some(o) = &self.obs {
             o.nfc.tx(payload.len());
-            o.cell_tx_counter(cell).inc();
         }
         let mut recipients = std::mem::take(&mut self.nbr_buf);
         self.world.neighbors_into(dev, self.cfg.range_m(TechType::Nfc), &mut recipients);
@@ -1520,26 +1492,14 @@ impl Runner {
         }
     }
 
-    /// One telemetry sampling tick: refresh the per-cell density gauges from
-    /// the spatial grid, fold the registry into the sampler, surface any
-    /// health transition as a fleet-scope event, and reschedule.
+    /// One telemetry sampling tick: fold the registry into the sampler,
+    /// surface any health transition as a fleet-scope event, and reschedule.
     fn sample_tick(&mut self) {
-        let Some(mut sampler) = self.sampler.take() else { return };
-        let occupancy = self.world.cell_occupancy();
+        let Some(sampler) = self.sampler.as_mut() else { return };
         let nodes_down = self.faults.down_count();
         let fleet = self.devices.len();
         let t_us = self.now.as_micros();
-        if let Some(o) = self.obs.as_mut() {
-            for &(cell, n) in &occupancy {
-                o.cell_density_gauge(cell).set(n as i64);
-            }
-            // Cells seen before but empty now drop to zero, so density
-            // series decay instead of freezing at their last value.
-            for (cell, g) in &o.cell_density {
-                if occupancy.binary_search_by_key(cell, |&(c, _)| c).is_err() {
-                    g.set(0);
-                }
-            }
+        if let Some(o) = &self.obs {
             if let Some(ev) = sampler.sample(&o.obs, t_us, nodes_down, fleet) {
                 o.obs.event(
                     t_us,
@@ -1552,7 +1512,6 @@ impl Runner {
                 );
             }
         }
-        self.sampler = Some(sampler);
         self.schedule(SAMPLE_EVERY, Engine::Sample);
     }
 
@@ -1649,10 +1608,8 @@ impl Runner {
             return;
         }
         self.energy.pulse(dev, self.cfg.energy.ble_adv_ma, BLE_ADV_PULSE);
-        if let Some(o) = self.obs.as_mut() {
+        if let Some(o) = &self.obs {
             o.ble.tx(payload_len);
-            o.cell_tx_counter(self.world.cell_index(dev)).inc();
-            o.beacon_interval_us.record(interval.as_micros());
             o.obs.event(
                 self.now.as_micros(),
                 dev.0 as u32,
@@ -1714,10 +1671,8 @@ impl Runner {
             return;
         };
         self.energy.leave(job.sender, self.now, EnergyState::McastTx);
-        let cell = self.world.cell_index(job.sender);
-        if let Some(o) = self.obs.as_mut() {
+        if let Some(o) = &self.obs {
             o.mcast.tx(job.payload.len());
-            o.cell_tx_counter(cell).inc();
         }
         if let Some(next_job) = next {
             self.start_mcast(next_job);

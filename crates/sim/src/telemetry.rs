@@ -1,6 +1,6 @@
 //! Sim-clock telemetry sampling: periodic snapshots of the metrics registry
-//! folded into per-metric [`SeriesRing`] time series, a JSONL stream, and the
-//! fleet [`HealthMonitor`].
+//! kept as one [`Window`] per sampling interval, rendered as a JSONL stream,
+//! and folded into the fleet [`HealthMonitor`].
 //!
 //! The [`Sampler`] is driven by the runner's event loop (an `Engine::Sample`
 //! event every [`SAMPLE_EVERY`]), so sampling is deterministic: the same
@@ -8,30 +8,24 @@
 //! without [`crate::Runner::enable_sampler`] schedules no sampling events
 //! and its behavior is untouched.
 //!
-//! Each tick the sampler:
+//! Each tick the sampler pushes one [`Window`]:
 //!
-//! * turns every **counter** into a windowed delta (so
-//!   [`omni_obs::Sample::rate_per_sec`] is the windowed rate),
-//! * reads every **gauge**'s value and takes its per-window min/max
-//!   watermarks ([`omni_obs::Gauge::take_watermarks`]),
-//! * snapshots every **quantile digest** and subtracts the previous
-//!   snapshot per bucket ([`QuantileDigest::windowed_since`]), so the
+//! * every **counter** becomes its delta over the window,
+//! * every **gauge** gives its value and its per-window min/max watermarks
+//!   ([`omni_obs::Gauge::take_watermarks`]),
+//! * every **quantile digest** is snapshotted and the previous snapshot
+//!   subtracted per bucket ([`QuantileDigest::windowed_since`]), so the
 //!   reported p50/p99/p999 describe *this window's* tail rather than the
 //!   lifetime blend — except wall-clock instruments (`*.wait_us`), which are
 //!   excluded to keep the stream sim-deterministic,
-//! * derives fleet [`WindowStats`] (delivery ratio, windowed delivery
-//!   latency p99, queue high-water, beacon staleness, churn) and feeds the
-//!   [`HealthMonitor`].
+//! * fleet [`WindowStats`] (delivery ratio, windowed delivery latency p99,
+//!   queue high-water, beacon staleness, churn) feed the [`HealthMonitor`],
+//!   and the window keeps its verdict and the number of nodes down.
 //!
+//! The windows are telemetry's one store: [`Sampler::to_jsonl`] renders
+//! them, and [`Sampler::spans_where`] reconstructs fault windows from them.
 //! The JSONL stream opens with a single `{"header":true,..}` line carrying
-//! the sampling interval, the ring capacity, and the current
-//! [`Sampler::resolution_us`] — the coarsest retained window width, which
-//! is what bounds how precisely fault spans reconstruct after rings
-//! downsample.
-//!
-//! Synthetic series `sim.nodes_down` and `sim.health` record churn and the
-//! health verdict per window, so fault windows can be reconstructed from the
-//! series alone with [`SeriesRing::spans_where`].
+//! the sampling interval, then holds one object per window.
 //!
 //! Sampling runs inside the runner's single-threaded event loop
 //! (DESIGN.md §5g): `Engine::Sample` events take their place in the same
@@ -40,17 +34,15 @@
 //! byte-identical across same-seed runs, which `telemetry_determinism.rs`
 //! asserts.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use omni_obs::{json_str, split_labels, Obs, QuantileDigest, Sample, SeriesRing};
+use omni_obs::{json_str, split_labels, DigestSummary, GaugeRead, Obs, QuantileDigest};
 
 use crate::health::{HealthEvent, HealthMonitor, HealthState, WindowStats};
 use crate::time::SimDuration;
 
 /// Sampling interval in sim time.
 pub const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(1);
-/// Capacity of each per-metric [`SeriesRing`] (downsamples when full).
-pub const SERIES_CAPACITY: usize = 256;
 
 /// Whether a metric is a wall-clock instrument that must not leak into the
 /// sim-deterministic stream (queue wait spans use `std::time::Instant`).
@@ -58,13 +50,75 @@ fn wall_clock(name: &str) -> bool {
     split_labels(name).0.ends_with(".wait_us")
 }
 
-/// Periodic sampler: metrics registry → time series + JSONL + health.
+/// One sampling window, `(t_us - window_us, t_us]` of sim time: what the
+/// registry recorded inside it. Metrics are in the registry's sorted name
+/// order.
+#[derive(Clone, Debug)]
+pub struct Window {
+    /// Window end, in microseconds of sim time.
+    pub t_us: u64,
+    /// Window width in microseconds.
+    pub window_us: u64,
+    /// The fleet health verdict at the window's end.
+    pub health: HealthState,
+    /// Devices churned down at the window's end.
+    pub nodes_down: usize,
+    /// Each counter's delta over the window.
+    pub counters: Vec<(String, u64)>,
+    /// Each gauge's value at the window's end and its watermarks inside it.
+    pub gauges: Vec<(String, GaugeRead)>,
+    /// Each sim-clock digest's samples inside the window (wall-clock
+    /// `*.wait_us` digests are excluded).
+    pub digests: Vec<(String, DigestSummary)>,
+}
+
+impl Window {
+    /// Start of the window in microseconds (saturating at zero).
+    pub fn start_us(&self) -> u64 {
+        self.t_us.saturating_sub(self.window_us)
+    }
+
+    /// The delta of counter `name` over the window; 0 before the counter
+    /// exists.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, delta)| delta)
+    }
+
+    /// The window as one JSON line, numbered `seq`.
+    fn to_json(&self, seq: usize) -> String {
+        format!(
+            "{{\"seq\":{seq},\"t_us\":{},\"window_us\":{},\"health\":\"{}\",\"nodes_down\":{},\"counters\":{{{}}},\"gauges\":{{{}}},\"digests\":{{{}}}}}\n",
+            self.t_us,
+            self.window_us,
+            self.health.name(),
+            self.nodes_down,
+            json_fields(&self.counters, |delta| delta.to_string()),
+            json_fields(&self.gauges, |g| format!(
+                "{{\"value\":{},\"lo\":{},\"hi\":{}}}",
+                g.value, g.lo, g.hi
+            )),
+            json_fields(&self.digests, |d| format!(
+                "{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
+                d.count, d.p50, d.p99, d.p999
+            )),
+        )
+    }
+}
+
+/// `"name":value` pairs, comma-separated, for the body of a JSON object.
+fn json_fields<T>(fields: &[(String, T)], value: impl Fn(&T) -> String) -> String {
+    let pairs: Vec<String> =
+        fields.iter().map(|(name, v)| format!("{}:{}", json_str(name), value(v))).collect();
+    pairs.join(",")
+}
+
+/// Periodic sampler: metrics registry → one [`Window`] per tick + health.
 ///
 /// Owned by the runner; one [`Sampler::sample`] call per `Engine::Sample`
 /// event.  All state is derived from sim-deterministic inputs.
 #[derive(Debug)]
 pub struct Sampler {
-    series: BTreeMap<String, SeriesRing>,
+    windows: Vec<Window>,
     prev_counters: HashMap<String, u64>,
     /// Previous full snapshot per quantile digest, so each window's
     /// quantiles come from a true per-bucket delta
@@ -74,8 +128,6 @@ pub struct Sampler {
     last_t_us: u64,
     /// End of the last window in which any beacon was transmitted.
     last_beacon_us: Option<u64>,
-    seq: u64,
-    jsonl: String,
     health: HealthMonitor,
 }
 
@@ -83,13 +135,11 @@ impl Sampler {
     /// A sampler starting healthy.
     pub(crate) fn new() -> Self {
         Sampler {
-            series: BTreeMap::new(),
+            windows: Vec::new(),
             prev_counters: HashMap::new(),
             prev_digests: HashMap::new(),
             last_t_us: 0,
             last_beacon_us: None,
-            seq: 0,
-            jsonl: String::new(),
             health: HealthMonitor::default(),
         }
     }
@@ -101,40 +151,38 @@ impl Sampler {
 
     /// Number of samples taken so far.
     pub fn samples_taken(&self) -> u64 {
-        self.seq
+        self.windows.len() as u64
     }
 
-    /// The time series recorded for `name` (flattened `base{k=v}` form for
-    /// labeled metrics), if any sample has seen it.
-    pub fn series(&self, name: &str) -> Option<&SeriesRing> {
-        self.series.get(name)
+    /// Every window sampled so far, oldest first.
+    pub fn windows(&self) -> &[Window] {
+        &self.windows
     }
 
-    /// The coarsest retained series resolution in microseconds: the max of
-    /// [`SeriesRing::resolution_us`] over every recorded series (0 before
-    /// the first sample). Equals the sampling interval until some ring
-    /// overflows its capacity and downsamples; consumers reconstructing
-    /// fault windows with [`SeriesRing::spans_where`] must treat span
-    /// boundaries as accurate only to within this width.
-    pub fn resolution_us(&self) -> u64 {
-        self.series.values().map(SeriesRing::resolution_us).max().unwrap_or(0)
+    /// Merges the windows satisfying `pred` into `(start_us, end_us)` spans:
+    /// a qualifying window extends the open span when it starts at or before
+    /// the span's end. This is the reconstruction primitive: a fault window
+    /// injected at `[a, b)` shows up as a span whose bounds match `a` and `b`
+    /// to within one sampling interval.
+    pub fn spans_where(&self, mut pred: impl FnMut(&Window) -> bool) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for w in self.windows.iter().filter(|w| pred(w)) {
+            match out.last_mut() {
+                Some((_, end)) if w.start_us() <= *end => *end = (*end).max(w.t_us),
+                _ => out.push((w.start_us(), w.t_us)),
+            }
+        }
+        out
     }
 
-    /// The JSONL stream accumulated so far: one `{"header":true,..}` line
-    /// describing the stream (interval, ring capacity, and the current
-    /// [`Sampler::resolution_us`]), then one object per sample window.
-    ///
-    /// The header is composed at read time because the resolution coarsens
-    /// as rings downsample; everything in it is sim-deterministic, so the
-    /// full stream stays byte-identical across same-seed runs.
+    /// The JSONL stream: one `{"header":true,..}` line carrying the sampling
+    /// interval, then one object per window.
     pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"header\":true,\"interval_us\":{},\"series_capacity\":{},\"resolution_us\":{}}}\n{}",
-            SAMPLE_EVERY.as_micros(),
-            SERIES_CAPACITY,
-            self.resolution_us(),
-            self.jsonl
-        )
+        let mut out = format!("{{\"header\":true,\"interval_us\":{}}}\n", SAMPLE_EVERY.as_micros());
+        for (seq, w) in self.windows.iter().enumerate() {
+            out.push_str(&w.to_json(seq));
+        }
+        out
     }
 
     /// Writes the JSONL stream (header line included) to a file.
@@ -142,16 +190,9 @@ impl Sampler {
         std::fs::write(path, self.to_jsonl().as_bytes())
     }
 
-    fn push(&mut self, name: &str, s: Sample) {
-        self.series
-            .entry(name.to_string())
-            .or_insert_with(|| SeriesRing::new(SERIES_CAPACITY))
-            .push(s);
-    }
-
-    /// Takes one sample at sim time `t_us`: folds the registry into the
-    /// series and the JSONL stream, feeds the health monitor, and returns
-    /// the health transition when the verdict changed.
+    /// Takes one sample at sim time `t_us`: pushes the window it closes,
+    /// feeds the health monitor, and returns the health transition when the
+    /// verdict changed.
     pub fn sample(
         &mut self,
         obs: &Obs,
@@ -160,109 +201,60 @@ impl Sampler {
         fleet: usize,
     ) -> Option<HealthEvent> {
         let window_us = t_us.saturating_sub(self.last_t_us);
-        let read = obs.metrics().read();
 
         // Counters → windowed deltas.
-        let mut counter_lines = String::new();
+        let mut counters = obs.metrics().read().counters;
         let mut delivered = 0u64;
         let mut failed = 0u64;
-        let mut beacons_tx = 0u64;
-        for (name, v) in &read.counters {
+        let mut beaconed = false;
+        for (name, v) in &mut counters {
             let prev = self.prev_counters.insert(name.clone(), *v).unwrap_or(0);
-            let delta = v.saturating_sub(prev);
-            self.push(name, Sample::point(t_us, window_us, delta as f64));
-            let (base, _) = split_labels(name);
-            match base {
-                "mgr.data_delivered" if !name.contains('{') => delivered = delta,
-                "mgr.data_failed" => failed = delta,
-                "tech.ble-beacon.tx_frames" if delta > 0 => beacons_tx = delta,
+            *v = v.saturating_sub(prev);
+            match split_labels(name).0 {
+                "mgr.data_delivered" if !name.contains('{') => delivered = *v,
+                "mgr.data_failed" => failed = *v,
+                "tech.ble-beacon.tx_frames" if *v > 0 => beaconed = true,
                 _ => {}
             }
-            if !counter_lines.is_empty() {
-                counter_lines.push(',');
-            }
-            counter_lines.push_str(&format!("{}:{}", json_str(name), delta));
         }
-        if beacons_tx > 0 {
+        if beaconed {
             self.last_beacon_us = Some(t_us);
         }
 
         // Gauges → closing value plus per-window watermarks (taking the
         // watermarks resets them, starting the next window).
-        let mut gauge_lines = String::new();
         let mut queue_hi = 0i64;
-        for (name, g) in obs.metrics().gauges() {
-            let (lo, hi) = g.take_watermarks();
-            let value = g.get();
-            self.push(
-                &name,
-                Sample {
-                    t_us,
-                    window_us,
-                    count: 1,
-                    sum: value as f64,
-                    min: lo as f64,
-                    max: hi as f64,
-                },
-            );
-            let (base, _) = split_labels(&name);
-            if base.starts_with("queue.") && base.ends_with(".depth") {
-                queue_hi = queue_hi.max(hi);
-            }
-            if !gauge_lines.is_empty() {
-                gauge_lines.push(',');
-            }
-            gauge_lines.push_str(&format!(
-                "{}:{{\"value\":{},\"lo\":{},\"hi\":{}}}",
-                json_str(&name),
-                value,
-                lo,
-                hi
-            ));
-        }
+        let gauges: Vec<(String, GaugeRead)> = obs
+            .metrics()
+            .gauges()
+            .into_iter()
+            .map(|(name, g)| {
+                let (lo, hi) = g.take_watermarks();
+                let base = split_labels(&name).0;
+                if base.starts_with("queue.") && base.ends_with(".depth") {
+                    queue_hi = queue_hi.max(hi);
+                }
+                (name, GaugeRead { value: g.get(), lo, hi })
+            })
+            .collect();
 
         // Quantile digests → windowed per-bucket deltas, so the reported
         // quantiles describe *this window's* tail, not the lifetime blend.
-        let mut digest_lines = String::new();
-        let mut latency_p99_us = 0u64;
-        let mut latency_samples = 0u64;
+        let mut digests = Vec::new();
         for (name, d) in obs.metrics().digests() {
             if wall_clock(&name) {
                 continue;
             }
             let snap = d.snapshot();
             let windowed = match self.prev_digests.get(&name) {
-                Some(prev) => snap.windowed_since(prev),
-                None => snap.clone(),
+                Some(prev) => snap.windowed_since(prev).summary(),
+                None => snap.summary(),
             };
-            self.push(
-                &name,
-                Sample {
-                    t_us,
-                    window_us,
-                    count: windowed.count(),
-                    sum: windowed.sum() as f64,
-                    min: windowed.min() as f64,
-                    max: windowed.max() as f64,
-                },
-            );
-            if name == "mgr.delivery_latency_us" {
-                latency_p99_us = windowed.quantile(0.99);
-                latency_samples = windowed.count();
-            }
-            if !digest_lines.is_empty() {
-                digest_lines.push(',');
-            }
-            digest_lines.push_str(&format!(
-                "{}:{{\"count\":{},\"p50\":{},\"p99\":{},\"p999\":{}}}",
-                json_str(&name),
-                windowed.count(),
-                windowed.quantile(0.50),
-                windowed.quantile(0.99),
-                windowed.quantile(0.999)
-            ));
-            self.prev_digests.insert(name, snap);
+            self.prev_digests.insert(name.clone(), snap);
+            digests.push((name, windowed));
         }
+        let latency = digests.iter().find(|(name, _)| name == "mgr.delivery_latency_us");
+        let (latency_p99_us, latency_samples) = latency.map_or((0, 0), |(_, d)| (d.p99, d.count));
 
         // Fleet window → health verdict.
         let beacon_stale_us = match self.last_beacon_us {
@@ -282,36 +274,16 @@ impl Sampler {
             latency_samples,
         };
         let transition = self.health.observe(t_us, &stats);
-        let state = self.health.state();
 
-        // Synthetic series: churn and health verdict per window, so fault
-        // windows reconstruct from the series alone.
-        self.push("sim.nodes_down", Sample::point(t_us, window_us, nodes_down as f64));
-        self.push(
-            "sim.health",
-            Sample::point(
-                t_us,
-                window_us,
-                match state {
-                    HealthState::Healthy => 0.0,
-                    HealthState::Degraded => 1.0,
-                    HealthState::Critical => 2.0,
-                },
-            ),
-        );
-
-        self.jsonl.push_str(&format!(
-            "{{\"seq\":{},\"t_us\":{},\"window_us\":{},\"health\":\"{}\",\"nodes_down\":{},\"counters\":{{{}}},\"gauges\":{{{}}},\"digests\":{{{}}}}}\n",
-            self.seq,
+        self.windows.push(Window {
             t_us,
             window_us,
-            state.name(),
+            health: self.health.state(),
             nodes_down,
-            counter_lines,
-            gauge_lines,
-            digest_lines
-        ));
-        self.seq += 1;
+            counters,
+            gauges,
+            digests,
+        });
         self.last_t_us = t_us;
         transition
     }
@@ -334,11 +306,10 @@ mod tests {
         s.sample(&obs, 1_000_000, 0, 10);
         c.add(2);
         s.sample(&obs, 2_000_000, 0, 10);
-        let ring = s.series("x").expect("series");
-        let v: Vec<f64> = ring.samples().iter().map(|p| p.sum).collect();
-        assert_eq!(v, vec![5.0, 2.0]);
-        assert_eq!(ring.total(), 7.0, "series total matches the counter");
-        assert_eq!(ring.samples()[1].rate_per_sec(), 2.0);
+        let deltas: Vec<u64> = s.windows().iter().map(|w| w.counter("x")).collect();
+        assert_eq!(deltas, vec![5, 2]);
+        assert_eq!(deltas.iter().sum::<u64>(), c.get(), "deltas add up to the counter");
+        assert_eq!(s.windows()[1].counter("absent"), 0, "an unknown counter reads 0");
     }
 
     #[test]
@@ -352,9 +323,9 @@ mod tests {
         // New window: the old high-water mark must not leak in.
         g.set(2);
         s.sample(&obs, 2_000_000, 0, 10);
-        let ring = s.series("queue.receive.depth").unwrap();
-        assert_eq!(ring.samples()[0].max, 9.0);
-        assert_eq!(ring.samples()[1].max, 2.0, "watermark reset between windows");
+        let reads: Vec<GaugeRead> = s.windows().iter().map(|w| w.gauges[0].1).collect();
+        assert_eq!(reads[0], GaugeRead { value: 1, lo: 0, hi: 9 });
+        assert_eq!(reads[1], GaugeRead { value: 2, lo: 1, hi: 2 }, "watermarks reset per window");
     }
 
     #[test]
@@ -364,8 +335,8 @@ mod tests {
         obs.digest("mgr.send_latency_us").record(50);
         let mut s = sampler();
         s.sample(&obs, 1_000_000, 0, 10);
-        assert!(s.series("queue.receive.wait_us").is_none(), "wall clock excluded");
-        assert!(s.series("mgr.send_latency_us").is_some());
+        let names: Vec<&str> = s.windows()[0].digests.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, vec!["mgr.send_latency_us"], "wall clock excluded");
         assert!(!s.to_jsonl().contains("wait_us"));
     }
 
@@ -381,8 +352,8 @@ mod tests {
         let ev = s.sample(&obs, 2_000_000, 0, 10).expect("collapse");
         assert_eq!((ev.to, ev.cause), (HealthState::Critical, "delivery-ratio"));
         assert_eq!(s.health(), HealthState::Critical);
-        // The verdict is also a series: spans_where reconstructs the window.
-        let spans = s.series("sim.health").unwrap().spans_where(|p| p.sum >= 2.0);
+        // Each window keeps its verdict: spans_where reconstructs the window.
+        let spans = s.spans_where(|w| w.health == HealthState::Critical);
         assert_eq!(spans, vec![(1_000_000, 2_000_000)]);
     }
 
@@ -396,13 +367,7 @@ mod tests {
         let jsonl = s.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 3, "header + one line per window");
-        // The sampler samples every second with no downsampling yet, so the
-        // surfaced resolution is the native window width.
-        assert_eq!(
-            lines[0],
-            "{\"header\":true,\"interval_us\":1000000,\"series_capacity\":256,\
-             \"resolution_us\":1000000}"
-        );
+        assert_eq!(lines[0], "{\"header\":true,\"interval_us\":1000000}");
         assert!(lines[1].starts_with("{\"seq\":0,\"t_us\":1000000,"));
         assert!(lines[1].contains("\"nodes_down\":1"));
         assert!(lines[1].contains("\"counters\":{\"x\":1}"));
@@ -411,21 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn header_resolution_tracks_downsampling() {
+    fn spans_merge_touching_windows_and_split_at_quiet_ones() {
         let obs = Obs::new();
-        obs.counter("x").inc();
+        let c = obs.counter("x");
         let mut s = sampler();
-        assert_eq!(s.resolution_us(), 0, "no samples yet");
-        for t in 1..=2 * SERIES_CAPACITY as u64 {
-            s.sample(&obs, t * 1_000_000, 0, 4);
+        for (t, delta) in [(1, 1), (2, 3), (3, 0), (4, 2), (5, 2)] {
+            c.add(delta);
+            s.sample(&obs, t * 1_000_000, 0, 10);
         }
-        // Twice the capacity in windows: the ring merged pairs twice, so
-        // spans are only trustworthy to 4s — and the header says so.
-        assert_eq!(s.resolution_us(), 4_000_000);
-        assert!(s.to_jsonl().starts_with(
-            "{\"header\":true,\"interval_us\":1000000,\"series_capacity\":256,\
-             \"resolution_us\":4000000}\n"
-        ));
+        // (0, 1] and (1, 2] touch, so they merge; the quiet (2, 3] splits
+        // them from (3, 5].
+        let spans = s.spans_where(|w| w.counter("x") > 0);
+        assert_eq!(spans, vec![(0, 2_000_000), (3_000_000, 5_000_000)]);
+        assert!(s.spans_where(|w| w.counter("x") > 3).is_empty());
     }
 
     #[test]
@@ -447,10 +410,10 @@ mod tests {
         let jsonl = s.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert!(lines[1].contains("\"digests\":{\"mgr.delivery_latency_us\":{\"count\":100,"));
-        let ring = s.series("mgr.delivery_latency_us").expect("series");
-        assert_eq!(ring.samples()[1].count, 100, "second window holds only its own samples");
+        let (_, second) = &s.windows()[1].digests[0];
+        assert_eq!(second.count, 100, "second window holds only its own samples");
         assert!(
-            ring.samples()[1].min >= 2_900_000.0,
+            second.min >= 2_900_000,
             "windowed min excludes the previous window's fast samples"
         );
     }

@@ -279,22 +279,6 @@ impl World {
         self.positions[a.0].distance(self.positions[b.0])
     }
 
-    /// The grid cell a device currently occupies, as `(cx, cy)` indices of
-    /// [`World::cell_size_m`]-sized squares.  Stable for the lifetime of a
-    /// position: telemetry uses it to label per-cell traffic and density.
-    pub fn cell_index(&self, id: DeviceId) -> (i64, i64) {
-        self.cell_of(self.positions[id.0])
-    }
-
-    /// Occupancy per non-empty grid cell, sorted by cell index so iteration
-    /// order (and everything derived from it) is deterministic.
-    pub fn cell_occupancy(&self) -> Vec<((i64, i64), usize)> {
-        let mut cells: Vec<((i64, i64), usize)> =
-            self.grid.iter().map(|(&cell, bucket)| (cell, bucket.devs.len())).collect();
-        cells.sort_unstable_by_key(|&(cell, _)| cell);
-        cells
-    }
-
     /// Whether two distinct devices are within `range_m` of each other.
     /// A device is never in range of itself.
     pub fn in_range(&self, a: DeviceId, b: DeviceId, range_m: f64) -> bool {
@@ -534,7 +518,7 @@ mod tests {
             assert!(!b.devs.is_empty(), "empty bucket left at {cell:?}");
             for (i, &d) in b.devs.iter().enumerate() {
                 assert_eq!(w.scanning[d], i < b.scanners, "cell {cell:?} slot {i} dev {d}");
-                assert_eq!(w.cell_index(DeviceId(d)), *cell);
+                assert_eq!(w.cell_of(w.positions[d]), *cell);
                 seen[d] += 1;
             }
         }

@@ -8,10 +8,10 @@
 //!    a run.
 
 use bytes::Bytes;
-use omni_obs::{event_json, Obs, Sample};
+use omni_obs::{event_json, Obs};
 use omni_sim::{
-    ChurnWindow, Command, DeviceCaps, FaultConfig, LinkPartition, NodeApi, NodeEvent, Position,
-    Runner, SimConfig, SimDuration, SimTime, Stack, SAMPLE_EVERY,
+    ChurnWindow, Command, DeviceCaps, FaultConfig, HealthState, LinkPartition, NodeApi, NodeEvent,
+    Position, Runner, SimConfig, SimDuration, SimTime, Stack, SAMPLE_EVERY,
 };
 
 /// Beacons every 500 ms and scans continuously; counts what it hears.
@@ -142,15 +142,12 @@ fn assert_one_span_near(name: &str, spans: &[(u64, u64)], (from_s, to_s): (u64, 
 fn fault_windows_reconstruct_from_the_sampler() {
     let (sim, _) = run_runner(42, true);
     let sampler = sim.sampler().expect("sampler enabled");
-    let spans = |name: &str, pred: fn(&Sample) -> bool| {
-        sampler.series(name).unwrap_or_else(|| panic!("{name} recorded")).spans_where(pred)
-    };
     // The partition between devices 0 and 1 over [8 s, 14 s).
-    let partition = spans("sim.faults.drops{cause=partition}", |s| s.sum > 0.0);
+    let partition = sampler.spans_where(|w| w.counter("sim.faults.drops{cause=partition}") > 0);
     assert_one_span_near("partition drops", &partition, (8, 14));
     // Churn: device 3 over [10 s, 16 s) and device 7 over [12 s, 18 s).
-    let down = spans("sim.nodes_down", |s| s.sum > 0.0);
+    let down = sampler.spans_where(|w| w.nodes_down > 0);
     assert_one_span_near("nodes down", &down, (10, 18));
-    let degraded = spans("sim.health", |s| s.sum >= 1.0);
+    let degraded = sampler.spans_where(|w| w.health >= HealthState::Degraded);
     assert_one_span_near("health degraded or worse", &degraded, (10, 18));
 }
