@@ -29,6 +29,27 @@ wire_smoke() {
     cargo bench -q -p omni-bench --bench codec
 }
 
+# jsonl_parses <file...>: fails unless each file has lines and every line
+# parses as JSON.
+jsonl_parses() {
+  python3 - "$@" <<'EOF'
+import json
+import sys
+
+for path in sys.argv[1:]:
+    with open(path) as f:
+        lines = f.readlines()
+    if not lines:
+        sys.exit(f"{path}: no lines")
+    for n, line in enumerate(lines, 1):
+        try:
+            json.loads(line)
+        except ValueError as e:
+            sys.exit(f"{path}:{n}: {e}")
+    print(f"{path}: {len(lines)} lines, each parses")
+EOF
+}
+
 # run_examples: runs every example under examples/, each to completion, and
 # fails if any of them failed.
 run_examples() {
@@ -68,8 +89,11 @@ stage "scale smoke (1000- and 10k-node tick and allocation budgets)" \
 stage "trace smoke (flight-recorder completeness + determinism)" \
   cargo run --release -p omni-bench --bin trace -- --smoke
 
-stage "telemetry smoke (fault-window reconstruction from series)" \
+stage "telemetry smoke (fault-window reconstruction from sampling windows)" \
   cargo run --release -p omni-bench --bin telemetry -- --smoke
+
+stage "JSONL artifacts (every telemetry and trace line parses as JSON)" \
+  jsonl_parses target/obs/telemetry.jsonl target/obs/trace.jsonl
 
 stage "relay smoke (sparse-chain delivery floor, same-seed replay)" \
   cargo run --release -p omni-bench --bin relay -- --smoke
