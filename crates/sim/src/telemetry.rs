@@ -246,12 +246,12 @@ impl Sampler {
                 continue;
             }
             let snap = d.snapshot();
-            let windowed = match self.prev_digests.get(&name) {
+            let summary = match self.prev_digests.get(&name) {
                 Some(prev) => snap.windowed_since(prev).summary(),
                 None => snap.summary(),
             };
             self.prev_digests.insert(name.clone(), snap);
-            digests.push((name, windowed));
+            digests.push((name, summary));
         }
         let latency = digests.iter().find(|(name, _)| name == "mgr.delivery_latency_us");
         let (latency_p99_us, latency_samples) = latency.map_or((0, 0), |(_, d)| (d.p99, d.count));
