@@ -3,10 +3,7 @@
 //! Sweeps fleets of 100 – 100 000 beaconing devices laid out on a
 //! constant-density grid and reports wall-clock ticks/sec, per-tick p95, and
 //! heap allocations per tick (a *tick* is one 500 ms beacon round; big
-//! fleets run fewer ticks so the sweep stays tractable). At 1000 nodes the
-//! sweep re-runs the identical fleet with the retained brute-force neighbor
-//! scan (`Runner::set_brute_force_neighbors`) and asserts the spatial grid
-//! delivers at least a 10× ticks/sec speedup.
+//! fleets run fewer ticks so the sweep stays tractable).
 //!
 //! `--smoke` runs the 1000-node cell and three 10 000-node cells against CI
 //! wall-clock and allocation budgets, and holds the best of the 10 000-node
@@ -90,22 +87,17 @@ struct CellResult {
 }
 
 /// Runs an N-device fleet for `ticks_for(n)` beacon rounds, timing each
-/// round and counting its heap allocations. `brute_force` swaps the
-/// neighbor query; `profile` enables the tick-phase profiler.
-fn run_cell(n: usize, brute_force: bool, profile: bool, obs: &Obs) -> CellResult {
+/// round and counting its heap allocations. `profile` enables the
+/// tick-phase profiler.
+fn run_cell(n: usize, profile: bool, obs: &Obs) -> CellResult {
     let ticks = ticks_for(n);
     let mut sim = Runner::new(SimConfig::default());
-    sim.set_brute_force_neighbors(brute_force);
     if profile {
         sim.enable_profiler();
     }
     let heard = GRID.add_fleet(&mut sim, n, b"scale", |i| (i % SCAN_STRIDE == 0).then_some(1.0));
 
-    let label = match (brute_force, profile) {
-        (true, _) => format!("n{n}.brute"),
-        (_, true) => format!("n{n}.profiled"),
-        _ => format!("n{n}"),
-    };
+    let label = if profile { format!("n{n}.profiled") } else { format!("n{n}") };
     let tick_us = obs.digest(&format!("scale.{label}.tick_us"));
     let allocs_before = counting_alloc::allocs();
     let started = Instant::now();
@@ -134,7 +126,7 @@ fn main() {
     let obs = ObsRun::new("scale");
 
     if smoke {
-        let cell = run_cell(1000, false, false, &obs);
+        let cell = run_cell(1000, false, &obs);
         println!(
             "scale smoke: 1000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, p95 {} µs, \
              {:.2} allocs/tick, {} beacons heard",
@@ -159,7 +151,7 @@ fn main() {
         );
 
         let bigs: Vec<CellResult> =
-            (0..FLOOR_TRIES).map(|_| run_cell(10_000, false, false, &obs)).collect();
+            (0..FLOOR_TRIES).map(|_| run_cell(10_000, false, &obs)).collect();
         for big in &bigs {
             println!(
                 "scale smoke: 10000 nodes, {:.0} ticks/sec, mean tick {:.0} µs, \
@@ -191,7 +183,7 @@ fn main() {
             big.ticks_per_sec
         );
 
-        let profiled = run_cell(10_000, false, true, &obs);
+        let profiled = run_cell(10_000, true, &obs);
         let report = profiled.profile.expect("the cell ran profiled");
         let clock_reads = 2 * report.phases.iter().map(|p| p.scopes).sum::<u64>();
         let overhead_pct = (big.ticks_per_sec / profiled.ticks_per_sec - 1.0) * 100.0;
@@ -231,9 +223,8 @@ fn main() {
         &["ticks/sec", "p95 tick µs", "allocs/tick"],
     );
     let mut chart = Chart::new("Ticks/sec by fleet size (spatial grid)", "ticks/sec");
-    let mut grid_1000 = None;
     for n in [100usize, 500, 1000, 5000, 10_000, 50_000, 100_000] {
-        let cell = run_cell(n, false, false, &obs);
+        let cell = run_cell(n, false, &obs);
         println!(
             "n={n:6}: {:8.1} ticks/sec, mean {:8.0} µs, p95 {:7} µs, {:8.0} allocs/tick, \
              {} beacons heard",
@@ -256,35 +247,8 @@ fn main() {
         bline.gate(&format!("n{n}_heard"), cell.heard as f64);
         bline.info(&format!("n{n}_ticks_per_sec"), cell.ticks_per_sec);
         bline.info(&format!("n{n}_allocs_per_tick"), cell.allocs_per_tick);
-
-        if n == 1000 {
-            grid_1000 = Some(cell);
-        }
     }
 
-    // Headline: the grid vs. the retained O(N) scan on the same 1000-node
-    // fleet. The runs are bit-identical in behavior (proved by the property
-    // tests); only the wall clock may differ.
-    // Best-of-two grid measurement, the second taken adjacent in time to the
-    // brute run: on a loaded box the sweep's earlier cells can depress the
-    // first sample enough to flake a 10× floor that holds comfortably.
-    let grid = grid_1000.expect("1000-node cell ran");
-    let brute = run_cell(1000, true, false, &obs);
-    let grid_fresh = run_cell(1000, false, false, &obs);
-    assert_eq!(grid.heard, grid_fresh.heard, "same fleet, same seed — heard must repeat");
-    let speedup = grid.ticks_per_sec.max(grid_fresh.ticks_per_sec) / brute.ticks_per_sec;
-    println!(
-        "n=  1000 brute-force: {:8.1} ticks/sec, mean {:8.0} µs, p95 {:7} µs  → grid speedup {:.1}×",
-        brute.ticks_per_sec, brute.mean_tick_us, brute.p95_tick_us, speedup
-    );
-    assert_eq!(grid.heard, brute.heard, "grid and scan runs diverged — determinism bug");
-    obs.gauge("scale.n1000.grid_speedup_x10").set((speedup * 10.0) as i64);
-    assert!(
-        speedup >= 10.0,
-        "spatial grid must be ≥10× the brute-force scan at 1000 nodes, got {speedup:.1}×"
-    );
-
-    bline.info("n1000_grid_speedup", speedup);
     omni_bench::baseline::emit(&bline);
 
     print!("{}", table.render());

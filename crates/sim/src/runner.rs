@@ -512,14 +512,6 @@ impl Runner {
         &self.world
     }
 
-    /// Forces (or stops forcing) neighbor resolution through the retained
-    /// brute-force linear scan instead of the spatial grid. Both modes are
-    /// bit-identical in behavior (see `World::neighbors_scan`); the `scale`
-    /// bench and equivalence tests use this to compare whole runs.
-    pub fn set_brute_force_neighbors(&mut self, on: bool) {
-        self.world.set_brute_force(on);
-    }
-
     /// Total RNG draws made by the fault layer so far; determinism tests
     /// assert that same-seed runs make exactly the same draws.
     pub fn fault_rng_draws(&self) -> u64 {

@@ -37,10 +37,7 @@
 //!
 //! The pre-grid linear scan is retained as [`World::neighbors_scan`]: it is
 //! the correctness oracle for the equivalence property tests (see
-//! `crates/sim/tests/grid_equivalence.rs`) and the baseline the `scale`
-//! bench measures the grid against. [`World::set_brute_force`] forces every
-//! query through the scan so whole-simulation runs can be compared
-//! grid-vs-oracle bit for bit.
+//! `crates/sim/tests/grid_equivalence.rs`) and for this module's unit tests.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -171,8 +168,6 @@ pub struct World {
     /// in-cell order is otherwise irrelevant because query results are
     /// sorted (see module docs).
     grid: CellMap,
-    /// When set, queries bypass the grid and use the linear-scan oracle.
-    brute_force: bool,
 }
 
 impl Default for World {
@@ -196,26 +191,12 @@ impl World {
     /// Panics if `cell_m` is not strictly positive and finite.
     pub fn with_cell_size(cell_m: f64) -> Self {
         assert!(cell_m > 0.0 && cell_m.is_finite(), "grid cell size must be positive");
-        World {
-            positions: Vec::new(),
-            scanning: Vec::new(),
-            cell_m,
-            grid: CellMap::default(),
-            brute_force: false,
-        }
+        World { positions: Vec::new(), scanning: Vec::new(), cell_m, grid: CellMap::default() }
     }
 
     /// The grid cell size in meters.
     pub fn cell_size_m(&self) -> f64 {
         self.cell_m
-    }
-
-    /// Forces (or stops forcing) every neighbor query through the retained
-    /// linear-scan oracle instead of the grid. Benches and equivalence tests
-    /// use this to compare entire runs against the pre-grid behavior; both
-    /// modes return identical results in identical order.
-    pub fn set_brute_force(&mut self, on: bool) {
-        self.brute_force = on;
     }
 
     fn cell_of(&self, pos: Position) -> (i64, i64) {
@@ -300,10 +281,6 @@ impl World {
     /// buffer across calls keeps the broadcast hot path allocation-free.
     pub fn neighbors_into(&self, of: DeviceId, range_m: f64, out: &mut Vec<DeviceId>) {
         out.clear();
-        if self.brute_force {
-            out.extend(self.neighbors_scan(of, range_m));
-            return;
-        }
         self.walk_into(of, range_m, false, out);
     }
 
@@ -312,10 +289,6 @@ impl World {
     /// cell's scanner prefix, so a query costs nothing per non-scanner.
     pub fn scanners_into(&self, of: DeviceId, range_m: f64, out: &mut Vec<DeviceId>) {
         out.clear();
-        if self.brute_force {
-            out.extend(self.neighbors_scan(of, range_m).filter(|d| self.scanning[d.0]));
-            return;
-        }
         self.walk_into(of, range_m, true, out);
     }
 
@@ -369,10 +342,9 @@ impl World {
         out.into_iter()
     }
 
-    /// The retained brute-force reference implementation: a linear scan over
-    /// every device. This is the correctness oracle the grid is proven
-    /// equivalent to by property tests, and the baseline the `scale` bench
-    /// measures against. O(N) per call — never use it on a hot path.
+    /// The retained reference implementation: a linear scan over every
+    /// device. This is the correctness oracle the grid is proven equivalent
+    /// to by property tests. O(N) per call — never use it on a hot path.
     pub fn neighbors_scan(
         &self,
         of: DeviceId,
@@ -499,15 +471,6 @@ mod tests {
         for r in [4.0, 5.0, 23.0, 120.0] {
             assert_matches_scan(&w, r);
         }
-    }
-
-    #[test]
-    fn brute_force_mode_returns_identical_results() {
-        let mut w = world(&[(0.0, 0.0), (10.0, 0.0), (200.0, 0.0), (10.0, 0.0)]);
-        let grid: Vec<_> = w.neighbors(DeviceId(0), 100.0).collect();
-        w.set_brute_force(true);
-        let brute: Vec<_> = w.neighbors(DeviceId(0), 100.0).collect();
-        assert_eq!(grid, brute);
     }
 
     /// Every bucket holds exactly its scanners in its `scanners` prefix, and

@@ -72,24 +72,19 @@ fn assert_equivalent(w: &World, ranges: &[f64]) {
     }
 }
 
-/// Asserts, in grid and brute-force mode alike, that `scanners_into` is the
-/// oracle filtered by `scanning` and that `neighbors_into` is the oracle
-/// itself whatever the scan state.
+/// Asserts that `scanners_into` is the oracle filtered by `scanning` and
+/// that `neighbors_into` is the oracle itself whatever the scan state.
 fn assert_scanner_index(w: &World, scanning: &dyn Fn(DeviceId) -> bool, ranges: &[f64]) {
-    let mut brute = w.clone();
-    brute.set_brute_force(true);
     let mut buf = Vec::new();
-    for world in [w, &brute] {
-        for d in 0..world.len() {
-            let of = DeviceId(d);
-            for &r in ranges {
-                let all: Vec<DeviceId> = world.neighbors_scan(of, r).collect();
-                let want: Vec<DeviceId> = all.iter().copied().filter(|&n| scanning(n)).collect();
-                world.scanners_into(of, r, &mut buf);
-                assert_eq!(buf, want, "dev {d} range {r}: scanner index disagrees");
-                world.neighbors_into(of, r, &mut buf);
-                assert_eq!(buf, all, "dev {d} range {r}: neighbors depend on scan state");
-            }
+    for d in 0..w.len() {
+        let of = DeviceId(d);
+        for &r in ranges {
+            let all: Vec<DeviceId> = w.neighbors_scan(of, r).collect();
+            let want: Vec<DeviceId> = all.iter().copied().filter(|&n| scanning(n)).collect();
+            w.scanners_into(of, r, &mut buf);
+            assert_eq!(buf, want, "dev {d} range {r}: scanner index disagrees");
+            w.neighbors_into(of, r, &mut buf);
+            assert_eq!(buf, all, "dev {d} range {r}: neighbors depend on scan state");
         }
     }
 }

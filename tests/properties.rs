@@ -317,10 +317,7 @@ fn mixed_stack_runs_are_bit_identical() {
 /// Satellite of the spatial-index tentpole: a 500-node fleet under a loaded
 /// fault configuration (BLE loss + jitter, a WiFi partition, churn) run twice
 /// from the same seed must be bit-identical — receipts, timestamps, and
-/// per-device energy totals. A third run with the brute-force neighbor scan
-/// swapped in (`Runner::set_brute_force_neighbors`) must reproduce the exact
-/// same event sequence, proving the grid changes performance and nothing
-/// else even at fleet scale with faults active.
+/// per-device energy totals.
 #[test]
 fn five_hundred_node_faulty_runs_are_bit_identical() {
     /// `(timestamp µs, receiver index, beacon payload)` receipt log.
@@ -351,7 +348,7 @@ fn five_hundred_node_faulty_runs_are_bit_identical() {
         }
     }
     const N: usize = 500;
-    let run = |brute_force: bool| {
+    let run = || {
         let cfg = SimConfig {
             faults: FaultConfig {
                 ble_loss: 0.2,
@@ -372,7 +369,6 @@ fn five_hundred_node_faulty_runs_are_bit_identical() {
             ..Default::default()
         };
         let mut sim = Runner::new(cfg);
-        sim.set_brute_force_neighbors(brute_force);
         let heard = Rc::new(RefCell::new(Vec::new()));
         for i in 0..N {
             // 25-wide grid with a 12 m pitch: every node has a handful of
@@ -387,14 +383,11 @@ fn five_hundred_node_faulty_runs_are_bit_identical() {
         let receipts = heard.borrow().clone();
         (receipts, energy)
     };
-    let (h1, e1) = run(false);
-    let (h2, e2) = run(false);
+    let (h1, e1) = run();
+    let (h2, e2) = run();
     assert!(!h1.is_empty(), "the fleet actually exchanged beacons");
     assert_eq!(h1, h2, "same-seed 500-node faulty runs are bit-identical");
     assert_eq!(e1, e2, "per-device energy totals are bit-identical");
-    let (hb, eb) = run(true);
-    assert_eq!(h1, hb, "grid and brute-force neighbor paths yield the same run");
-    assert_eq!(e1, eb);
 }
 
 /// Pinned artifact digest of a 500-node faulty fleet. Its stacks are stub
