@@ -24,11 +24,6 @@ stage() {
   "$@" || failed+=("$title")
 }
 
-wire_smoke() {
-  cargo run --release -p omni-bench --bin wire -- --smoke &&
-    cargo bench -q -p omni-bench --bench codec
-}
-
 # jsonl_parses <file...>: fails unless each file has lines and every line
 # parses as JSON.
 jsonl_parses() {
@@ -77,8 +72,8 @@ stage "cargo test" \
 stage "examples (each runs to completion and asserts its outcome)" \
   run_examples
 
-stage "wire smoke (zero-copy allocation gate + codec microbenches)" \
-  wire_smoke
+stage "wire smoke (zero-copy allocation gate)" \
+  cargo run --release -p omni-bench --bin wire -- --smoke
 
 stage "reliability smoke (fault matrix)" \
   cargo run --release -p omni-bench --bin reliability -- --smoke
