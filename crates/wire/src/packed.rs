@@ -306,22 +306,6 @@ impl PackedStruct {
         TraceId::from_u64(u64::from_be_bytes(raw))
     }
 
-    /// Reads the relay header out of an encoded frame without a full decode.
-    ///
-    /// Returns `None` for non-relayed or truncated frames. Used by the
-    /// simulator's drop sites to attribute killed relay frames to their
-    /// final destination and hop count without paying for payload copies.
-    pub fn peek_relay(bytes: &[u8]) -> Option<RelayHeader> {
-        if bytes.is_empty() || bytes[0] & RELAY_FLAG == 0 {
-            return None;
-        }
-        let at = HEADER_LEN + if bytes[0] & TRACE_FLAG != 0 { TRACE_LEN } else { 0 };
-        if bytes.len() < at + RELAY_LEN {
-            return None;
-        }
-        Some(RelayHeader::read(&bytes[at..at + RELAY_LEN]))
-    }
-
     /// Decodes the payload as an address beacon.
     ///
     /// # Errors

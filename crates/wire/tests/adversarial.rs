@@ -53,7 +53,6 @@ fn exercise(input: &[u8]) {
     }
     // Peek helpers are total too.
     let _ = PackedStruct::peek_trace(input);
-    let _ = PackedStruct::peek_relay(input);
     let _ = frame::frame_trace(input);
     let _ = frame::directed_trace(input);
 }

@@ -103,12 +103,11 @@ proptest! {
     }
 
     /// The flag-bit layout: stamped trace and relay headers always roundtrip
-    /// through encode and through the cheap header peeks.
+    /// through encode, and the trace peek agrees with the decode.
     #[test]
     fn trace_roundtrips_and_peeks(p in arb_packed()) {
         let wire = p.encode();
         prop_assert_eq!(PackedStruct::peek_trace(&wire), p.trace);
-        prop_assert_eq!(PackedStruct::peek_relay(&wire), p.relay);
         let decoded = PackedStruct::decode(&wire).unwrap();
         prop_assert_eq!(decoded.trace, p.trace);
         prop_assert_eq!(decoded.relay, p.relay);
