@@ -251,6 +251,12 @@ impl MetricsRegistry {
         self.get_or_create(name, |r| &mut r.digests)
     }
 
+    /// Every registered counter's value (name → value), sorted by name.  The
+    /// sampler reads these to take windowed deltas.
+    pub fn counters(&self) -> Vec<(String, u64)> {
+        self.sorted(|r| &r.counters).into_iter().map(|(n, c)| (n, c.get())).collect()
+    }
+
     /// Shared handle for every registered digest (name → handle), sorted by
     /// name.  The sampler uses this to take windowed snapshots.
     pub fn digests(&self) -> Vec<(String, Digest)> {
@@ -265,23 +271,16 @@ impl MetricsRegistry {
 
     /// Sorted snapshot of every registered metric.
     pub fn read(&self) -> MetricsRead {
-        let reg = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut counters: Vec<(String, u64)> =
-            reg.counters.iter().map(|(n, c)| (n.clone(), c.get())).collect();
-        let mut gauges: Vec<(String, GaugeRead)> = reg
-            .gauges
-            .iter()
-            .map(|(n, g)| {
-                let (lo, hi) = g.watermarks();
-                (n.clone(), GaugeRead { value: g.get(), lo, hi })
-            })
-            .collect();
-        let mut digests: Vec<(String, DigestSummary)> =
-            reg.digests.iter().map(|(n, d)| (n.clone(), d.summary())).collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        digests.sort_by(|a, b| a.0.cmp(&b.0));
-        MetricsRead { counters, gauges, digests }
+        let gauges = self.gauges().into_iter().map(|(n, g)| {
+            let (lo, hi) = g.watermarks();
+            (n, GaugeRead { value: g.get(), lo, hi })
+        });
+        let digests = self.digests().into_iter().map(|(n, d)| (n, d.summary()));
+        MetricsRead {
+            counters: self.counters(),
+            gauges: gauges.collect(),
+            digests: digests.collect(),
+        }
     }
 }
 
@@ -335,6 +334,24 @@ mod tests {
         assert_eq!(reg.counter("a").get(), 2);
         let read = reg.read();
         assert_eq!(read.counters.len(), 1);
+    }
+
+    #[test]
+    fn counters_match_the_full_read() {
+        let reg = MetricsRegistry::new();
+        reg.counter("z.plain").add(3);
+        reg.counter_with("a.labeled", &[("cause", "loss")]).inc();
+        reg.counter_with("a.labeled", &[("cause", "partition")]).add(2);
+        reg.counter("m.zero");
+        reg.gauge("g").set(1);
+        reg.digest("d").record(5);
+        let counters = reg.counters();
+        assert_eq!(counters, reg.read().counters);
+        let names: Vec<&str> = counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["a.labeled{cause=loss}", "a.labeled{cause=partition}", "m.zero", "z.plain"]
+        );
     }
 
     #[test]

@@ -203,7 +203,7 @@ impl Sampler {
         let window_us = t_us.saturating_sub(self.last_t_us);
 
         // Counters → windowed deltas.
-        let mut counters = obs.metrics().read().counters;
+        let mut counters = obs.metrics().counters();
         let mut delivered = 0u64;
         let mut failed = 0u64;
         let mut beaconed = false;
