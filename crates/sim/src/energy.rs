@@ -15,13 +15,12 @@
 //! WiFi standby is itself a state, so harnesses subtract
 //! [`crate::EnergyParams::wifi_standby_ma`] to report on the paper's baseline.
 
-use std::collections::HashMap;
-
 use crate::time::{SimDuration, SimTime};
 use crate::DeviceId;
 
-/// Keys for reference-counted continuous draw states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Keys for reference-counted continuous draw states, ordered by
+/// declaration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EnergyState {
     /// WiFi radio powered (standby draw).
     WifiOn,
@@ -41,27 +40,21 @@ pub enum EnergyState {
     BleScan,
 }
 
-/// Every state, in declaration order: the fixed order in which
-/// [`EnergyLedger::total_ma_s`] sums open draws, so totals are bit-identical
-/// across processes (the per-device map's iteration order is seeded per
-/// process).
-const ALL_STATES: [EnergyState; 8] = [
-    EnergyState::WifiOn,
-    EnergyState::WifiScan,
-    EnergyState::WifiConnect,
-    EnergyState::WifiTx,
-    EnergyState::WifiRx,
-    EnergyState::InfraRx,
-    EnergyState::McastTx,
-    EnergyState::BleScan,
-];
-
 #[derive(Debug, Default, Clone)]
 struct DeviceEnergy {
     /// Accumulated charge in mA·s.
     total_ma_s: f64,
-    /// Active states: key → (current mA, refcount, active-since).
-    states: HashMap<EnergyState, (f64, u32, SimTime)>,
+    /// Open states as (key, current mA, refcount, active-since), sorted by
+    /// key: [`EnergyLedger::total_ma_s`] sums them in that order, so totals
+    /// are bit-identical whatever order the states were entered in.
+    states: Vec<(EnergyState, f64, u32, SimTime)>,
+}
+
+impl DeviceEnergy {
+    /// The slot of `key` in `states`, or where it would be inserted.
+    fn find(&self, key: EnergyState) -> Result<usize, usize> {
+        self.states.binary_search_by_key(&key, |&(k, ..)| k)
+    }
 }
 
 /// The per-simulation energy ledger.
@@ -94,11 +87,9 @@ impl EnergyLedger {
     /// per key, so this never matters in practice.
     pub fn enter(&mut self, id: DeviceId, now: SimTime, key: EnergyState, ma: f64) {
         let d = self.dev(id);
-        match d.states.get_mut(&key) {
-            Some((_, count, _)) => *count += 1,
-            None => {
-                d.states.insert(key, (ma, 1, now));
-            }
+        match d.find(key) {
+            Ok(at) => d.states[at].2 += 1,
+            Err(at) => d.states.insert(at, (key, ma, 1, now)),
         }
     }
 
@@ -109,13 +100,12 @@ impl EnergyLedger {
     /// disabled redundantly).
     pub fn leave(&mut self, id: DeviceId, now: SimTime, key: EnergyState) {
         let d = self.dev(id);
-        if let Some((ma, count, since)) = d.states.get_mut(&key) {
+        if let Ok(at) = d.find(key) {
+            let (_, ma, count, since) = &mut d.states[at];
             *count -= 1;
             if *count == 0 {
-                let charge = *ma * now.duration_since(*since).as_secs_f64();
-                let _ = since;
-                d.total_ma_s += charge;
-                d.states.remove(&key);
+                d.total_ma_s += *ma * now.duration_since(*since).as_secs_f64();
+                d.states.remove(at);
             }
         }
     }
@@ -129,10 +119,10 @@ impl EnergyLedger {
     /// the still-open states.
     pub fn total_ma_s(&self, id: DeviceId, now: SimTime) -> f64 {
         let d = &self.devices[id.0];
-        let open: f64 = ALL_STATES
+        let open: f64 = d
+            .states
             .iter()
-            .filter_map(|key| d.states.get(key))
-            .map(|(ma, _, since)| ma * now.saturating_since(*since).as_secs_f64())
+            .map(|(_, ma, _, since)| ma * now.saturating_since(*since).as_secs_f64())
             .sum();
         d.total_ma_s + open
     }
@@ -150,7 +140,7 @@ impl EnergyLedger {
 
     /// Whether a state is currently held.
     pub fn is_active(&self, id: DeviceId, key: EnergyState) -> bool {
-        self.devices[id.0].states.contains_key(&key)
+        self.devices[id.0].find(key).is_ok()
     }
 }
 
@@ -240,7 +230,17 @@ mod tests {
     fn open_draw_totals_are_independent_of_entry_order() {
         // Currents and start times chosen so that f64 addition order
         // changes the last bits of the sum.
-        let draws: Vec<(EnergyState, f64, SimTime)> = ALL_STATES
+        let states = [
+            EnergyState::WifiOn,
+            EnergyState::WifiScan,
+            EnergyState::WifiConnect,
+            EnergyState::WifiTx,
+            EnergyState::WifiRx,
+            EnergyState::InfraRx,
+            EnergyState::McastTx,
+            EnergyState::BleScan,
+        ];
+        let draws: Vec<(EnergyState, f64, SimTime)> = states
             .iter()
             .enumerate()
             .map(|(i, &key)| {
@@ -277,6 +277,11 @@ mod tests {
             })
             .sum();
         assert_eq!(reference, by_declaration.to_bits());
+    }
+
+    #[test]
+    fn device_ledger_entries_are_at_most_32_bytes() {
+        assert!(std::mem::size_of::<DeviceEnergy>() <= 32);
     }
 
     #[test]
